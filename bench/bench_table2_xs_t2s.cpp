@@ -148,13 +148,17 @@ int main(int argc, char** argv) {
               "this work)\n");
 
   if (cli.has("json")) {
-    const std::vector<benchjson::Record> recs{
-        {"table2_small_net", m_small.gflops, m_small.bytes_alloc,
-         m_small.sec_per_step, m_small.comm.bytes, m_small.comm.wait_seconds,
-         m_small.span_count},
-        {"table2_big_net", m_big.gflops, m_big.bytes_alloc, m_big.sec_per_step,
-         m_big.comm.bytes, m_big.comm.wait_seconds, m_big.span_count},
+    const auto rec = [](const char* kernel, const Meas& m) {
+      return benchjson::Record{.kernel = kernel,
+                               .gflops = m.gflops,
+                               .bytes_alloc = m.bytes_alloc,
+                               .seconds = m.sec_per_step,
+                               .comm_bytes = m.comm.bytes,
+                               .comm_seconds = m.comm.wait_seconds,
+                               .span_count = m.span_count};
     };
+    const std::vector<benchjson::Record> recs{rec("table2_small_net", m_small),
+                                              rec("table2_big_net", m_big)};
     const std::string path = cli.str("json");
     const auto ft_stats = benchjson::ft_stats_from_registry();
     if (!benchjson::write(path, recs, &ft_stats))

@@ -9,8 +9,8 @@
 // --paper for the full Table III workload.
 //
 // Expected shape (paper: 1 / 3.67 / 9.22 / 338): each rung is faster than
-// the previous; the parallel rung's gain tracks the core count (the
-// paper's 338x came from a GPU; this host has OMP_NUM_THREADS cores).
+// the previous; the parallel rung's gain tracks the ThreadPool size
+// (MLMD_NUM_THREADS; the paper's 338x came from a GPU).
 
 #include <cstdio>
 

@@ -163,18 +163,16 @@ int main(int argc, char** argv) {
 
   if (cli.has("json")) {
     // Single-process kernels move no SimComm traffic; comm_* stay 0.
-    const std::vector<benchjson::Record> recs{
-        {"sgemm_peak_512", peak.gflops, peak.bytes_alloc, peak.seconds, 0, 0.0,
-         peak.span_count},
-        {"cgemm1", cgemm1.gflops, cgemm1.bytes_alloc, cgemm1.seconds, 0, 0.0,
-         cgemm1.span_count},
-        {"cgemm2", cgemm2.gflops, cgemm2.bytes_alloc, cgemm2.seconds, 0, 0.0,
-         cgemm2.span_count},
-        {"nlp_prop", nlp.gflops, nlp.bytes_alloc, nlp.seconds, 0, 0.0,
-         nlp.span_count},
-        {"kin_prop", kin.gflops, kin.bytes_alloc, kin.seconds, 0, 0.0,
-         kin.span_count},
+    const auto rec = [](const char* kernel, const Meas& m) {
+      return benchjson::Record{.kernel = kernel,
+                               .gflops = m.gflops,
+                               .bytes_alloc = m.bytes_alloc,
+                               .seconds = m.seconds,
+                               .span_count = m.span_count};
     };
+    const std::vector<benchjson::Record> recs{
+        rec("sgemm_peak_512", peak), rec("cgemm1", cgemm1),
+        rec("cgemm2", cgemm2), rec("nlp_prop", nlp), rec("kin_prop", kin)};
     const std::string path = cli.str("json");
     if (!benchjson::write(path, recs))
       std::fprintf(stderr, "cannot write %s\n", path.c_str());

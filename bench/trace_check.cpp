@@ -12,7 +12,8 @@
 //   kernel/gflops/bytes_alloc/seconds/comm_bytes/comm_seconds/
 //   comm_overlap_seconds/handles_posted/handles_completed/span_count.
 //   Per record, handles_completed must equal handles_posted (no leaked
-//   nonblocking CommHandles) and comm_overlap_seconds must be >= 0.
+//   nonblocking CommHandles) and comm_overlap_seconds must be >= 0, and
+//   exactly 0 when handles_posted is 0.
 //   An optional "ft" object (fault-tolerance totals, DESIGN.md Sec. 10)
 //   must, when present, carry numeric faults_injected/faults_detected/
 //   faults_recovered/checkpoint_writes/checkpoint_bytes/
@@ -294,11 +295,23 @@ int check_bench(const Value& root) {
                    i, posted, completed);
       return 1;
     }
-    if (field(r, "comm_overlap_seconds", Value::Kind::kNumber)->num < 0.0) {
+    const double overlap =
+        field(r, "comm_overlap_seconds", Value::Kind::kNumber)->num;
+    if (overlap < 0.0) {
       std::fprintf(stderr,
                    "trace_check: record %zu has negative "
                    "comm_overlap_seconds\n",
                    i);
+      return 1;
+    }
+    // Overlap is time spent computing while a nonblocking handle was in
+    // flight, so a record that posted none has none; a nonzero value there
+    // means the emitter filled the wrong field.
+    if (posted == 0.0 && overlap != 0.0) {
+      std::fprintf(stderr,
+                   "trace_check: record %zu reports %g s comm_overlap_seconds "
+                   "with no handles posted\n",
+                   i, overlap);
       return 1;
     }
   }

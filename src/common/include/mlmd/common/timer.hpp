@@ -1,18 +1,10 @@
 #pragma once
-// Wall-clock timers used for all time-to-solution measurements.
-//
-// NOTE: TimerSet/ScopedTimer are deprecated for NEW code. Accumulating
-// per-kernel breakdowns now live in the mlmd::obs registry
+// Wall-clock stopwatch used for all time-to-solution measurements.
+// Accumulating per-kernel breakdowns live in the mlmd::obs registry
 // (obs::Registry::global().histogram("<area>.<kernel>.seconds") with
-// obs::ScopedAccum), which is thread-safe, process-global, and feeds the
-// merged text/JSON reports and the benches. The plain Timer stopwatch
-// below is not deprecated. Existing TimerSet call sites have been
-// migrated; the class stays for local, single-thread ad-hoc timing only.
+// obs::ScopedAccum).
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace mlmd {
 
@@ -29,68 +21,6 @@ public:
 private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Named accumulating timers, for per-kernel breakdowns
-/// (kin_prop / nlp_prop / hartree / ...).
-///
-/// Thread-safety contract (DESIGN.md Sec. 7): TimerSet is NOT internally
-/// synchronized. Each logical SimComm rank — and each ThreadPool worker
-/// that wants per-thread timings — accumulates into its own private
-/// TimerSet; the owner combines them after the parallel region with
-/// merge(). Sharing one TimerSet across concurrent add() calls is a data
-/// race.
-class TimerSet {
-public:
-  /// Accumulate `seconds` under `name`.
-  void add(const std::string& name, double seconds) {
-    auto& e = entries_[name];
-    e.seconds += seconds;
-    e.calls += 1;
-  }
-
-  /// Fold another TimerSet into this one, summing seconds and call
-  /// counts per entry. This is the documented per-thread merge path:
-  /// workers time into thread-local sets, the owner merges serially.
-  void merge(const TimerSet& other) {
-    for (const auto& [name, e] : other.entries_) {
-      auto& mine = entries_[name];
-      mine.seconds += e.seconds;
-      mine.calls += e.calls;
-    }
-  }
-  double seconds(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0.0 : it->second.seconds;
-  }
-  std::uint64_t calls(const std::string& name) const {
-    auto it = entries_.find(name);
-    return it == entries_.end() ? 0 : it->second.calls;
-  }
-  void clear() { entries_.clear(); }
-
-  struct Entry {
-    double seconds = 0.0;
-    std::uint64_t calls = 0;
-  };
-  const std::map<std::string, Entry>& entries() const { return entries_; }
-
-private:
-  std::map<std::string, Entry> entries_;
-};
-
-/// RAII region that adds its lifetime to a TimerSet entry.
-class ScopedTimer {
-public:
-  ScopedTimer(TimerSet& set, std::string name) : set_(set), name_(std::move(name)) {}
-  ~ScopedTimer() { set_.add(name_, t_.seconds()); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-  TimerSet& set_;
-  std::string name_;
-  Timer t_;
 };
 
 } // namespace mlmd

@@ -1,10 +1,13 @@
 #include "mlmd/lfd/density.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
 #include "mlmd/common/units.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::lfd {
 
@@ -13,16 +16,21 @@ std::vector<double> density(const SoAWave<Real>& w, const std::vector<double>& f
   if (f.size() != w.norb) throw std::invalid_argument("density: occupation size");
   std::vector<double> rho(w.grid.size(), 0.0);
   flops::add(3ull * w.grid.size() * w.norb);
-#pragma omp parallel for schedule(static)
-  for (std::size_t g = 0; g < rho.size(); ++g) {
-    double acc = 0.0;
-    const auto* row = w.psi.row(g);
-    for (std::size_t s = 0; s < w.norb; ++s) {
-      const double re = row[s].real(), im = row[s].imag();
-      acc += f[s] * (re * re + im * im);
+  // One chunk covers >= 8192 (point, orbital) pairs (>= ~10 us of work),
+  // so an 8^3 grid with <= 16 orbitals runs as one inline chunk.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 8192 / std::max<std::size_t>(w.norb, 1));
+  par::parallel_for(0, rho.size(), grain, [&](std::size_t g0, std::size_t g1) {
+    for (std::size_t g = g0; g < g1; ++g) {
+      double acc = 0.0;
+      const auto* row = w.psi.row(g);
+      for (std::size_t s = 0; s < w.norb; ++s) {
+        const double re = row[s].real(), im = row[s].imag();
+        acc += f[s] * (re * re + im * im);
+      }
+      rho[g] = acc;
     }
-    rho[g] = acc;
-  }
+  });
   return rho;
 }
 
@@ -41,26 +49,33 @@ std::array<double, 3> macroscopic_current(const SoAWave<Real>& w,
   const std::size_t extents[3] = {g.nx, g.ny, g.nz};
   const double hs[3] = {g.hx, g.hy, g.hz};
 
+  // Deterministic reduction over x-planes: the per-chunk partials are
+  // combined in chunk order, so the bits do not depend on the thread
+  // count. One chunk covers >= 8192 (point, orbital) pairs.
+  const std::size_t grain = std::max<std::size_t>(
+      1, 8192 / (g.ny * g.nz * std::max<std::size_t>(w.norb, 1)));
   for (int axis = 0; axis < 3; ++axis) {
-    double acc = 0.0;
     const double theta = a[axis] * hs[axis] / units::c_light;
     const std::complex<double> ph(std::cos(theta), -std::sin(theta));
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-    for (std::size_t x = 0; x < g.nx; ++x) {
-      for (std::size_t y = 0; y < g.ny; ++y)
-        for (std::size_t z = 0; z < g.nz; ++z) {
-          const std::size_t c[3] = {x, y, z};
-          const std::size_t gp = g.index(x, y, z);
-          std::size_t cc[3] = {x, y, z};
-          cc[axis] = c[axis] + 1 == extents[axis] ? 0 : c[axis] + 1;
-          const std::size_t gq = g.index(cc[0], cc[1], cc[2]);
-          for (std::size_t s = 0; s < w.norb; ++s) {
-            const std::complex<double> u(w.at(gp, s));
-            const std::complex<double> v(w.at(gq, s));
-            acc += f[s] * std::imag(std::conj(u) * ph * v) / hs[axis];
+    const auto planes = [&](std::size_t x0, std::size_t x1) {
+      double acc = 0.0;
+      for (std::size_t x = x0; x < x1; ++x)
+        for (std::size_t y = 0; y < g.ny; ++y)
+          for (std::size_t z = 0; z < g.nz; ++z) {
+            const std::size_t c[3] = {x, y, z};
+            const std::size_t gp = g.index(x, y, z);
+            std::size_t cc[3] = {x, y, z};
+            cc[axis] = c[axis] + 1 == extents[axis] ? 0 : c[axis] + 1;
+            const std::size_t gq = g.index(cc[0], cc[1], cc[2]);
+            for (std::size_t s = 0; s < w.norb; ++s) {
+              const std::complex<double> u(w.at(gp, s));
+              const std::complex<double> v(w.at(gq, s));
+              acc += f[s] * std::imag(std::conj(u) * ph * v) / hs[axis];
+            }
           }
-        }
-    }
+      return acc;
+    };
+    const double acc = par::parallel_reduce(0, g.nx, grain, 0.0, planes, std::plus<>());
     j[static_cast<std::size_t>(axis)] = acc * g.dv() / g.volume();
   }
   return j;

@@ -103,9 +103,9 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
   kp.a[2] = a[2];
 
   // Per-kernel accounting goes to the always-on obs registry (histograms
-  // under "lfd.<kernel>.seconds") plus, when tracing, a kernel span; this
-  // replaced the per-domain TimerSet (thread-safe, and one namespace for
-  // every per-kernel breakdown — see DESIGN.md Sec. 9).
+  // under "lfd.<kernel>.seconds") plus, when tracing, a kernel span:
+  // thread-safe, and one namespace for every per-kernel breakdown (see
+  // DESIGN.md Sec. 9).
   auto& reg = obs::Registry::global();
   if (opt_.prop_order == PropOrder::kFourth) {
     // Composite Suzuki-Yoshida step (exactly time-reversible, 3x the

@@ -1,10 +1,12 @@
 #include "mlmd/lfd/dsa.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::lfd {
 
@@ -18,9 +20,13 @@ std::vector<double> DsaHartree::laplacian(const std::vector<double>& u) const {
   const double cy = 1.0 / (grid_.hy * grid_.hy);
   const double cz = 1.0 / (grid_.hz * grid_.hz);
   flops::add(10ull * u.size());
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::size_t x = 0; x < grid_.nx; ++x) {
-    for (std::size_t y = 0; y < grid_.ny; ++y) {
+  // Flattened (x, y) columns, each writing its own z-run; one chunk covers
+  // >= 2048 grid points, so an 8^3 domain is a single inline chunk.
+  const std::size_t grain = std::max<std::size_t>(1, 2048 / grid_.nz);
+  par::parallel_for(0, grid_.nx * grid_.ny, grain, [&](std::size_t w0, std::size_t w1) {
+    for (std::size_t w = w0; w < w1; ++w) {
+      const std::size_t x = w / grid_.ny;
+      const std::size_t y = w % grid_.ny;
       const std::size_t xm = grid::Grid3::wrap(static_cast<std::ptrdiff_t>(x) - 1, grid_.nx);
       const std::size_t xp = grid::Grid3::wrap(static_cast<std::ptrdiff_t>(x) + 1, grid_.nx);
       const std::size_t ym = grid::Grid3::wrap(static_cast<std::ptrdiff_t>(y) - 1, grid_.ny);
@@ -35,7 +41,7 @@ std::vector<double> DsaHartree::laplacian(const std::vector<double>& u) const {
             2.0 * (cx + cy + cz) * u[grid_.index(x, y, z)];
       }
     }
-  }
+  });
   return lap;
 }
 
@@ -60,12 +66,13 @@ void DsaHartree::update(const std::vector<double>& rho) {
   for (int it = 0; it < opt_.substeps; ++it) {
     auto lap = laplacian(phi_);
     flops::add(6ull * phi_.size());
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < phi_.size(); ++i) {
-      const double accel = lap[i] + fourpi * rho[i];
-      phi_dot_[i] = (1.0 - opt_.gamma) * phi_dot_[i] + dt2c2 * accel;
-      phi_[i] += phi_dot_[i];
-    }
+    par::parallel_for(0, phi_.size(), 4096, [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const double accel = lap[i] + fourpi * rho[i];
+        phi_dot_[i] = (1.0 - opt_.gamma) * phi_dot_[i] + dt2c2 * accel;
+        phi_[i] += phi_dot_[i];
+      }
+    });
   }
   // Keep the potential zero-mean (periodic gauge) and re-solve if the
   // cheap updater has fallen too far behind.

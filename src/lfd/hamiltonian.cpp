@@ -1,11 +1,13 @@
 #include "mlmd/lfd/hamiltonian.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
 #include "mlmd/common/units.hpp"
 #include "mlmd/la/gemm.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::lfd {
 
@@ -33,9 +35,14 @@ la::Matrix<std::complex<Real>> apply_hloc(const SoAWave<Real>& w,
     tph_conj[axis] = std::conj(tph[axis]);
   }
 
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::size_t x = 0; x < g.nx; ++x) {
-    for (std::size_t y = 0; y < g.ny; ++y) {
+  // Flattened (x, y) columns, each writing its own rows of h; one chunk
+  // covers >= 8192 (point, orbital) pairs (>= ~10 us of work).
+  const std::size_t grain =
+      std::max<std::size_t>(1, 8192 / (g.nz * std::max<std::size_t>(w.norb, 1)));
+  par::parallel_for(0, g.nx * g.ny, grain, [&](std::size_t w0, std::size_t w1) {
+    for (std::size_t col = w0; col < w1; ++col) {
+      const std::size_t x = col / g.ny;
+      const std::size_t y = col % g.ny;
       for (std::size_t z = 0; z < g.nz; ++z) {
         const std::size_t gp = g.index(x, y, z);
         const Real vd = static_cast<Real>(vloc[gp] + diag);
@@ -56,7 +63,7 @@ la::Matrix<std::complex<Real>> apply_hloc(const SoAWave<Real>& w,
         }
       }
     }
-  }
+  });
   return h;
 }
 

@@ -17,7 +17,7 @@
 //   kReordered - SoA layout, orbital-innermost loops (Sec. V.B.2)
 //   kBlocked   - + orbital blocking/tiling (Sec. V.B.3)
 //   kParallel  - + hierarchical parallel regions over (plane x block)
-//                collapsed OpenMP loops (Sec. V.B.4)
+//                ranges on par::ThreadPool (Sec. V.B.4)
 // All variants compute the same propagator; tests assert bitwise-close
 // agreement.
 

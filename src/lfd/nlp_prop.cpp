@@ -1,7 +1,10 @@
 #include "mlmd/lfd/nlp_prop.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::lfd {
 namespace {
@@ -115,11 +118,15 @@ void renormalize(SoAWave<Real>& w) {
   std::vector<Real> inv(w.norb);
   for (std::size_t s = 0; s < w.norb; ++s)
     inv[s] = static_cast<Real>(1.0 / std::sqrt(std::max(n2[s] * dv, 1e-300)));
-#pragma omp parallel for schedule(static)
-  for (std::size_t g = 0; g < w.grid.size(); ++g) {
-    auto* row = w.psi.row(g);
-    for (std::size_t s = 0; s < w.norb; ++s) row[s] *= inv[s];
-  }
+  // Disjoint rows; one chunk covers >= 8192 (point, orbital) pairs.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 8192 / std::max<std::size_t>(w.norb, 1));
+  par::parallel_for(0, w.grid.size(), grain, [&](std::size_t g0, std::size_t g1) {
+    for (std::size_t g = g0; g < g1; ++g) {
+      auto* row = w.psi.row(g);
+      for (std::size_t s = 0; s < w.norb; ++s) row[s] *= inv[s];
+    }
+  });
 }
 
 template void nlp_prop<float>(SoAWave<float>&, const la::Matrix<std::complex<float>>&,

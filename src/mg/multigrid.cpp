@@ -1,9 +1,11 @@
 #include "mlmd/mg/multigrid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::mg {
 namespace {
@@ -16,6 +18,18 @@ inline std::size_t idx(std::size_t x, std::size_t y, std::size_t z, std::size_t 
 inline std::size_t wrap(std::ptrdiff_t i, std::size_t n) {
   const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(n);
   return static_cast<std::size_t>((i % m + m) % m);
+}
+
+/// Runs body(x, y) for every (x, y) column of an nx x ny x nz level on
+/// the ThreadPool. Each column writes only its own z-run, and one chunk
+/// covers >= 2048 grid points (>= ~10 us of stencil work), so an 8^3
+/// level is a single inline chunk.
+template <class Body>
+void for_columns(std::size_t nx, std::size_t ny, std::size_t nz, Body&& body) {
+  const std::size_t grain = std::max<std::size_t>(1, 2048 / nz);
+  par::parallel_for(0, nx * ny, grain, [&](std::size_t w0, std::size_t w1) {
+    for (std::size_t w = w0; w < w1; ++w) body(w / ny, w % ny);
+  });
 }
 
 void subtract_mean(std::vector<double>& v) {
@@ -55,28 +69,25 @@ void Multigrid::smooth(const Level& lv, std::vector<double>& u,
     // Red-black ordering keeps Gauss-Seidel data-parallel (the paper's
     // "uniform operations on nearest-neighbor mesh points", Sec. A.5).
     for (int color = 0; color < 2; ++color) {
-#pragma omp parallel for collapse(2) schedule(static)
-      for (std::size_t x = 0; x < lv.nx; ++x) {
-        for (std::size_t y = 0; y < lv.ny; ++y) {
-          const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
-          const std::size_t xp = wrap(static_cast<std::ptrdiff_t>(x) + 1, lv.nx);
-          const std::size_t ym = wrap(static_cast<std::ptrdiff_t>(y) - 1, lv.ny);
-          const std::size_t yp = wrap(static_cast<std::ptrdiff_t>(y) + 1, lv.ny);
-          for (std::size_t z = (x + y + static_cast<std::size_t>(color)) % 2;
-               z < lv.nz; z += 2) {
-            const std::size_t zm = wrap(static_cast<std::ptrdiff_t>(z) - 1, lv.nz);
-            const std::size_t zp = wrap(static_cast<std::ptrdiff_t>(z) + 1, lv.nz);
-            const double nb = cx * (u[idx(xm, y, z, lv.ny, lv.nz)] +
-                                    u[idx(xp, y, z, lv.ny, lv.nz)]) +
-                              cy * (u[idx(x, ym, z, lv.ny, lv.nz)] +
-                                    u[idx(x, yp, z, lv.ny, lv.nz)]) +
-                              cz * (u[idx(x, y, zm, lv.ny, lv.nz)] +
-                                    u[idx(x, y, zp, lv.ny, lv.nz)]);
-            u[idx(x, y, z, lv.ny, lv.nz)] =
-                (f[idx(x, y, z, lv.ny, lv.nz)] + nb) / diag;
-          }
+      for_columns(lv.nx, lv.ny, lv.nz, [&](std::size_t x, std::size_t y) {
+        const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
+        const std::size_t xp = wrap(static_cast<std::ptrdiff_t>(x) + 1, lv.nx);
+        const std::size_t ym = wrap(static_cast<std::ptrdiff_t>(y) - 1, lv.ny);
+        const std::size_t yp = wrap(static_cast<std::ptrdiff_t>(y) + 1, lv.ny);
+        for (std::size_t z = (x + y + static_cast<std::size_t>(color)) % 2;
+             z < lv.nz; z += 2) {
+          const std::size_t zm = wrap(static_cast<std::ptrdiff_t>(z) - 1, lv.nz);
+          const std::size_t zp = wrap(static_cast<std::ptrdiff_t>(z) + 1, lv.nz);
+          const double nb = cx * (u[idx(xm, y, z, lv.ny, lv.nz)] +
+                                  u[idx(xp, y, z, lv.ny, lv.nz)]) +
+                            cy * (u[idx(x, ym, z, lv.ny, lv.nz)] +
+                                  u[idx(x, yp, z, lv.ny, lv.nz)]) +
+                            cz * (u[idx(x, y, zm, lv.ny, lv.nz)] +
+                                  u[idx(x, y, zp, lv.ny, lv.nz)]);
+          u[idx(x, y, z, lv.ny, lv.nz)] =
+              (f[idx(x, y, z, lv.ny, lv.nz)] + nb) / diag;
         }
-      }
+      });
     }
   }
 }
@@ -90,25 +101,22 @@ std::vector<double> Multigrid::compute_residual(const Level& lv,
   const double diag = 2.0 * (cx + cy + cz);
   std::vector<double> r(u.size());
   flops::add(12ull * u.size());
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::size_t x = 0; x < lv.nx; ++x) {
-    for (std::size_t y = 0; y < lv.ny; ++y) {
-      const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
-      const std::size_t xp = wrap(static_cast<std::ptrdiff_t>(x) + 1, lv.nx);
-      const std::size_t ym = wrap(static_cast<std::ptrdiff_t>(y) - 1, lv.ny);
-      const std::size_t yp = wrap(static_cast<std::ptrdiff_t>(y) + 1, lv.ny);
-      for (std::size_t z = 0; z < lv.nz; ++z) {
-        const std::size_t zm = wrap(static_cast<std::ptrdiff_t>(z) - 1, lv.nz);
-        const std::size_t zp = wrap(static_cast<std::ptrdiff_t>(z) + 1, lv.nz);
-        const double lap_u =
-            cx * (u[idx(xm, y, z, lv.ny, lv.nz)] + u[idx(xp, y, z, lv.ny, lv.nz)]) +
-            cy * (u[idx(x, ym, z, lv.ny, lv.nz)] + u[idx(x, yp, z, lv.ny, lv.nz)]) +
-            cz * (u[idx(x, y, zm, lv.ny, lv.nz)] + u[idx(x, y, zp, lv.ny, lv.nz)]) -
-            diag * u[idx(x, y, z, lv.ny, lv.nz)];
-        r[idx(x, y, z, lv.ny, lv.nz)] = f[idx(x, y, z, lv.ny, lv.nz)] + lap_u;
-      }
+  for_columns(lv.nx, lv.ny, lv.nz, [&](std::size_t x, std::size_t y) {
+    const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
+    const std::size_t xp = wrap(static_cast<std::ptrdiff_t>(x) + 1, lv.nx);
+    const std::size_t ym = wrap(static_cast<std::ptrdiff_t>(y) - 1, lv.ny);
+    const std::size_t yp = wrap(static_cast<std::ptrdiff_t>(y) + 1, lv.ny);
+    for (std::size_t z = 0; z < lv.nz; ++z) {
+      const std::size_t zm = wrap(static_cast<std::ptrdiff_t>(z) - 1, lv.nz);
+      const std::size_t zp = wrap(static_cast<std::ptrdiff_t>(z) + 1, lv.nz);
+      const double lap_u =
+          cx * (u[idx(xm, y, z, lv.ny, lv.nz)] + u[idx(xp, y, z, lv.ny, lv.nz)]) +
+          cy * (u[idx(x, ym, z, lv.ny, lv.nz)] + u[idx(x, yp, z, lv.ny, lv.nz)]) +
+          cz * (u[idx(x, y, zm, lv.ny, lv.nz)] + u[idx(x, y, zp, lv.ny, lv.nz)]) -
+          diag * u[idx(x, y, z, lv.ny, lv.nz)];
+      r[idx(x, y, z, lv.ny, lv.nz)] = f[idx(x, y, z, lv.ny, lv.nz)] + lap_u;
     }
-  }
+  });
   return r;
 }
 
@@ -118,56 +126,50 @@ std::vector<double> Multigrid::restrict_full_weight(const Level& fine,
   std::vector<double> rc(cnx * cny * cnz);
   // 27-point full weighting with periodic wrap.
   static const double w[3] = {0.25, 0.5, 0.25};
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::size_t X = 0; X < cnx; ++X) {
-    for (std::size_t Y = 0; Y < cny; ++Y) {
-      for (std::size_t Z = 0; Z < cnz; ++Z) {
-        double acc = 0.0;
-        for (int dx = -1; dx <= 1; ++dx)
-          for (int dy = -1; dy <= 1; ++dy)
-            for (int dz = -1; dz <= 1; ++dz) {
-              const std::size_t x = wrap(static_cast<std::ptrdiff_t>(2 * X) + dx, fine.nx);
-              const std::size_t y = wrap(static_cast<std::ptrdiff_t>(2 * Y) + dy, fine.ny);
-              const std::size_t z = wrap(static_cast<std::ptrdiff_t>(2 * Z) + dz, fine.nz);
-              acc += w[dx + 1] * w[dy + 1] * w[dz + 1] *
-                     r[idx(x, y, z, fine.ny, fine.nz)];
-            }
-        rc[idx(X, Y, Z, cny, cnz)] = acc;
-      }
+  for_columns(cnx, cny, cnz, [&](std::size_t X, std::size_t Y) {
+    for (std::size_t Z = 0; Z < cnz; ++Z) {
+      double acc = 0.0;
+      for (int dx = -1; dx <= 1; ++dx)
+        for (int dy = -1; dy <= 1; ++dy)
+          for (int dz = -1; dz <= 1; ++dz) {
+            const std::size_t x = wrap(static_cast<std::ptrdiff_t>(2 * X) + dx, fine.nx);
+            const std::size_t y = wrap(static_cast<std::ptrdiff_t>(2 * Y) + dy, fine.ny);
+            const std::size_t z = wrap(static_cast<std::ptrdiff_t>(2 * Z) + dz, fine.nz);
+            acc += w[dx + 1] * w[dy + 1] * w[dz + 1] *
+                   r[idx(x, y, z, fine.ny, fine.nz)];
+          }
+      rc[idx(X, Y, Z, cny, cnz)] = acc;
     }
-  }
+  });
   return rc;
 }
 
 void Multigrid::prolong_add(const Level& fine, const std::vector<double>& coarse,
                             std::vector<double>& u) const {
   const std::size_t cnx = fine.nx / 2, cny = fine.ny / 2, cnz = fine.nz / 2;
-#pragma omp parallel for collapse(2) schedule(static)
-  for (std::size_t x = 0; x < fine.nx; ++x) {
-    for (std::size_t y = 0; y < fine.ny; ++y) {
-      for (std::size_t z = 0; z < fine.nz; ++z) {
-        // Trilinear interpolation: fine point (x,y,z) sits between coarse
-        // points floor(x/2) and its +1 neighbour with weight by parity.
-        const std::size_t X0 = x / 2, Y0 = y / 2, Z0 = z / 2;
-        const std::size_t X1 = wrap(static_cast<std::ptrdiff_t>(X0) + (x % 2), cnx);
-        const std::size_t Y1 = wrap(static_cast<std::ptrdiff_t>(Y0) + (y % 2), cny);
-        const std::size_t Z1 = wrap(static_cast<std::ptrdiff_t>(Z0) + (z % 2), cnz);
-        const double fx = x % 2 ? 0.5 : 0.0;
-        const double fy = y % 2 ? 0.5 : 0.0;
-        const double fz = z % 2 ? 0.5 : 0.0;
-        double val = 0.0;
-        for (int ix = 0; ix < 2; ++ix)
-          for (int iy = 0; iy < 2; ++iy)
-            for (int iz = 0; iz < 2; ++iz) {
-              const double wgt = (ix ? fx : 1.0 - fx) * (iy ? fy : 1.0 - fy) *
-                                 (iz ? fz : 1.0 - fz);
-              if (wgt == 0.0) continue;
-              val += wgt * coarse[idx(ix ? X1 : X0, iy ? Y1 : Y0, iz ? Z1 : Z0, cny, cnz)];
-            }
-        u[idx(x, y, z, fine.ny, fine.nz)] += val;
-      }
+  for_columns(fine.nx, fine.ny, fine.nz, [&](std::size_t x, std::size_t y) {
+    for (std::size_t z = 0; z < fine.nz; ++z) {
+      // Trilinear interpolation: fine point (x,y,z) sits between coarse
+      // points floor(x/2) and its +1 neighbour with weight by parity.
+      const std::size_t X0 = x / 2, Y0 = y / 2, Z0 = z / 2;
+      const std::size_t X1 = wrap(static_cast<std::ptrdiff_t>(X0) + (x % 2), cnx);
+      const std::size_t Y1 = wrap(static_cast<std::ptrdiff_t>(Y0) + (y % 2), cny);
+      const std::size_t Z1 = wrap(static_cast<std::ptrdiff_t>(Z0) + (z % 2), cnz);
+      const double fx = x % 2 ? 0.5 : 0.0;
+      const double fy = y % 2 ? 0.5 : 0.0;
+      const double fz = z % 2 ? 0.5 : 0.0;
+      double val = 0.0;
+      for (int ix = 0; ix < 2; ++ix)
+        for (int iy = 0; iy < 2; ++iy)
+          for (int iz = 0; iz < 2; ++iz) {
+            const double wgt = (ix ? fx : 1.0 - fx) * (iy ? fy : 1.0 - fy) *
+                               (iz ? fz : 1.0 - fz);
+            if (wgt == 0.0) continue;
+            val += wgt * coarse[idx(ix ? X1 : X0, iy ? Y1 : Y0, iz ? Z1 : Z0, cny, cnz)];
+          }
+      u[idx(x, y, z, fine.ny, fine.nz)] += val;
     }
-  }
+  });
 }
 
 void Multigrid::vcycle_level(std::size_t li, std::vector<double>& u,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::nnq {
 
@@ -93,9 +94,12 @@ void angular_descriptors(const qxmd::Atoms& atoms, const qxmd::NeighborList& nl,
   if (out.size() < n * stride || offset + nc > stride)
     throw std::invalid_argument("angular_descriptors: layout mismatch");
 
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i)
-    angular_features_for_atom(atoms, nl, basis, i, out.data() + i * stride + offset);
+  // Each atom writes only its own slice; at ~35 us of triplet sums per
+  // atom (~16 neighbors), 2 atoms make one chunk well over ~10 us.
+  par::parallel_for(0, n, 2, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i)
+      angular_features_for_atom(atoms, nl, basis, i, out.data() + i * stride + offset);
+  });
 }
 
 void angular_forces(const qxmd::Atoms& atoms, const qxmd::NeighborList& nl,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::nnq {
 
@@ -52,19 +53,22 @@ std::vector<double> atom_descriptors(const qxmd::Atoms& atoms,
   const std::size_t width = nb * static_cast<std::size_t>(ntypes);
   std::vector<double> out(n * width, 0.0);
   flops::add(8ull * nb * nl.pair_count());
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
+  // Each atom writes only its own descriptor row; 8 atoms (~3 us each at
+  // ~16 neighbors) make one chunk over ~10 us.
+  par::parallel_for(0, n, 8, [&](std::size_t i0, std::size_t i1) {
     std::vector<double> g, dg;
-    for (auto j : nl.neighbors(i)) {
-      const auto d = atoms.box.mic(atoms.pos(i), atoms.pos(j));
-      const double r = std::sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
-      if (r <= 0 || r >= basis.rc) continue;
-      basis.eval(r, g, dg);
-      const std::size_t channel =
-          static_cast<std::size_t>(atoms.type[j] % ntypes) * nb;
-      for (std::size_t k = 0; k < nb; ++k) out[i * width + channel + k] += g[k];
+    for (std::size_t i = i0; i < i1; ++i) {
+      for (auto j : nl.neighbors(i)) {
+        const auto d = atoms.box.mic(atoms.pos(i), atoms.pos(j));
+        const double r = std::sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+        if (r <= 0 || r >= basis.rc) continue;
+        basis.eval(r, g, dg);
+        const std::size_t channel =
+            static_cast<std::size_t>(atoms.type[j] % ntypes) * nb;
+        for (std::size_t k = 0; k < nb; ++k) out[i * width + channel + k] += g[k];
+      }
     }
-  }
+  });
   return out;
 }
 

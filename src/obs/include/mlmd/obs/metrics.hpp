@@ -194,9 +194,8 @@ private:
 };
 
 /// RAII region that observe()s its lifetime in seconds into a Histogram.
-/// The always-on replacement for the deprecated mlmd::ScopedTimer — cheap
-/// (two clock reads + three relaxed RMWs) and thread-safe, unlike
-/// TimerSet.
+/// The always-on per-region timer: cheap (two clock reads + three relaxed
+/// RMWs) and thread-safe.
 class ScopedAccum {
 public:
   explicit ScopedAccum(Histogram& h);

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <chrono>
 #include <filesystem>
@@ -200,7 +202,9 @@ TEST(ChaosServe, StalledSchedulerStillReapsDeadlineAndKeepsCheckpoint) {
   // the same id resumes and completes.
   obs::Registry::global().reset();
   namespace fs = std::filesystem;
-  const std::string dir = "test_chaos_deadline_ckpt";
+  // Per-process: ctest runs this case and the sanitizer aggregates of this
+  // binary at the same time, in one working directory.
+  const std::string dir = "test_chaos_deadline_ckpt." + std::to_string(::getpid());
   fs::remove_all(dir);
   ServerOptions sopt;
   sopt.checkpoint_dir = dir;
@@ -288,7 +292,7 @@ TEST(ChaosServe, DrainUnderStragglersCheckpointsAndResumesBitIdentical) {
   // dedicated uninterrupted runs.
   obs::Registry::global().reset();
   namespace fs = std::filesystem;
-  const std::string dir = "test_chaos_drain_ckpt";
+  const std::string dir = "test_chaos_drain_ckpt." + std::to_string(::getpid());
   fs::remove_all(dir);
   const auto ref_a = pipeline::run_pipeline(chaos_options(), /*dark=*/true);
   const auto ref_b = pipeline::run_pipeline(chaos_options(), /*dark=*/false);

@@ -173,19 +173,6 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_LT(t.seconds(), 1.0);
 }
 
-TEST(TimerSet, Accumulates) {
-  mlmd::TimerSet ts;
-  ts.add("kernel", 0.5);
-  ts.add("kernel", 0.25);
-  EXPECT_DOUBLE_EQ(ts.seconds("kernel"), 0.75);
-  EXPECT_EQ(ts.calls("kernel"), 2u);
-  EXPECT_DOUBLE_EQ(ts.seconds("missing"), 0.0);
-  {
-    mlmd::ScopedTimer st(ts, "scoped");
-  }
-  EXPECT_EQ(ts.calls("scoped"), 1u);
-}
-
 TEST(Cli, ParsesTypes) {
   const char* argv[] = {"prog", "--n=42", "--x=2.5", "--flag", "--name=abc",
                         "positional"};

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -33,9 +35,12 @@ namespace {
 using namespace mlmd;
 
 /// Removes a test artifact (and its .tmp sibling) on scope exit, so a
-/// failing assertion cannot leak files into the build tree.
+/// failing assertion cannot leak files into the build tree. The path is
+/// suffixed with the process id: ctest runs the discovered cases and the
+/// whole-binary aggregates of this file concurrently in one directory.
 struct ScopedFile {
-  explicit ScopedFile(std::string p) : path(std::move(p)) {}
+  explicit ScopedFile(const std::string& name)
+      : path(name + "." + std::to_string(::getpid())) {}
   ~ScopedFile() {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());

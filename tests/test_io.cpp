@@ -1,12 +1,10 @@
-// Checkpoint/restart round-trip tests for wavefunctions, lattices, and
-// the device-residency ledger + OMPallocator emulation.
+// Checkpoint/restart round-trip tests for wavefunctions and lattices.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <vector>
 
-#include "mlmd/common/device.hpp"
 #include "mlmd/ferro/io.hpp"
 #include "mlmd/lfd/io.hpp"
 
@@ -96,60 +94,6 @@ TEST(LatticeIo, RoundTripIncludingStateAndParams) {
 
 TEST(LatticeIo, MissingFileThrows) {
   EXPECT_THROW(ferro::load_lattice("/nonexistent/lat.bin"), std::runtime_error);
-}
-
-// --- device-residency emulation (paper Sec. V.B.6) -----------------------
-
-TEST(DeviceLedger, MapUnmapAccounting) {
-  auto& led = DeviceLedger::instance();
-  led.reset_counters();
-  const auto before = led.stats().resident_bytes;
-  int dummy = 0;
-  led.enter_data(&dummy, 1000);
-  EXPECT_TRUE(led.is_mapped(&dummy));
-  EXPECT_EQ(led.stats().resident_bytes, before + 1000);
-  led.update_to_device(&dummy, 400);
-  led.update_to_host(&dummy, 100);
-  auto s = led.stats();
-  EXPECT_EQ(s.h2d_bytes, 400u);
-  EXPECT_EQ(s.d2h_bytes, 100u);
-  EXPECT_EQ(s.h2d_transfers, 1u);
-  led.exit_data(&dummy);
-  EXPECT_FALSE(led.is_mapped(&dummy));
-  EXPECT_EQ(led.stats().resident_bytes, before);
-}
-
-TEST(DeviceLedger, UpdateUnmappedThrows) {
-  int dummy = 0;
-  EXPECT_THROW(DeviceLedger::instance().update_to_device(&dummy, 8),
-               std::logic_error);
-}
-
-TEST(OmpAllocator, VectorLifetimeMapsAndUnmaps) {
-  auto& led = DeviceLedger::instance();
-  const auto before = led.stats().resident_bytes;
-  {
-    std::vector<double, OMPAllocator<double>> v(1024);
-    EXPECT_TRUE(led.is_mapped(v.data()));
-    EXPECT_EQ(led.stats().resident_bytes, before + 1024 * sizeof(double));
-    // GPU-resident working arrays can be updated explicitly, as the
-    // shadow-dynamics exchange does for delta_f.
-    led.update_to_host(v.data(), 64);
-  }
-  EXPECT_EQ(led.stats().resident_bytes, before);
-}
-
-TEST(OmpAllocator, ShadowResidencyStory) {
-  // The wavefunction array stays resident; only occupation-sized updates
-  // move. Assert the byte ratio the paper's design relies on.
-  auto& led = DeviceLedger::instance();
-  led.reset_counters();
-  std::vector<std::complex<float>, OMPAllocator<std::complex<float>>> psi(
-      16 * 16 * 16 * 64);
-  std::vector<double> delta_f(64);
-  led.update_to_host(psi.data(), delta_f.size() * sizeof(double)); // delta_f out
-  auto s = led.stats();
-  EXPECT_GT(s.peak_resident, 1000 * (s.h2d_bytes + s.d2h_bytes));
 }
 
 } // namespace

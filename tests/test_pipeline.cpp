@@ -5,10 +5,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "mlmd/mlmd/pipeline.hpp"
 #include "mlmd/nnq/train.hpp"
+#include "mlmd/par/thread_pool.hpp"
 #include "mlmd/topo/topology.hpp"
 
 namespace {
@@ -143,6 +145,27 @@ TEST(Session, InterleavedLightAndDarkMatchRunPipelineBitwise) {
   }
   expect_bitwise_equal(light.result(), ref_light);
   expect_bitwise_equal(dark.result(), ref_dark);
+}
+
+TEST(Session, PumpedMeshProbeBitIdenticalAcrossThreadCounts) {
+  // A 16^3 mesh grid splits the lfd and mg grid loops of the DC-MESH
+  // probe into several pool chunks; n_exc, w and the stage-3 trajectory
+  // must not depend on the thread count.
+  auto opt = session_options();
+  opt.grid_n = 16;
+  opt.n_sat = 1e3; // unsaturated: w carries every bit of n_exc
+  par::ThreadPool::set_global_threads(1);
+  const auto ref = run_pipeline(opt, /*dark=*/false);
+  par::ThreadPool::set_global_threads(4);
+  const auto got = run_pipeline(opt, /*dark=*/false);
+  par::ThreadPool::set_global_threads(0);
+  EXPECT_GT(ref.n_exc, 0.0);
+  EXPECT_EQ(std::memcmp(&got.n_exc, &ref.n_exc, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&got.w, &ref.w, sizeof(double)), 0);
+  ASSERT_EQ(got.q_history.size(), ref.q_history.size());
+  EXPECT_EQ(std::memcmp(got.q_history.data(), ref.q_history.data(),
+                        ref.q_history.size() * sizeof(double)),
+            0);
 }
 
 TEST(Session, InterleavedCheckpointRestoreMatchesBitwise) {

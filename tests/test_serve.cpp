@@ -444,7 +444,9 @@ TEST(HistogramQuantile, TracksKnownDistributionWithinBucketError) {
 
 TEST(ServeFork, WarmRestartAfterSigkillIsBitwiseIdentical) {
   namespace fs = std::filesystem;
-  const std::string dir = "test_serve_fork_ckpt";
+  // Per-process: ctest runs this case and the ubsan aggregate of this
+  // binary at the same time, in one working directory.
+  const std::string dir = "test_serve_fork_ckpt." + std::to_string(::getpid());
   fs::remove_all(dir);
 
   std::vector<Request> reqs;

@@ -13,9 +13,19 @@
 #include <thread>
 #include <vector>
 
+#include "mlmd/common/rng.hpp"
 #include "mlmd/la/gemm.hpp"
+#include "mlmd/lfd/density.hpp"
+#include "mlmd/lfd/dsa.hpp"
+#include "mlmd/lfd/hamiltonian.hpp"
+#include "mlmd/lfd/nlp_prop.hpp"
 #include "mlmd/maxwell/maxwell3d.hpp"
+#include "mlmd/mg/multigrid.hpp"
+#include "mlmd/nnq/angular.hpp"
+#include "mlmd/nnq/descriptor.hpp"
+#include "mlmd/obs/metrics.hpp"
 #include "mlmd/par/thread_pool.hpp"
+#include "mlmd/qxmd/pair_potential.hpp"
 
 namespace {
 
@@ -210,6 +220,141 @@ TEST(ThreadPoolKernels, MaxwellStencilBitIdenticalSerialVsPool) {
                           em1.ncells() * sizeof(double)),
               0);
   }
+}
+
+// --- thread-count bit-identity of the grid and atom kernels ---------------
+
+/// Runs `kernel` on global pools of 1, 2 and 4 threads and expects
+/// byte-identical outputs. The 2- and 4-thread runs must launch the pool:
+/// an input that runs as one inline chunk would prove nothing.
+template <class Kernel>
+void expect_bits_independent_of_threads(Kernel&& kernel) {
+  GlobalPoolGuard guard;
+  auto& launches = mlmd::obs::Registry::global().counter("pool.launches");
+  ThreadPool::set_global_threads(1);
+  const std::vector<double> ref = kernel();
+  for (int threads : {2, 4}) {
+    ThreadPool::set_global_threads(threads);
+    const auto before = launches.value();
+    const std::vector<double> got = kernel();
+    EXPECT_GT(launches.value(), before) << "threads=" << threads;
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+        << "threads=" << threads;
+  }
+}
+
+/// The doubles making up `n` values of `T` (double or complex) at `p`.
+template <class T>
+std::vector<double> as_doubles(const T* p, std::size_t n) {
+  const auto* d = reinterpret_cast<const double*>(p);
+  return {d, d + n * sizeof(T) / sizeof(double)};
+}
+
+std::vector<double> smooth_field(std::size_t n, double k) {
+  std::vector<double> f(n);
+  for (std::size_t i = 0; i < n; ++i)
+    f[i] = std::sin(k * i) + 0.3 * std::cos(0.5 * k * i);
+  return f;
+}
+
+/// 16^3 grid, 8 orbitals: every lfd grid loop splits into several chunks.
+mlmd::lfd::SoAWave<double> twisted_wave() {
+  mlmd::lfd::SoAWave<double> w({16, 16, 16, 0.7, 0.6, 0.5}, 8);
+  mlmd::lfd::init_plane_waves(w);
+  for (std::size_t i = 0; i < w.psi.size(); ++i)
+    w.psi.data()[i] *=
+        std::polar(1.0 + 0.1 * std::sin(0.37 * i), 0.2 * std::cos(0.11 * i));
+  return w;
+}
+
+TEST(ThreadPoolKernels, DensityAndCurrentBitIdenticalAcrossThreadCounts) {
+  const auto w = twisted_wave();
+  const std::vector<double> f = {2.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.0, 0.0};
+  const double a[3] = {0.3, -0.2, 0.1};
+  expect_bits_independent_of_threads([&] {
+    auto out = mlmd::lfd::density(w, f);
+    const auto j = mlmd::lfd::macroscopic_current(w, f, a);
+    out.insert(out.end(), j.begin(), j.end());
+    return out;
+  });
+}
+
+TEST(ThreadPoolKernels, ApplyHlocBitIdenticalAcrossThreadCounts) {
+  const auto w = twisted_wave();
+  const auto vloc = smooth_field(w.grid.size(), 0.013);
+  const double a[3] = {0.3, -0.2, 0.1};
+  expect_bits_independent_of_threads([&] {
+    const auto h = mlmd::lfd::apply_hloc(w, vloc, a);
+    return as_doubles(h.data(), h.size());
+  });
+}
+
+TEST(ThreadPoolKernels, RenormalizeBitIdenticalAcrossThreadCounts) {
+  const auto w0 = twisted_wave();
+  expect_bits_independent_of_threads([&] {
+    auto w = w0;
+    mlmd::lfd::renormalize(w);
+    return as_doubles(w.psi.data(), w.psi.size());
+  });
+}
+
+TEST(ThreadPoolKernels, MultigridSolveBitIdenticalAcrossThreadCounts) {
+  const mlmd::mg::Multigrid mg(16, 16, 16, 0.5, 0.5, 0.5);
+  const auto f = smooth_field(16 * 16 * 16, 0.021);
+  expect_bits_independent_of_threads([&] {
+    std::vector<double> phi;
+    phi.push_back(mg.solve(f, phi).rel_residual);
+    return phi;
+  });
+}
+
+TEST(ThreadPoolKernels, DsaHartreeUpdateBitIdenticalAcrossThreadCounts) {
+  // 24^3 so that the flat Verlet update (4096 points per chunk) splits too.
+  const mlmd::grid::Grid3 g{24, 24, 24, 0.5, 0.5, 0.5};
+  expect_bits_independent_of_threads([&] {
+    mlmd::lfd::DsaHartree dsa(g);
+    dsa.solve(smooth_field(g.size(), 0.017));
+    dsa.update(smooth_field(g.size(), 0.019));
+    auto out = dsa.potential();
+    out.insert(out.end(), dsa.potential_dot().begin(), dsa.potential_dot().end());
+    return out;
+  });
+}
+
+/// 216 jittered atoms of two types: the LJ and descriptor loops all split.
+mlmd::qxmd::Atoms jittered_atoms() {
+  auto atoms = mlmd::qxmd::make_cubic_lattice(6, 6, 6, 4.0, 50.0);
+  mlmd::Rng rng(21);
+  for (auto& x : atoms.r) x += 0.25 * rng.normal();
+  for (std::size_t i = 0; i < atoms.n(); ++i) atoms.type[i] = static_cast<int>(i % 2);
+  return atoms;
+}
+
+TEST(ThreadPoolKernels, LjEnergyForcesBitIdenticalAcrossThreadCounts) {
+  const auto atoms = jittered_atoms();
+  const mlmd::qxmd::LjParams p;
+  const mlmd::qxmd::NeighborList nl(atoms, p.rc);
+  expect_bits_independent_of_threads([&] {
+    std::vector<double> forces;
+    const double e = mlmd::qxmd::lj_energy_forces(atoms, nl, p, forces);
+    forces.push_back(e);
+    return forces;
+  });
+}
+
+TEST(ThreadPoolKernels, DescriptorsBitIdenticalAcrossThreadCounts) {
+  const auto atoms = jittered_atoms();
+  const auto radial = mlmd::nnq::RadialBasis::make(6, 1.0, 6.0, 1.0);
+  const auto angular = mlmd::nnq::AngularBasis::make(2, 6.0, 0.05);
+  const mlmd::qxmd::NeighborList nl(atoms, 6.0);
+  expect_bits_independent_of_threads([&] {
+    auto out = mlmd::nnq::atom_descriptors(atoms, nl, radial, 2);
+    std::vector<double> ang(atoms.n() * angular.size());
+    mlmd::nnq::angular_descriptors(atoms, nl, angular, ang, angular.size(), 0);
+    out.insert(out.end(), ang.begin(), ang.end());
+    return out;
+  });
 }
 
 } // namespace
