@@ -67,8 +67,15 @@ public:
   /// F = -dE/du for every cell.
   void forces(std::vector<Vec3>& f) const;
 
-  /// Damped velocity-Verlet step (deterministic quench dynamics).
+  /// Damped semi-implicit Euler step (deterministic quench dynamics):
+  /// v <- (v + dt F/m) / (1 + gamma dt), then u <- u + dt v. Runs on the
+  /// par::ThreadPool by blocks of rows; the new field is built in a
+  /// persistent second buffer, so the result is bit-identical for every
+  /// thread count and a warm step allocates nothing.
   void step();
+  /// The same damped step driven by externally supplied forces `f` (one
+  /// per cell, e.g. the Eq. (4) neural forces) instead of forces().
+  void step(const std::vector<Vec3>& f);
   /// Langevin step at temperature kT.
   void step_langevin(double kT, Rng& rng);
 
@@ -84,10 +91,16 @@ public:
   std::vector<Vec3>& velocity() { return v_; }
 
 private:
+  /// forces() of row x into f[0, ly).
+  void row_forces(std::size_t x, Vec3* f) const;
+  /// One damped step with forces `f_ext`, or forces() when null.
+  void advance(const Vec3* f_ext);
+
   std::size_t lx_, ly_;
   FerroParams p_;
   std::vector<Vec3> u_, v_;
   std::vector<double> w_;
+  std::vector<Vec3> u_next_; ///< step() writes the new field here, then swaps
 };
 
 } // namespace mlmd::ferro

@@ -23,10 +23,13 @@ inline std::size_t wrap(std::ptrdiff_t i, std::size_t n) {
 /// Runs body(x, y) for every (x, y) column of an nx x ny x nz level on
 /// the ThreadPool. Each column writes only its own z-run, and one chunk
 /// covers >= 2048 grid points (>= ~10 us of stencil work), so an 8^3
-/// level is a single inline chunk.
+/// level is a single inline chunk. `one_chunk` runs every column in one
+/// inline chunk, in ascending order.
 template <class Body>
-void for_columns(std::size_t nx, std::size_t ny, std::size_t nz, Body&& body) {
-  const std::size_t grain = std::max<std::size_t>(1, 2048 / nz);
+void for_columns(std::size_t nx, std::size_t ny, std::size_t nz, Body&& body,
+                 bool one_chunk = false) {
+  const std::size_t grain =
+      one_chunk ? nx * ny : std::max<std::size_t>(1, 2048 / nz);
   par::parallel_for(0, nx * ny, grain, [&](std::size_t w0, std::size_t w1) {
     for (std::size_t w = w0; w < w1; ++w) body(w / ny, w % ny);
   });
@@ -64,6 +67,10 @@ void Multigrid::smooth(const Level& lv, std::vector<double>& u,
   const double cz = 1.0 / (lv.hz * lv.hz);
   const double diag = 2.0 * (cx + cy + cz);
   flops::add(12ull * u.size() * static_cast<std::size_t>(sweeps));
+  // With an odd extent the periodic wrap neighbour has the same colour, so
+  // chunks would read cells other chunks write in the same sweep: such a
+  // level sweeps as one chunk, with the threads=1 bits.
+  const bool one_chunk = lv.nx % 2 != 0 || lv.ny % 2 != 0 || lv.nz % 2 != 0;
 
   for (int s = 0; s < sweeps; ++s) {
     // Red-black ordering keeps Gauss-Seidel data-parallel (the paper's
@@ -87,7 +94,7 @@ void Multigrid::smooth(const Level& lv, std::vector<double>& u,
           u[idx(x, y, z, lv.ny, lv.nz)] =
               (f[idx(x, y, z, lv.ny, lv.nz)] + nb) / diag;
         }
-      });
+      }, one_chunk);
     }
   }
 }

@@ -16,20 +16,6 @@ namespace {
 
 using detail::Stage3Snapshot;
 
-/// One damped dynamics step with externally supplied forces.
-void step_with_forces(ferro::FerroLattice& lat,
-                      const std::vector<ferro::Vec3>& f) {
-  const auto& p = lat.params();
-  auto& u = lat.field();
-  auto& v = lat.velocity();
-  for (std::size_t i = 0; i < u.size(); ++i)
-    for (int k = 0; k < 3; ++k) {
-      auto ks = static_cast<std::size_t>(k);
-      v[i][ks] = (v[i][ks] + p.dt * f[i][ks] / p.mass) / (1.0 + p.gamma * p.dt);
-      u[i][ks] += p.dt * v[i][ks];
-    }
-}
-
 Stage3Snapshot capture(const ferro::FerroLattice& lat,
                        const PipelineResult& res, long step, bool degraded) {
   Stage3Snapshot st;
@@ -168,6 +154,12 @@ void Session::prepare() {
       lat_.set_uniform_excitation(0.5 * res_.w);
   }
 
+  // One record per record_every steps, plus q_initial: reserved up front so
+  // a warm step() never reallocates the history.
+  if (opt_.xs_steps > 0 && opt_.record_every > 0)
+    res_.q_history.reserve(1 + static_cast<std::size_t>(opt_.xs_steps /
+                                                        opt_.record_every));
+
   if (opt_.guard.enabled && opt_.guard.policy == ft::Policy::kRollback) {
     snapshot_ = capture(lat_, res_, step_, degraded_);
     have_snapshot_ = true;
@@ -197,7 +189,7 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
     if (!sentinel_.check_values("pipeline.xs_forces", flat(*forces)))
       tripped = true;
     else
-      step_with_forces(lat_, *forces);
+      lat_.step(*forces);
   } else {
     lat_.step();
   }

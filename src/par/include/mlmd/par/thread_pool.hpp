@@ -37,10 +37,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mlmd::par {
@@ -61,9 +62,21 @@ public:
   /// `grain` is the exact chunk width (see determinism contract); pick it
   /// so one chunk amortizes dispatch (>= ~10 us of work). Exceptions
   /// thrown by `body` cancel remaining chunks and the first one is
-  /// rethrown on the calling thread.
+  /// rethrown on the calling thread. The body is called by reference, never
+  /// copied, so an inline launch performs no heap allocation.
+  template <class Body>
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+                    Body&& body) {
+    if (end <= begin) return;
+    const std::size_t cs = grain ? grain : 1;
+    const std::size_t nchunks = (end - begin + cs - 1) / cs;
+    auto chunk = [&](std::size_t c) {
+      const std::size_t i0 = begin + c * cs;
+      const std::size_t i1 = i0 + cs < end ? i0 + cs : end;
+      body(i0, i1);
+    };
+    run_chunks(nchunks, ChunkFn(chunk));
+  }
 
   /// Deterministic reduction: acc = combine(acc, map(i0, i1)) over chunks
   /// in ascending order. `map` returns the partial for one chunk;
@@ -75,11 +88,12 @@ public:
     const std::size_t cs = grain ? grain : 1;
     const std::size_t nchunks = (end - begin + cs - 1) / cs;
     std::vector<T> partials(nchunks, init);
-    run_chunks(nchunks, [&](std::size_t c) {
+    auto chunk = [&](std::size_t c) {
       const std::size_t i0 = begin + c * cs;
       const std::size_t i1 = i0 + cs < end ? i0 + cs : end;
       partials[c] = map(i0, i1);
-    });
+    };
+    run_chunks(nchunks, ChunkFn(chunk));
     T acc = std::move(init);
     for (std::size_t c = 0; c < nchunks; ++c)
       acc = combine(std::move(acc), std::move(partials[c]));
@@ -109,9 +123,25 @@ public:
 private:
   struct Task;
 
+  /// Non-owning reference to a `void(std::size_t)` chunk body: type
+  /// erasure without std::function's heap-allocated copy. The launcher
+  /// blocks until every chunk has run, so the referenced callable
+  /// outlives every call through it.
+  class ChunkFn {
+  public:
+    template <class F>
+      requires(!std::is_same_v<std::remove_cv_t<F>, ChunkFn>)
+    explicit ChunkFn(F& f)
+        : obj_(&f), call_([](void* o, std::size_t c) { (*static_cast<F*>(o))(c); }) {}
+    void operator()(std::size_t c) const { call_(obj_, c); }
+
+  private:
+    void* obj_;
+    void (*call_)(void*, std::size_t);
+  };
+
   /// Dispatch chunk(c) for c in [0, nchunks) across the pool.
-  void run_chunks(std::size_t nchunks,
-                  const std::function<void(std::size_t)>& chunk);
+  void run_chunks(std::size_t nchunks, ChunkFn chunk);
   /// `self` is the participant index for per-thread chunk accounting:
   /// workers are 0..nthreads-2, the launcher is nthreads-1.
   void work_on(const std::shared_ptr<Task>& t, int self);
@@ -131,9 +161,10 @@ private:
 };
 
 /// Convenience wrappers over ThreadPool::global().
-inline void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& body) {
-  ThreadPool::global().parallel_for(begin, end, grain, body);
+template <class Body>
+void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+                  Body&& body) {
+  ThreadPool::global().parallel_for(begin, end, grain, std::forward<Body>(body));
 }
 
 template <class T, class Map, class Combine>

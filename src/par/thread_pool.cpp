@@ -26,8 +26,9 @@ std::uint64_t mono_ns() {
 // launcher's completion wait. Held by shared_ptr so a worker that polls
 // `next` just after the launcher returns never touches freed memory.
 struct ThreadPool::Task {
-  std::function<void(std::size_t)> chunk;
-  std::size_t nchunks = 0;
+  Task(ChunkFn c, std::size_t n) : chunk(c), nchunks(n) {}
+  ChunkFn chunk;
+  std::size_t nchunks;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<bool> cancelled{false};
@@ -119,8 +120,7 @@ void ThreadPool::work_on(const std::shared_ptr<Task>& t, int self) {
   tl_in_task = was_in_task;
 }
 
-void ThreadPool::run_chunks(std::size_t nchunks,
-                            const std::function<void(std::size_t)>& chunk) {
+void ThreadPool::run_chunks(std::size_t nchunks, ChunkFn chunk) {
   if (nchunks == 0) return;
   auto& reg = obs::Registry::global();
   // Serial fallback: one thread, a single chunk, or a nested launch from
@@ -140,9 +140,7 @@ void ThreadPool::run_chunks(std::size_t nchunks,
   obs::ObsScope span("pool.launch", obs::Cat::kTask);
 
   std::lock_guard launch(launch_mu_);
-  auto t = std::make_shared<Task>();
-  t->nchunks = nchunks;
-  t->chunk = chunk;
+  auto t = std::make_shared<Task>(chunk, nchunks);
   t->per_thread_chunks =
       std::vector<std::atomic<std::uint32_t>>(static_cast<std::size_t>(nthreads_));
   t->publish_ns = mono_ns();
@@ -170,19 +168,6 @@ void ThreadPool::run_chunks(std::size_t nchunks,
                     static_cast<double>(nthreads_) /
                     static_cast<double>(nchunks));
   if (t->error) std::rethrow_exception(t->error);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (end <= begin) return;
-  const std::size_t cs = grain ? grain : 1;
-  const std::size_t nchunks = (end - begin + cs - 1) / cs;
-  run_chunks(nchunks, [&](std::size_t c) {
-    const std::size_t i0 = begin + c * cs;
-    const std::size_t i1 = i0 + cs < end ? i0 + cs : end;
-    body(i0, i1);
-  });
 }
 
 int ThreadPool::parse_env_threads(const char* value) {

@@ -3,6 +3,9 @@
 #include <cmath>
 #include <numbers>
 
+#include "mlmd/common/workspace.hpp"
+#include "mlmd/par/thread_pool.hpp"
+
 namespace mlmd::topo {
 namespace {
 
@@ -22,6 +25,48 @@ inline bool normalize(Vec3& a, double min_norm) {
   return true;
 }
 
+/// Cells per pool chunk in both density passes (the ferro grain): a 128^2
+/// lattice splits into 8 chunks, lattices of <= 2048 cells run inline.
+constexpr std::size_t kCellsPerChunk = 2048;
+
+/// Charge density of every plaquette into q[0, lx*ly). Each cell is a
+/// corner of four plaquettes, so it is normalised once up front; both
+/// passes run on the pool, and every output element depends only on its
+/// own inputs, so q is bit-identical for every thread count.
+void density_into(const Vec3* u, std::size_t lx, std::size_t ly,
+                  double min_norm, double* q) {
+  const std::size_t n = lx * ly;
+  common::Workspace& ws = common::Workspace::local();
+  common::Workspace::Frame frame(ws);
+  Vec3* unit = ws.get<Vec3>(n);
+  bool* ok = ws.get<bool>(n);
+  par::parallel_for(0, n, kCellsPerChunk, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      unit[i] = u[i];
+      ok[i] = normalize(unit[i], min_norm);
+    }
+  });
+
+  const double inv4pi = 1.0 / (4.0 * std::numbers::pi);
+  const std::size_t rows = (kCellsPerChunk + ly - 1) / ly;
+  par::parallel_for(0, lx, rows, [&](std::size_t x0, std::size_t x1) {
+    for (std::size_t x = x0; x < x1; ++x) {
+      const std::size_t xp = x + 1 == lx ? 0 : x + 1;
+      for (std::size_t y = 0; y < ly; ++y) {
+        const std::size_t yp = y + 1 == ly ? 0 : y + 1;
+        const std::size_t i00 = x * ly + y, i10 = xp * ly + y;
+        const std::size_t i01 = x * ly + yp, i11 = xp * ly + yp;
+        // Cells with |u| < min_norm leave their plaquettes at zero. Two
+        // triangles per plaquette, consistently oriented.
+        q[i00] = ok[i00] && ok[i10] && ok[i01] && ok[i11]
+                     ? inv4pi * (solid_angle(unit[i00], unit[i10], unit[i11]) +
+                                 solid_angle(unit[i00], unit[i11], unit[i01]))
+                     : 0.0;
+      }
+    }
+  });
+}
+
 } // namespace
 
 double solid_angle(const Vec3& n1, const Vec3& n2, const Vec3& n3) {
@@ -32,32 +77,21 @@ double solid_angle(const Vec3& n1, const Vec3& n2, const Vec3& n3) {
 
 std::vector<double> charge_density(const std::vector<Vec3>& u, std::size_t lx,
                                    std::size_t ly, double min_norm) {
-  std::vector<double> q(lx * ly, 0.0);
-  const double inv4pi = 1.0 / (4.0 * std::numbers::pi);
-  for (std::size_t x = 0; x < lx; ++x) {
-    const std::size_t xp = (x + 1) % lx;
-    for (std::size_t y = 0; y < ly; ++y) {
-      const std::size_t yp = (y + 1) % ly;
-      Vec3 n00 = u[x * ly + y];
-      Vec3 n10 = u[xp * ly + y];
-      Vec3 n01 = u[x * ly + yp];
-      Vec3 n11 = u[xp * ly + yp];
-      if (!normalize(n00, min_norm) || !normalize(n10, min_norm) ||
-          !normalize(n01, min_norm) || !normalize(n11, min_norm))
-        continue;
-      // Two triangles per plaquette, consistently oriented.
-      q[x * ly + y] = inv4pi * (solid_angle(n00, n10, n11) +
-                                solid_angle(n00, n11, n01));
-    }
-  }
+  std::vector<double> q(lx * ly);
+  density_into(u.data(), lx, ly, min_norm, q.data());
   return q;
 }
 
 double topological_charge(const std::vector<Vec3>& u, std::size_t lx, std::size_t ly,
                           double min_norm) {
-  auto q = charge_density(u, lx, ly, min_norm);
+  common::Workspace& ws = common::Workspace::local();
+  common::Workspace::Frame frame(ws);
+  double* q = ws.get<double>(lx * ly);
+  density_into(u.data(), lx, ly, min_norm, q);
+  // Serial and in ascending cell order, so the total has the same bits at
+  // every thread count.
   double total = 0.0;
-  for (double v : q) total += v;
+  for (std::size_t i = 0; i < lx * ly; ++i) total += q[i];
   return total;
 }
 

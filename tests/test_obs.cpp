@@ -18,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "mlmd/mlmd/pipeline.hpp"
 #include "mlmd/obs/obs.hpp"
 #include "mlmd/par/simcomm.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 // Process-wide allocation counter backing
 // Obs.AccountSteadyStateIsAllocationFree: replacing the global operator
@@ -430,6 +432,41 @@ TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
   });
   EXPECT_EQ(rank_allocs[0], 0u);
   EXPECT_EQ(rank_allocs[1], 0u);
+}
+
+TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
+  // A warm kExact stage-3 step — the lattice step, the recorded
+  // topological charge and the history push — must not touch the heap
+  // when it runs inline: the new field goes to the lattice's second
+  // buffer, chunk and charge scratch come from the thread's Workspace,
+  // the pool takes the chunk body by reference, and prepare() reserved
+  // q_history. At > 1 thread a launch that splits into several chunks
+  // still allocates its Task (DESIGN.md Sec. 8), so the 4-thread case uses
+  // a lattice that is one chunk.
+  using mlmd::par::ThreadPool;
+  Tracer::enable(false);
+  struct Case {
+    int threads;
+    std::size_t lattice;
+  };
+  for (const Case c : {Case{1, 32}, Case{1, 128}, Case{4, 32}}) {
+    ThreadPool::set_global_threads(c.threads);
+    mlmd::pipeline::PipelineOptions opt;
+    opt.lattice = c.lattice;
+    opt.superlattice = 2;
+    opt.relax_steps = 10;
+    opt.xs_steps = 400;
+    opt.record_every = 20;
+    mlmd::pipeline::Session session(opt, /*dark=*/true);
+    session.prepare();
+    for (int i = 0; i < 20; ++i) session.step(); // includes one record
+    const std::uint64_t before = g_heap_allocs.load();
+    for (int i = 0; i < 200; ++i) session.step();
+    EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+        << "threads=" << c.threads << " lattice=" << c.lattice;
+    EXPECT_EQ(session.result().q_history.size(), 12u);
+  }
+  ThreadPool::set_global_threads(0);
 }
 
 TEST(Obs, HistogramMergeFoldsCountsSumsAndExtremes) {

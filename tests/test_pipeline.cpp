@@ -168,6 +168,39 @@ TEST(Session, PumpedMeshProbeBitIdenticalAcrossThreadCounts) {
             0);
 }
 
+TEST(Session, ExactLattice128BitIdenticalAcrossThreadCounts) {
+  // At 128^2 the stage-3 lattice step and the topological charge split
+  // into 8 pool chunks; the trajectory and its charge history must not
+  // depend on the thread count, pumped or dark.
+  auto opt = small_options();
+  opt.lattice = 128;
+  opt.superlattice = 4;
+  opt.xs_steps = 400;
+  opt.record_every = 20;
+  for (const bool dark : {false, true}) {
+    SCOPED_TRACE(dark ? "dark" : "pumped");
+    std::vector<double> ref_q;
+    std::vector<ferro::Vec3> ref_u;
+    for (const int threads : {1, 4}) {
+      par::ThreadPool::set_global_threads(threads);
+      Session s(opt, dark);
+      while (s.step()) {
+      }
+      const auto& q = s.result().q_history;
+      const auto& u = s.lattice().field();
+      if (threads == 1) {
+        ref_q = q;
+        ref_u = u;
+        continue;
+      }
+      ASSERT_EQ(q.size(), ref_q.size());
+      EXPECT_EQ(std::memcmp(q.data(), ref_q.data(), q.size() * sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(u.data(), ref_u.data(), u.size() * sizeof(ferro::Vec3)), 0);
+    }
+  }
+  par::ThreadPool::set_global_threads(0);
+}
+
 TEST(Session, InterleavedCheckpointRestoreMatchesBitwise) {
   const std::string ckpt = "test_session_interleaved.ckpt";
   auto opt = session_options();

@@ -9,11 +9,13 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <numbers>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "mlmd/common/rng.hpp"
+#include "mlmd/ferro/lattice.hpp"
 #include "mlmd/la/gemm.hpp"
 #include "mlmd/lfd/density.hpp"
 #include "mlmd/lfd/dsa.hpp"
@@ -26,6 +28,7 @@
 #include "mlmd/obs/metrics.hpp"
 #include "mlmd/par/thread_pool.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
+#include "mlmd/topo/topology.hpp"
 
 namespace {
 
@@ -300,13 +303,18 @@ TEST(ThreadPoolKernels, RenormalizeBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadPoolKernels, MultigridSolveBitIdenticalAcrossThreadCounts) {
-  const mlmd::mg::Multigrid mg(16, 16, 16, 0.5, 0.5, 0.5);
-  const auto f = smooth_field(16 * 16 * 16, 0.021);
-  expect_bits_independent_of_threads([&] {
-    std::vector<double> phi;
-    phi.push_back(mg.solve(f, phi).rel_residual);
-    return phi;
-  });
+  // 17^3: with an odd extent the red-black smoother's wrap neighbour has
+  // the same colour, so a sweep split into chunks would race.
+  for (std::size_t n : {16, 17}) {
+    SCOPED_TRACE(n);
+    const mlmd::mg::Multigrid mg(n, n, n, 0.5, 0.5, 0.5);
+    const auto f = smooth_field(n * n * n, 0.021);
+    expect_bits_independent_of_threads([&] {
+      std::vector<double> phi;
+      phi.push_back(mg.solve(f, phi).rel_residual);
+      return phi;
+    });
+  }
 }
 
 TEST(ThreadPoolKernels, DsaHartreeUpdateBitIdenticalAcrossThreadCounts) {
@@ -355,6 +363,238 @@ TEST(ThreadPoolKernels, DescriptorsBitIdenticalAcrossThreadCounts) {
     out.insert(out.end(), ang.begin(), ang.end());
     return out;
   });
+}
+
+// --- stage-3 lattice kernels: thread counts and the serial oracle -------
+
+namespace oracle {
+
+using mlmd::ferro::FerroLattice;
+using mlmd::ferro::Vec3;
+
+// The serial FerroLattice::forces() + step(), the pipeline's external-force
+// step and topo::charge_density as they were before the lattice kernels
+// moved onto the pool, copied with member access spelled out. The pooled
+// kernels must reproduce them bit for bit.
+
+double dot(const Vec3& a, const Vec3& b) {
+  return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+}
+double norm2(const Vec3& a) { return dot(a, a); }
+
+void forces(const FerroLattice& lat, std::vector<Vec3>& f) {
+  const auto& p_ = lat.params();
+  const auto& u_ = lat.field();
+  const auto& w_ = lat.excitation();
+  const std::size_t lx_ = lat.lx(), ly_ = lat.ly();
+  f.assign(lat.ncells(), Vec3{0, 0, 0});
+  for (std::size_t x = 0; x < lx_; ++x) {
+    const std::size_t xp = (x + 1) % lx_;
+    const std::size_t xm = (x + lx_ - 1) % lx_;
+    for (std::size_t y = 0; y < ly_; ++y) {
+      const std::size_t yp = (y + 1) % ly_;
+      const std::size_t ym = (y + ly_ - 1) % ly_;
+      const std::size_t i = lat.index(x, y);
+      const Vec3& ui = u_[i];
+      const double n2 = norm2(ui);
+      const double aw = p_.a0 * (1.0 - 2.0 * w_[i]);
+      Vec3& fi = f[i];
+      for (int c = 0; c < 3; ++c)
+        fi[c] += -2.0 * aw * ui[c] - 4.0 * p_.b * n2 * ui[c] + p_.e_ext[c];
+      fi[2] += 2.0 * p_.k * ui[2];
+      const Vec3& nxp = u_[lat.index(xp, y)];
+      const Vec3& nxm = u_[lat.index(xm, y)];
+      const Vec3& nyp = u_[lat.index(x, yp)];
+      const Vec3& nym = u_[lat.index(x, ym)];
+      for (int c = 0; c < 3; ++c)
+        fi[c] += -2.0 * p_.j *
+                 (4.0 * ui[c] - nxp[c] - nxm[c] - nyp[c] - nym[c]);
+      fi[0] -= p_.d * (-nxp[2] + nxm[2]);
+      fi[2] -= p_.d * (nxp[0] - nxm[0]);
+      fi[1] -= -p_.d * (nyp[2] - nym[2]);
+      fi[2] -= -p_.d * (-nyp[1] + nym[1]);
+    }
+  }
+}
+
+void step(FerroLattice& lat) {
+  std::vector<Vec3> f;
+  forces(lat, f);
+  const auto& p_ = lat.params();
+  auto& u_ = lat.field();
+  auto& v_ = lat.velocity();
+  const double dt = p_.dt;
+  for (std::size_t i = 0; i < lat.ncells(); ++i) {
+    for (int c = 0; c < 3; ++c) {
+      v_[i][c] = (v_[i][c] + dt * f[i][c] / p_.mass) / (1.0 + p_.gamma * dt);
+      u_[i][c] += dt * v_[i][c];
+    }
+  }
+}
+
+void step_with_forces(FerroLattice& lat, const std::vector<Vec3>& f) {
+  const auto& p = lat.params();
+  auto& u = lat.field();
+  auto& v = lat.velocity();
+  for (std::size_t i = 0; i < u.size(); ++i)
+    for (int k = 0; k < 3; ++k) {
+      auto ks = static_cast<std::size_t>(k);
+      v[i][ks] = (v[i][ks] + p.dt * f[i][ks] / p.mass) / (1.0 + p.gamma * p.dt);
+      u[i][ks] += p.dt * v[i][ks];
+    }
+}
+
+void step_langevin(FerroLattice& lat, double kT, mlmd::Rng& rng) {
+  std::vector<Vec3> f;
+  forces(lat, f);
+  const auto& p_ = lat.params();
+  auto& u_ = lat.field();
+  auto& v_ = lat.velocity();
+  const double dt = p_.dt;
+  const double c1 = std::exp(-p_.gamma * dt);
+  const double c2 = std::sqrt((1.0 - c1 * c1) * kT / p_.mass);
+  for (std::size_t i = 0; i < lat.ncells(); ++i)
+    for (int c = 0; c < 3; ++c) {
+      v_[i][c] += dt * f[i][c] / p_.mass;
+      v_[i][c] = c1 * v_[i][c] + c2 * rng.normal();
+      u_[i][c] += dt * v_[i][c];
+    }
+}
+
+bool normalize(Vec3& a, double min_norm) {
+  const double n = std::sqrt(dot(a, a));
+  if (n < min_norm) return false;
+  a = {a[0] / n, a[1] / n, a[2] / n};
+  return true;
+}
+
+std::vector<double> charge_density(const std::vector<Vec3>& u, std::size_t lx,
+                                   std::size_t ly, double min_norm) {
+  std::vector<double> q(lx * ly, 0.0);
+  const double inv4pi = 1.0 / (4.0 * std::numbers::pi);
+  for (std::size_t x = 0; x < lx; ++x) {
+    const std::size_t xp = (x + 1) % lx;
+    for (std::size_t y = 0; y < ly; ++y) {
+      const std::size_t yp = (y + 1) % ly;
+      Vec3 n00 = u[x * ly + y];
+      Vec3 n10 = u[xp * ly + y];
+      Vec3 n01 = u[x * ly + yp];
+      Vec3 n11 = u[xp * ly + yp];
+      if (!normalize(n00, min_norm) || !normalize(n10, min_norm) ||
+          !normalize(n01, min_norm) || !normalize(n11, min_norm))
+        continue;
+      q[x * ly + y] = inv4pi * (mlmd::topo::solid_angle(n00, n10, n11) +
+                                mlmd::topo::solid_angle(n00, n11, n01));
+    }
+  }
+  return q;
+}
+
+} // namespace oracle
+
+/// 96 x 70 lattice: rows of 70 cells give 30-row chunks, so every lattice
+/// loop splits into 4 chunks with a ragged 6-row last one. The field winds
+/// through all three components (non-zero charge density), a few cells are
+/// zero (the min_norm skip), and the excitation varies cell by cell.
+mlmd::ferro::FerroLattice ragged_lattice() {
+  mlmd::ferro::FerroLattice lat(96, 70);
+  std::vector<double> w(lat.ncells());
+  for (std::size_t i = 0; i < lat.ncells(); ++i) {
+    const double s = static_cast<double>(i);
+    lat.field()[i] = {0.6 * std::sin(0.071 * s), 0.6 * std::cos(0.053 * s),
+                      0.8 * std::cos(0.013 * s + 0.4)};
+    lat.velocity()[i] = {0.01 * std::cos(0.3 * s), 0.0, -0.02 * std::sin(0.2 * s)};
+    w[i] = 0.25 + 0.2 * std::sin(0.11 * s);
+  }
+  for (std::size_t i = 0; i < lat.ncells(); i += 997) lat.field()[i] = {0, 0, 0};
+  lat.set_excitation(w);
+  return lat;
+}
+
+/// u then v of `lat`, as doubles.
+std::vector<double> state(const mlmd::ferro::FerroLattice& lat) {
+  auto out = as_doubles(lat.field().data(), lat.ncells());
+  const auto v = as_doubles(lat.velocity().data(), lat.ncells());
+  out.insert(out.end(), v.begin(), v.end());
+  return out;
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0);
+}
+
+constexpr int kLatticeSteps = 5; // odd: the field ends in the swapped buffer
+
+TEST(ThreadPoolKernels, FerroStepMatchesSerialOracleAtEveryThreadCount) {
+  auto want = ragged_lattice();
+  for (int s = 0; s < kLatticeSteps; ++s) oracle::step(want);
+  const auto run = [] {
+    auto lat = ragged_lattice();
+    for (int s = 0; s < kLatticeSteps; ++s) lat.step();
+    return state(lat);
+  };
+  expect_bits_independent_of_threads(run);
+  expect_same_bits(run(), state(want));
+}
+
+TEST(ThreadPoolKernels, FerroForcesMatchSerialOracleAtEveryThreadCount) {
+  const auto lat = ragged_lattice();
+  std::vector<mlmd::ferro::Vec3> want;
+  oracle::forces(lat, want);
+  const auto run = [&] {
+    std::vector<mlmd::ferro::Vec3> f;
+    lat.forces(f);
+    return as_doubles(f.data(), f.size());
+  };
+  expect_bits_independent_of_threads(run);
+  expect_same_bits(run(), as_doubles(want.data(), want.size()));
+}
+
+TEST(ThreadPoolKernels, FerroExternalForceStepMatchesSerialOracle) {
+  // Forces unrelated to the lattice's own, as the Eq. (4) models supply.
+  std::vector<mlmd::ferro::Vec3> f(ragged_lattice().ncells());
+  for (std::size_t i = 0; i < f.size(); ++i)
+    f[i] = {std::sin(0.9 * i), -0.5 * std::cos(0.4 * i), 0.3};
+  auto want = ragged_lattice();
+  for (int s = 0; s < kLatticeSteps; ++s) oracle::step_with_forces(want, f);
+  const auto run = [&] {
+    auto lat = ragged_lattice();
+    for (int s = 0; s < kLatticeSteps; ++s) lat.step(f);
+    return state(lat);
+  };
+  expect_bits_independent_of_threads(run);
+  expect_same_bits(run(), state(want));
+}
+
+TEST(ThreadPoolKernels, FerroLangevinStepMatchesSerialOracle) {
+  auto want = ragged_lattice();
+  mlmd::Rng rng_want(7);
+  for (int s = 0; s < kLatticeSteps; ++s) oracle::step_langevin(want, 0.05, rng_want);
+  const auto run = [] {
+    auto lat = ragged_lattice();
+    mlmd::Rng rng(7);
+    for (int s = 0; s < kLatticeSteps; ++s) lat.step_langevin(0.05, rng);
+    return state(lat);
+  };
+  expect_bits_independent_of_threads(run);
+  expect_same_bits(run(), state(want));
+}
+
+TEST(ThreadPoolKernels, ChargeDensityAndTotalMatchSerialOracle) {
+  const auto lat = ragged_lattice();
+  auto want = oracle::charge_density(lat.field(), lat.lx(), lat.ly(), 1e-6);
+  double total = 0.0;
+  for (double v : want) total += v;
+  want.push_back(total);
+  const auto run = [&] {
+    auto q = mlmd::topo::charge_density(lat.field(), lat.lx(), lat.ly());
+    q.push_back(mlmd::topo::topological_charge(lat));
+    return q;
+  };
+  expect_bits_independent_of_threads(run);
+  expect_same_bits(run(), want);
 }
 
 } // namespace
