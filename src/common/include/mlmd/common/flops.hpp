@@ -12,7 +12,10 @@
 // process-global atomic, so add() is safe from SimComm rank threads and
 // ThreadPool workers alike. Kernels keep contention negligible by adding
 // their whole analytic count once, on the launching thread, before (or
-// after) the parallel region — never from inside per-chunk bodies.
+// after) the parallel region. The exception is a chunk body that calls
+// counted kernels (the stage-3 neural forces run Mlp passes per chunk):
+// each call adds its own count, which is linear in its rows, so the
+// total is unchanged by the chunking.
 
 #include <atomic>
 #include <cstdint>

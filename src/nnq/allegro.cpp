@@ -1,10 +1,14 @@
 #include "mlmd/nnq/allegro.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/common/workspace.hpp"
 #include "mlmd/obs/trace.hpp"
+#include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::nnq {
 
@@ -159,31 +163,21 @@ LatticeModel::LatticeModel(std::vector<std::size_t> hidden, unsigned long long s
         return sizes;
       }(), seed) {}
 
-namespace {
-
-/// Cells are processed in bounded batches so the feature matrix stays
-/// cache-sized no matter how large the lattice is.
-constexpr std::size_t kCellBlock = 8192;
-
-} // namespace
-
 double LatticeModel::energy(const ferro::FerroLattice& lat) const {
-  // Batched inference over cell blocks (x-major cell order, as before).
-  // The previous omp-reduction version summed per-cell energies in a
-  // thread-count-dependent order; the batched sum is strictly ascending,
-  // so the total is now deterministic for any thread count.
+  // Batched inference over bounded cell blocks (x-major cell order), so
+  // the feature matrix stays cache-sized however large the lattice is.
+  // The per-cell energies are summed strictly in ascending cell order, so
+  // the total is deterministic for any thread count.
+  constexpr std::size_t kCellBlock = 8192;
   const std::size_t ly = lat.ly();
   const std::size_t ncell = lat.lx() * ly;
   double e = 0.0;
-  std::vector<double> feat;
   la::Matrix<double> feats, y;
   for (std::size_t c0 = 0; c0 < ncell; c0 += kCellBlock) {
     const std::size_t c1 = std::min(c0 + kCellBlock, ncell);
     feats.resize(c1 - c0, kLatticeFeatures);
-    for (std::size_t c = c0; c < c1; ++c) {
-      lattice_features(lat, c / ly, c % ly, feat);
-      std::copy(feat.begin(), feat.end(), feats.row(c - c0));
-    }
+    for (std::size_t c = c0; c < c1; ++c)
+      lattice_features(lat, c / ly, c % ly, feats.row(c - c0));
     net_.forward_batch(feats, y);
     for (std::size_t r = 0; r < c1 - c0; ++r) e += y(r, 0);
   }
@@ -192,21 +186,24 @@ double LatticeModel::energy(const ferro::FerroLattice& lat) const {
 
 namespace {
 
-/// Accumulate -dE/du into `f` for the cells [c0, c1) of one lattice,
-/// reading their input gradients from dedg rows row0, row0+1, ... — the
-/// one scatter loop shared by the single-lattice and cross-lattice force
-/// paths, so both produce the identical FP accumulation order (cells
-/// strictly ascending).
-void scatter_lattice_forces(const ferro::FerroLattice& lat,
-                            const la::Matrix<double>& dedg, std::size_t row0,
-                            std::size_t c0, std::size_t c1,
-                            std::vector<ferro::Vec3>& f) {
+/// Cells per inference chunk (DESIGN.md §7). A chunk's features,
+/// activations and backprop (~150 KB for the 16-12-12-1 serve models)
+/// stay in one core's cache; 8 serve lattices of 32² give 32 chunks, and
+/// a lone 32² lattice still splits four ways.
+constexpr std::size_t kInferGrain = 256;
+
+/// Accumulate -dE/du into `f` for every cell of `lat`, reading cell c's
+/// input gradient from dedg row c. Cells go strictly in ascending order,
+/// so each f element sees the same chain of subtractions however the
+/// gradients were batched.
+void scatter_lattice_forces(const ferro::FerroLattice& lat, const double* dedg,
+                            ferro::Vec3* f) {
   const std::size_t lx = lat.lx(), ly = lat.ly();
-  for (std::size_t c = c0; c < c1; ++c) {
+  for (std::size_t c = 0; c < lx * ly; ++c) {
     const std::size_t x = c / ly, y = c % ly;
     const std::size_t xp = (x + 1) % lx, xm = (x + lx - 1) % lx;
     const std::size_t yp = (y + 1) % ly, ym = (y + ly - 1) % ly;
-    const double* gi = dedg.row(row0 + (c - c0));
+    const double* gi = dedg + c * kLatticeFeatures;
     const auto& ui = lat.u(x, y);
     // Feature layout (descriptor.cpp): [u_i (3), |u_i|^2, u_xp (3),
     // u_xm (3), u_yp (3), u_ym (3)].
@@ -224,70 +221,93 @@ void scatter_lattice_forces(const ferro::FerroLattice& lat,
   }
 }
 
+/// The one lattice-force path (DESIGN.md §7). out[s] receives the forces
+/// -dE/du of lats[s] under `gs`, or, when `xs` is non-null, the Eq. (4)
+/// mix (1 - w[s]) F_GS + w[s] F_XS. Launch 1 (nnq.infer) runs chunks of at
+/// most kInferGrain cells of one lattice through both networks; launch 2
+/// (nnq.scatter) scatters and mixes one lattice per chunk. A row's
+/// gradient does not depend on its batch (mlp.hpp) and each lattice's
+/// scatter is serial, so out is bit-identical at every thread count.
+void lattice_forces(const Mlp& gs, const Mlp* xs,
+                    std::span<const ferro::FerroLattice* const> lats,
+                    const double* w, std::vector<ferro::Vec3>* out) {
+  for (const Mlp* net : {&gs, xs})
+    if (net && (net->n_in() != kLatticeFeatures || net->n_out() < 1))
+      throw std::invalid_argument("lattice forces: network is not 16 -> scalar");
+  constexpr std::size_t nf = kLatticeFeatures;
+  const std::size_t n = lats.size();
+  // The launching thread's arena owns the tables and the gradient rows
+  // for the whole call; chunks only read the tables and write disjoint rows.
+  common::Workspace& ws = common::Workspace::local();
+  common::Workspace::Frame frame(ws);
+  std::size_t* cell_off = ws.get<std::size_t>(n + 1);
+  std::size_t* chunk_off = ws.get<std::size_t>(n + 1);
+  cell_off[0] = chunk_off[0] = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t nc = lats[s]->ncells();
+    cell_off[s + 1] = cell_off[s] + nc;
+    chunk_off[s + 1] = chunk_off[s] + (nc + kInferGrain - 1) / kInferGrain;
+  }
+  double* dedg_gs = ws.get<double>(cell_off[n] * nf);
+  double* dedg_xs = xs ? ws.get<double>(cell_off[n] * nf) : nullptr;
+
+  {
+    obs::ObsScope span("nnq.infer", obs::Cat::kPhase);
+    par::parallel_for(0, chunk_off[n], 1, [&](std::size_t k0, std::size_t k1) {
+      common::Workspace& lws = common::Workspace::local();
+      for (std::size_t k = k0; k < k1; ++k) {
+        const std::size_t s = static_cast<std::size_t>(
+            std::upper_bound(chunk_off, chunk_off + n + 1, k) - chunk_off - 1);
+        const ferro::FerroLattice& lat = *lats[s];
+        const std::size_t c0 = (k - chunk_off[s]) * kInferGrain;
+        const std::size_t c1 = std::min(c0 + kInferGrain, lat.ncells());
+        const std::size_t row0 = (cell_off[s] + c0) * nf;
+        common::Workspace::Frame chunk_frame(lws);
+        double* feats = lws.get<double>((c1 - c0) * nf);
+        for (std::size_t c = c0; c < c1; ++c)
+          lattice_features(lat, c / lat.ly(), c % lat.ly(), feats + (c - c0) * nf);
+        gs.grad_input_rows(feats, c1 - c0, dedg_gs + row0);
+        if (xs) xs->grad_input_rows(feats, c1 - c0, dedg_xs + row0);
+      }
+    });
+  }
+
+  obs::ObsScope span("nnq.scatter", obs::Cat::kPhase);
+  for (std::size_t s = 0; s < n; ++s)
+    out[s].assign(lats[s]->ncells(), ferro::Vec3{0, 0, 0});
+  par::parallel_for(0, n, 1, [&](std::size_t s0, std::size_t s1) {
+    common::Workspace& lws = common::Workspace::local();
+    for (std::size_t s = s0; s < s1; ++s) {
+      const ferro::FerroLattice& lat = *lats[s];
+      auto& fg = out[s];
+      scatter_lattice_forces(lat, dedg_gs + cell_off[s] * nf, fg.data());
+      if (!xs) continue;
+      common::Workspace::Frame lattice_frame(lws);
+      ferro::Vec3* fx = lws.get<ferro::Vec3>(fg.size());
+      std::fill(fx, fx + fg.size(), ferro::Vec3{0, 0, 0});
+      scatter_lattice_forces(lat, dedg_xs + cell_off[s] * nf, fx);
+      const double wt = w[s];
+      for (std::size_t i = 0; i < fg.size(); ++i)
+        for (std::size_t k = 0; k < 3; ++k)
+          fg[i][k] = (1.0 - wt) * fg[i][k] + wt * fx[i][k];
+    }
+  });
+}
+
 } // namespace
 
 std::vector<ferro::Vec3> LatticeModel::forces(const ferro::FerroLattice& lat) const {
-  const std::size_t lx = lat.lx(), ly = lat.ly();
-  std::vector<ferro::Vec3> f(lx * ly, ferro::Vec3{0, 0, 0});
-  std::vector<double> feat;
-  la::Matrix<double> feats, dedg;
-
-  for (std::size_t c0 = 0; c0 < lx * ly; c0 += kCellBlock) {
-    const std::size_t c1 = std::min(c0 + kCellBlock, lx * ly);
-    feats.resize(c1 - c0, kLatticeFeatures);
-    for (std::size_t c = c0; c < c1; ++c) {
-      lattice_features(lat, c / ly, c % ly, feat);
-      std::copy(feat.begin(), feat.end(), feats.row(c - c0));
-    }
-    net_.grad_input_batch(feats, dedg);
-    scatter_lattice_forces(lat, dedg, 0, c0, c1, f);
-  }
+  const ferro::FerroLattice* one = &lat;
+  std::vector<ferro::Vec3> f;
+  lattice_forces(net_, nullptr, {&one, 1}, nullptr, &f);
   return f;
 }
 
 std::vector<std::vector<ferro::Vec3>> forces_multi(
     const LatticeModel& model,
     const std::vector<const ferro::FerroLattice*>& lats) {
-  const std::size_t n = lats.size();
-  // Prefix offsets of each lattice's cells in the concatenated stream.
-  std::vector<std::size_t> offset(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    offset[i + 1] = offset[i] + lats[i]->ncells();
-  const std::size_t total = offset[n];
-
-  std::vector<std::vector<ferro::Vec3>> f(n);
-  for (std::size_t i = 0; i < n; ++i)
-    f[i].assign(lats[i]->ncells(), ferro::Vec3{0, 0, 0});
-
-  std::vector<double> feat;
-  la::Matrix<double> feats, dedg;
-  std::size_t li = 0; // lattice holding the next cell to scatter
-  for (std::size_t g0 = 0; g0 < total; g0 += kCellBlock) {
-    const std::size_t g1 = std::min(g0 + kCellBlock, total);
-    feats.resize(g1 - g0, kLatticeFeatures);
-    {
-      std::size_t lj = li;
-      for (std::size_t g = g0; g < g1; ++g) {
-        while (g >= offset[lj + 1]) ++lj;
-        const auto& lat = *lats[lj];
-        const std::size_t c = g - offset[lj];
-        lattice_features(lat, c / lat.ly(), c % lat.ly(), feat);
-        std::copy(feat.begin(), feat.end(), feats.row(g - g0));
-      }
-    }
-    // One batched gradient pass over every scenario's cells in the block.
-    model.net().grad_input_batch(feats, dedg);
-    // A block may straddle lattice boundaries: scatter each sub-range.
-    std::size_t g = g0;
-    while (g < g1) {
-      while (g >= offset[li + 1]) ++li;
-      const std::size_t c0 = g - offset[li];
-      const std::size_t gend = std::min(g1, offset[li + 1]);
-      scatter_lattice_forces(*lats[li], dedg, g - g0, c0, c0 + (gend - g),
-                             f[li]);
-      g = gend;
-    }
-  }
+  std::vector<std::vector<ferro::Vec3>> f(lats.size());
+  lattice_forces(model.net(), nullptr, lats, nullptr, f.data());
   return f;
 }
 
@@ -301,14 +321,10 @@ std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
                                          const ferro::FerroLattice& lat,
                                          double n_exc, double n_sat) {
   const double w = excitation_weight(n_exc, n_sat);
-  auto fg = gs.forces(lat);
-  auto fx = xs.forces(lat);
-  for (std::size_t i = 0; i < fg.size(); ++i)
-    for (int k = 0; k < 3; ++k)
-      fg[i][static_cast<std::size_t>(k)] =
-          (1.0 - w) * fg[i][static_cast<std::size_t>(k)] +
-          w * fx[i][static_cast<std::size_t>(k)];
-  return fg;
+  const ferro::FerroLattice* one = &lat;
+  std::vector<ferro::Vec3> f;
+  lattice_forces(gs.net(), &xs.net(), {&one, 1}, &w, &f);
+  return f;
 }
 
 std::vector<std::vector<ferro::Vec3>> xs_mixed_forces_multi(
@@ -317,17 +333,12 @@ std::vector<std::vector<ferro::Vec3>> xs_mixed_forces_multi(
     const std::vector<double>& n_exc, const std::vector<double>& n_sat) {
   if (n_exc.size() != lats.size() || n_sat.size() != lats.size())
     throw std::invalid_argument("xs_mixed_forces_multi: size mismatch");
-  auto fg = forces_multi(gs, lats);
-  auto fx = forces_multi(xs, lats);
-  for (std::size_t s = 0; s < lats.size(); ++s) {
-    const double w = excitation_weight(n_exc[s], n_sat[s]);
-    for (std::size_t i = 0; i < fg[s].size(); ++i)
-      for (int k = 0; k < 3; ++k)
-        fg[s][i][static_cast<std::size_t>(k)] =
-            (1.0 - w) * fg[s][i][static_cast<std::size_t>(k)] +
-            w * fx[s][i][static_cast<std::size_t>(k)];
-  }
-  return fg;
+  std::vector<double> w(lats.size());
+  for (std::size_t s = 0; s < lats.size(); ++s)
+    w[s] = excitation_weight(n_exc[s], n_sat[s]);
+  std::vector<std::vector<ferro::Vec3>> f(lats.size());
+  lattice_forces(gs.net(), &xs.net(), lats, w.data(), f.data());
+  return f;
 }
 
 } // namespace mlmd::nnq

@@ -75,6 +75,11 @@ std::vector<double> atom_descriptors(const qxmd::Atoms& atoms,
 void lattice_features(const ferro::FerroLattice& lat, std::size_t x, std::size_t y,
                       std::vector<double>& out) {
   out.resize(kLatticeFeatures);
+  lattice_features(lat, x, y, out.data());
+}
+
+void lattice_features(const ferro::FerroLattice& lat, std::size_t x, std::size_t y,
+                      double* out) {
   const std::size_t xp = (x + 1) % lat.lx();
   const std::size_t xm = (x + lat.lx() - 1) % lat.lx();
   const std::size_t yp = (y + 1) % lat.ly();

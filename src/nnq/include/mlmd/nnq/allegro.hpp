@@ -101,14 +101,21 @@ std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
 
 // --- cross-lattice batched inference ----------------------------------------
 //
-// The mlmd::serve micro-batcher's substrate: the cells of many lattices
-// (one per concurrent scenario) are concatenated into one feature stream
-// and pushed through Mlp::grad_input_batch in shared kCellBlock GEMM
-// batches. Because every batched Mlp pass is bitwise-identical per row to
-// the scalar pass (mlp.hpp contract, asserted in test_nnq), the per-cell
-// gradients — and therefore the scattered forces — do not depend on which
-// lattices share a batch: forces_multi(model, {&a, &b})[0] is
-// byte-identical to model.forces(a). Asserted in test_serve.
+// The mlmd::serve micro-batcher's substrate, and the one inference path:
+// LatticeModel::forces and xs_mixed_forces are its one-lattice case. The
+// cells of every lattice (one per concurrent scenario) are cut into
+// chunks of at most 256 cells of one lattice, and one par::ThreadPool
+// launch runs the chunks: each builds its feature rows and runs the GS
+// and XS networks on them in its own core's cache. A second launch
+// scatters each lattice's gradients and applies Eq. (4). Batching
+// scenarios thus buys one pooled launch across every session's cells per
+// step, instead of one per session. Because every batched Mlp pass is
+// bitwise-identical per row to the scalar pass (mlp.hpp contract,
+// asserted in test_nnq), the per-cell gradients — and therefore the
+// scattered forces — do not depend on which lattices share a call or on
+// the thread count: forces_multi(model, {&a, &b})[0] is byte-identical
+// to model.forces(a). Asserted in test_serve and, against a serial
+// reference, in test_thread_pool.
 
 /// Per-lattice forces for every lattice, evaluated through shared
 /// inference batches. Bitwise-identical to model.forces(*lats[i]) per i.

@@ -55,5 +55,8 @@ inline constexpr std::size_t kLatticeFeatures = 16;
 
 void lattice_features(const ferro::FerroLattice& lat, std::size_t x, std::size_t y,
                       std::vector<double>& out);
+/// The same features written to out[0, kLatticeFeatures).
+void lattice_features(const ferro::FerroLattice& lat, std::size_t x, std::size_t y,
+                      double* out);
 
 } // namespace mlmd::nnq

@@ -69,6 +69,15 @@ public:
   void grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_dx,
                         la::Matrix<double>* y = nullptr) const;
 
+  /// The same pass on raw row-major storage: `nb` rows of n_in() inputs
+  /// at x, gradients into dy0_dx (nb x n_in()), forward values into y
+  /// (nb x n_out()) when non-null. grad_input_batch is this call on a
+  /// Matrix. Safe to call concurrently on disjoint outputs, so callers
+  /// can split one batch across pool chunks: a row's result does not
+  /// depend on which rows share its call.
+  void grad_input_rows(const double* x, std::size_t nb, double* dy0_dx,
+                       double* y = nullptr) const;
+
   /// Batched forward_backward: accumulates dL/dw into `grad` given per-row
   /// dL/dy (x.rows() x n_out()) and writes forward values into y. Sample
   /// contributions enter `grad` in ascending row order, matching a scalar

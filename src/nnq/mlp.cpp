@@ -215,6 +215,11 @@ void Mlp::grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_
   const std::size_t nb = x.rows();
   dy0_dx.resize(nb, n_in());
   if (y) y->resize(nb, n_out());
+  grad_input_rows(x.data(), nb, dy0_dx.data(), y ? y->data() : nullptr);
+}
+
+void Mlp::grad_input_rows(const double* x, std::size_t nb, double* dy0_dx,
+                          double* y) const {
   if (nb == 0) return;
   const auto lv = layers();
   std::size_t wmax = 0, wflops = 0;
@@ -225,12 +230,12 @@ void Mlp::grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_
   common::Workspace& ws = common::Workspace::local();
   common::Workspace::Frame frame(ws);
   // Cache every post-activation level (backward needs tanh' = 1 - a^2).
-  std::vector<const double*> acts(lv.size() + 1);
-  acts[0] = x.data();
+  const double** acts = ws.get<const double*>(lv.size() + 1);
+  acts[0] = x;
   for (std::size_t l = 0; l < lv.size(); ++l) {
     const auto& L = lv[l];
     const bool last = l + 1 == lv.size();
-    double* out = (last && y) ? y->data() : ws.get<double>(nb * L.out);
+    double* out = (last && y) ? y : ws.get<double>(nb * L.out);
     const double* bias = w_.data() + L.b_off;
     for (std::size_t s = 0; s < nb; ++s)
       std::copy(bias, bias + L.out, out + s * L.out);
@@ -251,7 +256,7 @@ void Mlp::grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_
       for (std::size_t i = 0; i < nb * L.out; ++i)
         delta[i] *= (1.0 - a[i] * a[i]);
     }
-    double* dst = li == 0 ? dy0_dx.data() : prev;
+    double* dst = li == 0 ? dy0_dx : prev;
     la::gemm(la::Trans::kN, la::Trans::kN, nb, L.in, L.out, 1.0, delta, L.out,
              w_.data() + L.w_off, L.in, 0.0, dst, L.in);
     std::swap(delta, prev);

@@ -150,12 +150,14 @@ private:
   int nthreads_ = 1;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;                  // guards epoch_/current_/stop_
+  std::mutex mu_;                  // guards epoch_/current_/stop_/ready_
   std::condition_variable cv_;     // workers wait for a new epoch
-  std::condition_variable done_cv_; // launcher waits for task completion
+  // The launcher waits for task completion, the constructor for ready_.
+  std::condition_variable done_cv_;
   std::shared_ptr<Task> current_;
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
+  int ready_ = 0; // workers whose scratch arena is reserved
 
   std::mutex launch_mu_; // serializes external launches
 };

@@ -6,6 +6,7 @@
 #include <exception>
 #include <new>
 
+#include "mlmd/common/workspace.hpp"
 #include "mlmd/obs/metrics.hpp"
 #include "mlmd/obs/trace.hpp"
 
@@ -55,6 +56,8 @@ ThreadPool::ThreadPool(int nthreads) {
   workers_.reserve(static_cast<std::size_t>(nthreads - 1));
   for (int i = 0; i < nthreads - 1; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
+  std::unique_lock lk(mu_);
+  done_cv_.wait(lk, [&] { return ready_ == nthreads - 1; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -67,6 +70,20 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(int self) {
+  // Reserve this worker's scratch arena (its first 1 MiB block) before
+  // the pool counts as constructed. A worker that gets no chunk during a
+  // caller's warm-up call then still takes none from the heap in its
+  // first later chunk (DESIGN.md §8).
+  {
+    common::Workspace& ws = common::Workspace::local();
+    common::Workspace::Frame frame(ws);
+    ws.get<char>(1);
+  }
+  {
+    std::lock_guard lk(mu_);
+    ++ready_;
+  }
+  done_cv_.notify_all();
   std::uint64_t seen = 0;
   while (true) {
     std::shared_ptr<Task> t;

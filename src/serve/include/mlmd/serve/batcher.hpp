@@ -1,11 +1,11 @@
 #pragma once
 // Cross-request inference micro-batcher (DESIGN.md Sec. 14.3). Concurrent
 // kNeural sessions all stop at the same place each step — an Eq. (4)
-// mixed-force evaluation — so their lattices' cells are concatenated into
-// one feature stream and pushed through shared Mlp::grad_input_batch GEMM
-// blocks (nnq::xs_mixed_forces_multi). Bigger GEMMs are the whole point:
-// the batched MLP path is the PR-3 2.4x lever, and serving many tenants
-// is what finally keeps its batches full.
+// mixed-force evaluation — so all their lattices go to one
+// nnq::xs_mixed_forces_multi call. What that buys is one pooled launch
+// across every session's cells: the cells are cut into chunks that all
+// of the pool's threads share, where a per-session call would offer each
+// launch only one lattice's chunks.
 //
 // Correctness is free, not approximate: every batched Mlp pass is
 // bitwise-identical per row to the scalar pass (mlp.hpp contract), so the

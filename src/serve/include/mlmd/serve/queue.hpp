@@ -10,7 +10,8 @@
 // A tenant's quota counts queued + in-flight scenarios; the scheduler
 // calls on_done() when a scenario completes (or fails) to release the
 // slot. Every accept/reject/pop updates the serve.* obs instruments, with
-// per-tenant queue-wait lanes (serve.queue.wait_seconds.t<k>).
+// per-tenant queue-wait lanes (serve.queue.wait_seconds.t<k>), registered
+// once when the tenant first appears.
 
 #include <cstddef>
 #include <deque>
@@ -19,6 +20,10 @@
 #include <string>
 
 #include "mlmd/mlmd/pipeline.hpp"
+
+namespace mlmd::obs {
+class Histogram;
+} // namespace mlmd::obs
 
 namespace mlmd::serve {
 
@@ -98,6 +103,7 @@ class RequestQueue {
   struct Tenant {
     std::deque<Pending> fifo;
     std::size_t load = 0; ///< queued + in-flight
+    obs::Histogram* wait_lane = nullptr; ///< serve.queue.wait_seconds.t<k>
   };
 
   const std::size_t capacity_;

@@ -4,9 +4,9 @@
 // pipeline::Session and advances each by one stage-3 step per round,
 // admitting queued requests up to max_inflight as slots free. Parallelism
 // is per-step, inside the force kernels (the global par::ThreadPool the
-// GEMMs fan out on): interleaving at step granularity keeps results
-// bitwise-identical to dedicated runs while the batcher keeps the
-// inference GEMMs full across tenants.
+// inference chunks fan out on): interleaving at step granularity keeps
+// results bitwise-identical to dedicated runs while the batcher gives
+// each pool launch every tenant's cells.
 //
 // Warm restart: with checkpoint_dir set, every session checkpoints to
 // <dir>/session-<id>.ckpt (checkpoint_every steps); activating a request
@@ -122,6 +122,9 @@ class Server {
   void scheduler_loop();
   bool activate(Request req);
   void complete(Active& a, Outcome out);
+  /// serve.latency_seconds.t<tenant>, registered on the tenant's first
+  /// completion and cached in latency_lanes_.
+  obs::Histogram& latency_lane(int tenant);
 
   ServerOptions opt_;
   std::shared_ptr<ModelRegistry> models_;
@@ -134,6 +137,7 @@ class Server {
   std::map<long, Outcome> outcomes_;
   std::map<long, std::uint64_t> submitted_; ///< id -> submit mono ns
   std::vector<Active> active_;              ///< scheduler-thread only
+  std::map<int, obs::Histogram*> latency_lanes_; ///< scheduler-thread only
   long pending_ = 0; ///< accepted, not yet terminal
   Stats stats_;
   bool running_ = false;

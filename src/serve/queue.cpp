@@ -53,6 +53,7 @@ RequestQueue::RequestQueue(std::size_t capacity, std::size_t tenant_quota)
 
 Ticket RequestQueue::push(Request req) {
   auto& reg = obs::Registry::global();
+  static auto& accepted = reg.counter("serve.requests.accepted");
   const auto reject = [&](Reject why) {
     count_reject(why, req.tenant);
     return Ticket{false, why, req.id};
@@ -62,7 +63,16 @@ Ticket RequestQueue::push(Request req) {
   std::lock_guard lk(mu_);
   if (stopped_) return reject(Reject::kStopped);
   if (queued_ >= capacity_) return reject(Reject::kQueueFull);
-  auto& t = tenants_[req.tenant];
+  auto it = tenants_.find(req.tenant);
+  if (it == tenants_.end()) {
+    // First sight of this tenant: register its lane once, before the
+    // entry exists, so pop() never finds a tenant without one.
+    auto& lane = reg.histogram("serve.queue.wait_seconds.t" +
+                               std::to_string(req.tenant));
+    it = tenants_.emplace(req.tenant, Tenant{}).first;
+    it->second.wait_lane = &lane;
+  }
+  Tenant& t = it->second;
   if (tenant_quota_ > 0 && t.load >= tenant_quota_)
     return reject(Reject::kTenantQuota);
 
@@ -70,13 +80,13 @@ Ticket RequestQueue::push(Request req) {
   t.fifo.push_back({std::move(req), mono_ns()});
   ++t.load;
   ++queued_;
-  reg.counter("serve.requests.accepted").add(1);
+  accepted.add(1);
   return Ticket{true, Reject::kNone, id};
 }
 
 bool RequestQueue::pop(Request& out) {
   Pending p;
-  int tenant = 0;
+  obs::Histogram* lane = nullptr;
   {
     std::lock_guard lk(mu_);
     if (queued_ == 0) return false;
@@ -87,18 +97,18 @@ bool RequestQueue::pop(Request& out) {
       if (!it->second.fifo.empty()) break;
       ++it;
     }
-    tenant = it->first;
-    rr_last_ = tenant;
+    rr_last_ = it->first;
+    lane = it->second.wait_lane;
     p = std::move(it->second.fifo.front());
     it->second.fifo.pop_front();
     --queued_; // load stays: the request is now in-flight
   }
   const double wait =
       static_cast<double>(mono_ns() - p.t_enqueue_ns) * 1e-9;
-  auto& reg = obs::Registry::global();
-  reg.histogram("serve.queue.wait_seconds").observe(wait);
-  reg.histogram("serve.queue.wait_seconds.t" + std::to_string(tenant))
-      .observe(wait);
+  static auto& wait_all =
+      obs::Registry::global().histogram("serve.queue.wait_seconds");
+  wait_all.observe(wait);
+  lane->observe(wait);
   out = std::move(p.req);
   return true;
 }

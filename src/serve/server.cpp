@@ -165,10 +165,10 @@ void Server::complete(Active& a, Outcome out) {
 
   auto& reg = obs::Registry::global();
   if (a.t_submit_ns) {
+    static auto& latency = reg.histogram("serve.latency_seconds");
     const double lat = static_cast<double>(mono_ns() - a.t_submit_ns) * 1e-9;
-    reg.histogram("serve.latency_seconds").observe(lat);
-    reg.histogram("serve.latency_seconds.t" + std::to_string(a.tenant))
-        .observe(lat);
+    latency.observe(lat);
+    latency_lane(a.tenant).observe(lat);
   }
   if (out.reject == Reject::kDeadline) {
     reg.counter("serve.deadline.hits").add(1);
@@ -188,6 +188,17 @@ void Server::complete(Active& a, Outcome out) {
   outcomes_[a.id] = std::move(out);
   --pending_;
   cv_done_.notify_all();
+}
+
+obs::Histogram& Server::latency_lane(int tenant) {
+  auto it = latency_lanes_.find(tenant);
+  if (it == latency_lanes_.end())
+    it = latency_lanes_
+             .emplace(tenant, &obs::Registry::global().histogram(
+                                  "serve.latency_seconds.t" +
+                                  std::to_string(tenant)))
+             .first;
+  return *it->second;
 }
 
 bool Server::activate(Request req) {

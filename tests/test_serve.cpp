@@ -411,6 +411,8 @@ TEST(Server, PerTenantMetricLanesAndLatencyQuantiles) {
   EXPECT_EQ(reg.histogram("serve.latency_seconds.t0").count(), 2u);
   EXPECT_EQ(reg.histogram("serve.latency_seconds.t1").count(), 1u);
   EXPECT_EQ(reg.histogram("serve.queue.wait_seconds").count(), 3u);
+  EXPECT_EQ(reg.histogram("serve.queue.wait_seconds.t0").count(), 2u);
+  EXPECT_EQ(reg.histogram("serve.queue.wait_seconds.t1").count(), 1u);
 
   // Quantiles are ordered and clamped to the observed range.
   const double p50 = lat.quantile(0.50);

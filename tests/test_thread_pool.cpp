@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "mlmd/common/flops.hpp"
 #include "mlmd/common/rng.hpp"
 #include "mlmd/ferro/lattice.hpp"
 #include "mlmd/la/gemm.hpp"
@@ -23,6 +24,7 @@
 #include "mlmd/lfd/nlp_prop.hpp"
 #include "mlmd/maxwell/maxwell3d.hpp"
 #include "mlmd/mg/multigrid.hpp"
+#include "mlmd/nnq/allegro.hpp"
 #include "mlmd/nnq/angular.hpp"
 #include "mlmd/nnq/descriptor.hpp"
 #include "mlmd/obs/metrics.hpp"
@@ -595,6 +597,165 @@ TEST(ThreadPoolKernels, ChargeDensityAndTotalMatchSerialOracle) {
   };
   expect_bits_independent_of_threads(run);
   expect_same_bits(run(), want);
+}
+
+// --- Eq. (4) lattice inference: thread counts and the serial oracle -----
+
+namespace oracle {
+
+// nnq::LatticeModel::forces (its kCellBlock loop and
+// scatter_lattice_forces) and nnq::xs_mixed_forces as they were before
+// the inference moved onto the pool, copied with member access spelled
+// out. The chunked path must reproduce them bit for bit.
+
+constexpr std::size_t kCellBlock = 8192;
+
+void scatter_lattice_forces(const FerroLattice& lat,
+                            const mlmd::la::Matrix<double>& dedg, std::size_t row0,
+                            std::size_t c0, std::size_t c1,
+                            std::vector<Vec3>& f) {
+  const std::size_t lx = lat.lx(), ly = lat.ly();
+  for (std::size_t c = c0; c < c1; ++c) {
+    const std::size_t x = c / ly, y = c % ly;
+    const std::size_t xp = (x + 1) % lx, xm = (x + lx - 1) % lx;
+    const std::size_t yp = (y + 1) % ly, ym = (y + ly - 1) % ly;
+    const double* gi = dedg.row(row0 + (c - c0));
+    const auto& ui = lat.u(x, y);
+    auto& fi = f[lat.index(x, y)];
+    for (int k = 0; k < 3; ++k)
+      fi[static_cast<std::size_t>(k)] -=
+          gi[static_cast<std::size_t>(k)] +
+          2.0 * gi[3] * ui[static_cast<std::size_t>(k)];
+    const std::size_t nbr[4] = {lat.index(xp, y), lat.index(xm, y),
+                                lat.index(x, yp), lat.index(x, ym)};
+    for (int nbi = 0; nbi < 4; ++nbi)
+      for (int k = 0; k < 3; ++k)
+        f[nbr[nbi]][static_cast<std::size_t>(k)] -=
+            gi[4 + static_cast<std::size_t>(nbi) * 3 + static_cast<std::size_t>(k)];
+  }
+}
+
+std::vector<Vec3> lattice_forces(const mlmd::nnq::LatticeModel& model,
+                                 const FerroLattice& lat) {
+  const std::size_t lx = lat.lx(), ly = lat.ly();
+  std::vector<Vec3> f(lx * ly, Vec3{0, 0, 0});
+  std::vector<double> feat;
+  mlmd::la::Matrix<double> feats, dedg;
+
+  for (std::size_t c0 = 0; c0 < lx * ly; c0 += kCellBlock) {
+    const std::size_t c1 = std::min(c0 + kCellBlock, lx * ly);
+    feats.resize(c1 - c0, mlmd::nnq::kLatticeFeatures);
+    for (std::size_t c = c0; c < c1; ++c) {
+      mlmd::nnq::lattice_features(lat, c / ly, c % ly, feat);
+      std::copy(feat.begin(), feat.end(), feats.row(c - c0));
+    }
+    model.net().grad_input_batch(feats, dedg);
+    scatter_lattice_forces(lat, dedg, 0, c0, c1, f);
+  }
+  return f;
+}
+
+std::vector<Vec3> xs_mixed_forces(const mlmd::nnq::LatticeModel& gs,
+                                  const mlmd::nnq::LatticeModel& xs,
+                                  const FerroLattice& lat, double n_exc,
+                                  double n_sat) {
+  const double w = mlmd::nnq::excitation_weight(n_exc, n_sat);
+  auto fg = lattice_forces(gs, lat);
+  auto fx = lattice_forces(xs, lat);
+  for (std::size_t i = 0; i < fg.size(); ++i)
+    for (int k = 0; k < 3; ++k)
+      fg[i][static_cast<std::size_t>(k)] =
+          (1.0 - w) * fg[i][static_cast<std::size_t>(k)] +
+          w * fx[i][static_cast<std::size_t>(k)];
+  return fg;
+}
+
+} // namespace oracle
+
+/// Lattices for the 256-cell inference chunks: a 2 x 37 strip, whose
+/// x neighbours coincide (xp == xm); a 9 x 13 lattice smaller than one
+/// chunk; and a 70 x 131 lattice of 36 chunks with a 210-cell tail, also
+/// past the oracle's 8192-cell block so its own block loop splits.
+std::vector<mlmd::ferro::FerroLattice> inference_lattices() {
+  std::vector<mlmd::ferro::FerroLattice> lats;
+  for (const auto& [lx, ly] : {std::pair<std::size_t, std::size_t>{2, 37},
+                               {9, 13}, {70, 131}}) {
+    mlmd::ferro::FerroLattice lat(lx, ly);
+    for (std::size_t i = 0; i < lat.ncells(); ++i) {
+      const double s = static_cast<double>(i + lx);
+      lat.field()[i] = {0.4 * std::sin(0.37 * s), 0.4 * std::cos(0.23 * s),
+                        0.6 + 0.2 * std::cos(0.051 * s)};
+    }
+    lats.push_back(std::move(lat));
+  }
+  return lats;
+}
+
+void expect_same_forces(const std::vector<mlmd::ferro::Vec3>& got,
+                        const std::vector<mlmd::ferro::Vec3>& want) {
+  expect_same_bits(as_doubles(got.data(), got.size()),
+                   as_doubles(want.data(), want.size()));
+}
+
+TEST(ThreadPoolKernels, LatticeForcesMatchSerialOracleAtEveryThreadCount) {
+  GlobalPoolGuard guard;
+  using mlmd::ferro::Vec3;
+  const mlmd::nnq::LatticeModel gs({12, 12}, 5), xs({12, 12}, 6);
+  const auto lats = inference_lattices();
+  std::vector<const mlmd::ferro::FerroLattice*> ptrs;
+  for (const auto& l : lats) ptrs.push_back(&l);
+  // w = 0, 0.65 and 1 (clamped).
+  const std::vector<double> n_exc = {0.0, 0.013, 0.5};
+  const std::vector<double> n_sat(lats.size(), 0.02);
+
+  ThreadPool::set_global_threads(1);
+  std::vector<std::vector<Vec3>> want_gs, want_mix;
+  std::uint64_t flops_gs = 0, flops_mix = 0;
+  for (std::size_t i = 0; i < lats.size(); ++i) {
+    const mlmd::flops::Scope fl_gs;
+    want_gs.push_back(oracle::lattice_forces(gs, lats[i]));
+    flops_gs += fl_gs.flops();
+    const mlmd::flops::Scope fl_mix;
+    want_mix.push_back(oracle::xs_mixed_forces(gs, xs, lats[i], n_exc[i], n_sat[i]));
+    flops_mix += fl_mix.flops();
+  }
+
+  auto& launches = mlmd::obs::Registry::global().counter("pool.launches");
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    const auto before = launches.value();
+    {
+      const mlmd::flops::Scope fl;
+      const auto got = mlmd::nnq::forces_multi(gs, ptrs);
+      EXPECT_EQ(fl.flops(), flops_gs);
+      ASSERT_EQ(got.size(), lats.size());
+      for (std::size_t i = 0; i < lats.size(); ++i) expect_same_forces(got[i], want_gs[i]);
+    }
+    {
+      const mlmd::flops::Scope fl;
+      const auto got = mlmd::nnq::xs_mixed_forces_multi(gs, xs, ptrs, n_exc, n_sat);
+      EXPECT_EQ(fl.flops(), flops_mix);
+      ASSERT_EQ(got.size(), lats.size());
+      for (std::size_t i = 0; i < lats.size(); ++i) expect_same_forces(got[i], want_mix[i]);
+    }
+    std::uint64_t one_gs = 0, one_mix = 0;
+    for (std::size_t i = 0; i < lats.size(); ++i) {
+      const mlmd::flops::Scope fl_gs;
+      expect_same_forces(gs.forces(lats[i]), want_gs[i]);
+      one_gs += fl_gs.flops();
+      const mlmd::flops::Scope fl_mix;
+      expect_same_forces(
+          mlmd::nnq::xs_mixed_forces(gs, xs, lats[i], n_exc[i], n_sat[i]),
+          want_mix[i]);
+      one_mix += fl_mix.flops();
+    }
+    EXPECT_EQ(one_gs, flops_gs);
+    EXPECT_EQ(one_mix, flops_mix);
+    if (threads > 1) {
+      EXPECT_GT(launches.value(), before);
+    }
+  }
 }
 
 } // namespace
