@@ -1,8 +1,8 @@
 #pragma once
 // Wall-clock stopwatch used for all time-to-solution measurements.
 // Accumulating per-kernel breakdowns live in the mlmd::obs registry
-// (obs::Registry::global().histogram("<area>.<kernel>.seconds") with
-// obs::ScopedAccum).
+// (obs::Registry::global().histogram("<area>.<kernel>.seconds"), fed by an
+// obs::ObsScope given that histogram).
 
 #include <chrono>
 

@@ -43,10 +43,9 @@ std::size_t CheckpointWriter::payload_bytes() const {
 }
 
 void CheckpointWriter::write(const std::string& path) const {
-  obs::ObsScope span("ft.checkpoint.write", obs::Cat::kPhase);
   static auto& h_seconds =
       obs::Registry::global().histogram("ft.checkpoint.seconds");
-  obs::ScopedAccum accum(h_seconds);
+  obs::ObsScope span("ft.checkpoint.write", obs::Cat::kPhase, &h_seconds);
 
   // Body: everything after the magic, checksummed as one blob. Checkpoint
   // files are modest (state snapshots, not trajectories), so assembling

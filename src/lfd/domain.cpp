@@ -111,25 +111,21 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
     // Composite Suzuki-Yoshida step (exactly time-reversible, 3x the
     // sweeps — the high-accuracy configuration).
     static auto& h = reg.histogram("lfd.split_step4.seconds");
-    obs::ScopedAccum t(h);
-    obs::ObsScope span("lfd.split_step4", obs::Cat::kKernel);
+    obs::ObsScope span("lfd.split_step4", obs::Cat::kKernel, &h);
     split_step(wave_, vloc_, kp, PropOrder::kFourth, opt_.kin_variant);
   } else {
     static auto& hv = reg.histogram("lfd.vloc_prop.seconds");
     static auto& hk = reg.histogram("lfd.kin_prop.seconds");
     {
-      obs::ScopedAccum t(hv);
-      obs::ObsScope span("lfd.vloc_prop", obs::Cat::kKernel);
+      obs::ObsScope span("lfd.vloc_prop", obs::Cat::kKernel, &hv);
       vloc_prop(wave_, vloc_, 0.5 * dt);
     }
     {
-      obs::ScopedAccum t(hk);
-      obs::ObsScope span("lfd.kin_prop", obs::Cat::kKernel);
+      obs::ObsScope span("lfd.kin_prop", obs::Cat::kKernel, &hk);
       kin_prop(wave_, kp, opt_.kin_variant);
     }
     {
-      obs::ScopedAccum t(hv);
-      obs::ObsScope span("lfd.vloc_prop", obs::Cat::kKernel);
+      obs::ObsScope span("lfd.vloc_prop", obs::Cat::kKernel, &hv);
       vloc_prop(wave_, vloc_, 0.5 * dt);
     }
   }
@@ -137,16 +133,14 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
   ++steps_;
   if (opt_.nlp_every > 0 && steps_ % opt_.nlp_every == 0) {
     static auto& h = reg.histogram("lfd.nlp_prop.seconds");
-    obs::ScopedAccum t(h);
-    obs::ObsScope span("lfd.nlp_prop", obs::Cat::kKernel);
+    obs::ObsScope span("lfd.nlp_prop", obs::Cat::kKernel, &h);
     nlp_prop(wave_, psi0_, opt_.scissor_delta * (dt * opt_.nlp_every),
              opt_.gemm_mode);
   }
   if (opt_.self_consistent && opt_.hartree_every > 0 &&
       steps_ % opt_.hartree_every == 0) {
     static auto& h = reg.histogram("lfd.hartree.seconds");
-    obs::ScopedAccum t(h);
-    obs::ObsScope span("lfd.hartree", obs::Cat::kKernel);
+    obs::ObsScope span("lfd.hartree", obs::Cat::kKernel, &h);
     hartree_.update(density(wave_, f_));
     refresh_potential();
   }

@@ -32,16 +32,6 @@ std::vector<double> ionic_potential(const grid::Grid3& g, const std::vector<Ion>
 /// Slater exchange potential v_x(rho) = -(3 rho / pi)^{1/3}.
 void add_xc_potential(const std::vector<double>& rho, std::vector<double>& v);
 
-/// LDA exchange-correlation energy density per electron, exchange +
-/// Perdew-Zunger 81 correlation (unpolarized).
-double lda_pz_exc(double rho);
-
-/// LDA xc potential v_xc = d(rho * exc)/drho for the same functional.
-double lda_pz_vxc(double rho);
-
-/// Add the full LDA (exchange + PZ81 correlation) potential to v.
-void add_xc_potential_pz(const std::vector<double>& rho, std::vector<double>& v);
-
 /// psi(g,s) *= exp(-i dt v[g]) for all orbitals (diagonal propagator).
 template <class Real>
 void vloc_prop(SoAWave<Real>& w, const std::vector<double>& v, double dt);

@@ -53,55 +53,6 @@ void add_xc_potential(const std::vector<double>& rho, std::vector<double>& v) {
     v[i] -= c * std::cbrt(std::max(rho[i], 0.0));
 }
 
-namespace {
-// Perdew-Zunger 81 correlation constants (unpolarized).
-constexpr double kPzGamma = -0.1423, kPzBeta1 = 1.0529, kPzBeta2 = 0.3334;
-constexpr double kPzA = 0.0311, kPzB = -0.048, kPzC = 0.0020, kPzD = -0.0116;
-
-double rs_of(double rho) {
-  return std::cbrt(3.0 / (4.0 * std::numbers::pi * rho));
-}
-} // namespace
-
-double lda_pz_exc(double rho) {
-  if (rho <= 1e-20) return 0.0;
-  const double ex = -0.75 * std::cbrt(3.0 * rho / std::numbers::pi);
-  const double rs = rs_of(rho);
-  double ec;
-  if (rs >= 1.0) {
-    ec = kPzGamma / (1.0 + kPzBeta1 * std::sqrt(rs) + kPzBeta2 * rs);
-  } else {
-    ec = kPzA * std::log(rs) + kPzB + kPzC * rs * std::log(rs) + kPzD * rs;
-  }
-  return ex + ec;
-}
-
-double lda_pz_vxc(double rho) {
-  if (rho <= 1e-20) return 0.0;
-  // v_x = (4/3) e_x for Slater exchange.
-  const double vx = -std::cbrt(3.0 * rho / std::numbers::pi);
-  const double rs = rs_of(rho);
-  double vc;
-  if (rs >= 1.0) {
-    const double sq = std::sqrt(rs);
-    const double den = 1.0 + kPzBeta1 * sq + kPzBeta2 * rs;
-    const double ec = kPzGamma / den;
-    vc = ec * (1.0 + 7.0 / 6.0 * kPzBeta1 * sq + 4.0 / 3.0 * kPzBeta2 * rs) / den;
-  } else {
-    vc = kPzA * std::log(rs) + (kPzB - kPzA / 3.0) +
-         2.0 / 3.0 * kPzC * rs * std::log(rs) + (2.0 * kPzD - kPzC) / 3.0 * rs;
-  }
-  return vx + vc;
-}
-
-void add_xc_potential_pz(const std::vector<double>& rho, std::vector<double>& v) {
-  if (rho.size() != v.size())
-    throw std::invalid_argument("add_xc_potential_pz: size mismatch");
-  flops::add(20ull * rho.size());
-  for (std::size_t i = 0; i < rho.size(); ++i)
-    v[i] += lda_pz_vxc(std::max(rho[i], 0.0));
-}
-
 template <class Real>
 void vloc_prop(SoAWave<Real>& w, const std::vector<double>& v, double dt) {
   if (v.size() != w.grid.size())

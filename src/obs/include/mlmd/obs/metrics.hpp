@@ -193,19 +193,4 @@ private:
   std::map<std::string, Cell, std::less<>> cells_;
 };
 
-/// RAII region that observe()s its lifetime in seconds into a Histogram.
-/// The always-on per-region timer: cheap (two clock reads + three relaxed
-/// RMWs) and thread-safe.
-class ScopedAccum {
-public:
-  explicit ScopedAccum(Histogram& h);
-  ~ScopedAccum();
-  ScopedAccum(const ScopedAccum&) = delete;
-  ScopedAccum& operator=(const ScopedAccum&) = delete;
-
-private:
-  Histogram& h_;
-  std::uint64_t t0_ns_;
-};
-
 } // namespace mlmd::obs

@@ -33,6 +33,12 @@
 
 namespace mlmd::obs {
 
+class Histogram; // metrics.hpp
+
+/// Nanoseconds on the monotonic clock. Unlike Tracer::now_ns() it is
+/// meaningful whether or not the tracer was ever enabled.
+std::uint64_t mono_ns();
+
 /// Span category (taxonomy level); exported as the Chrome "cat" field.
 enum class Cat : std::uint8_t {
   kStep = 0,   ///< one outer MD / QD / pipeline iteration
@@ -113,10 +119,15 @@ private:
 
 /// RAII span. Construction with tracing disabled does nothing but one
 /// relaxed atomic load; with tracing enabled it stamps the start time and
-/// the destructor publishes the completed span to the thread's ring.
+/// the destructor publishes the completed span to the thread's ring. With
+/// a `seconds` histogram it also observes the region's elapsed seconds
+/// (mono_ns), whether tracing is on or off.
 class ObsScope {
 public:
-  explicit ObsScope(const char* name, Cat cat = Cat::kKernel) {
+  explicit ObsScope(const char* name, Cat cat = Cat::kKernel,
+                    Histogram* seconds = nullptr)
+      : seconds_(seconds) {
+    if (seconds_) seconds_t0_ = mono_ns();
     if (!Tracer::enabled()) return;
     name_ = name;
     cat_ = cat;
@@ -124,15 +135,21 @@ public:
     depth_ = Tracer::enter_depth();
   }
   ~ObsScope() {
-    if (!name_) return;
-    Tracer::exit_depth();
-    Tracer::record(name_, cat_, t0_, Tracer::now_ns() - t0_, depth_);
+    if (name_) {
+      Tracer::exit_depth();
+      Tracer::record(name_, cat_, t0_, Tracer::now_ns() - t0_, depth_);
+    }
+    if (seconds_) observe_seconds(*seconds_, seconds_t0_);
   }
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
 
 private:
+  static void observe_seconds(Histogram& h, std::uint64_t t0_ns);
+
   const char* name_ = nullptr;
+  Histogram* seconds_ = nullptr;
+  std::uint64_t seconds_t0_ = 0;
   std::uint64_t t0_ = 0;
   std::uint32_t depth_ = 0;
   Cat cat_ = Cat::kKernel;

@@ -1,20 +1,12 @@
 #include "mlmd/obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 namespace mlmd::obs {
 namespace {
-
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string ranked_name(std::string_view name, int rank) {
   std::string s(name);
@@ -238,11 +230,6 @@ std::vector<Registry::HistogramSample> Registry::histograms_snapshot(
     out.push_back({n, c.h->count(), c.h->sum(), c.h->min(), c.h->max()});
   }
   return out;
-}
-
-ScopedAccum::ScopedAccum(Histogram& h) : h_(h), t0_ns_(mono_ns()) {}
-ScopedAccum::~ScopedAccum() {
-  h_.observe(static_cast<double>(mono_ns() - t0_ns_) * 1e-9);
 }
 
 } // namespace mlmd::obs

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <string_view>
 
+#include "mlmd/obs/metrics.hpp"
+
 namespace mlmd::obs {
 namespace {
 
@@ -94,6 +96,17 @@ void Tracer::enable(bool on) {
     }
   }
   g_enabled.store(on, std::memory_order_relaxed);
+}
+
+std::uint64_t mono_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          clock_type::now().time_since_epoch())
+          .count());
+}
+
+void ObsScope::observe_seconds(Histogram& h, std::uint64_t t0_ns) {
+  h.observe(static_cast<double>(mono_ns() - t0_ns) * 1e-9);
 }
 
 std::uint64_t Tracer::now_ns() {

@@ -1,7 +1,6 @@
 #include "mlmd/par/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <new>
@@ -11,16 +10,6 @@
 #include "mlmd/obs/trace.hpp"
 
 namespace mlmd::par {
-namespace {
-
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
 
 // One launched loop. Workers (and the launcher) claim chunk ids with an
 // atomic fetch-add on `next`; `done` counts finished chunks and drives the
@@ -98,7 +87,7 @@ void ThreadPool::worker_loop(int self) {
       // Queue wait: how long this worker's wakeup lagged the launch.
       static auto& qw =
           obs::Registry::global().histogram("pool.queue_wait.seconds");
-      qw.observe(static_cast<double>(mono_ns() - t->publish_ns) * 1e-9);
+      qw.observe(static_cast<double>(obs::mono_ns() - t->publish_ns) * 1e-9);
       work_on(t, self);
     }
   }
@@ -160,7 +149,7 @@ void ThreadPool::run_chunks(std::size_t nchunks, ChunkFn chunk) {
   auto t = std::make_shared<Task>(chunk, nchunks);
   t->per_thread_chunks =
       std::vector<std::atomic<std::uint32_t>>(static_cast<std::size_t>(nthreads_));
-  t->publish_ns = mono_ns();
+  t->publish_ns = obs::mono_ns();
   {
     std::lock_guard lk(mu_);
     current_ = t;

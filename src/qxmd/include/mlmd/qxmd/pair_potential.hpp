@@ -23,17 +23,4 @@ struct LjParams {
 double lj_energy_forces(const Atoms& atoms, const NeighborList& nl,
                         const LjParams& p, std::vector<double>& forces);
 
-/// Pair virial W = sum_{i<j} r_ij . F_ij of the shifted-force LJ fluid.
-double lj_virial(const Atoms& atoms, const NeighborList& nl, const LjParams& p);
-
-/// Instantaneous pressure P = (N kT_inst + W/3) / V from the virial
-/// theorem (kT_inst from atoms.temperature()).
-double pressure(const Atoms& atoms, const NeighborList& nl, const LjParams& p);
-
-/// Berendsen barostat step: isotropically rescale the box and positions
-/// toward `target_p` with coupling dt/tau and compressibility beta.
-/// Returns the applied scale factor.
-double berendsen_barostat(Atoms& atoms, double p_now, double target_p, double dt,
-                          double tau, double beta = 1.0);
-
 } // namespace mlmd::qxmd

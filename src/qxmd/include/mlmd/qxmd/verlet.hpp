@@ -1,7 +1,7 @@
 #pragma once
-// Velocity-Verlet time integration of Eq. (1) with optional thermostats.
-// The force provider is a callback so the same integrator drives LJ,
-// Ehrenfest (DC-MESH), and NNQMD forces.
+// Velocity-Verlet time integration of Eq. (1) with an optional Langevin
+// thermostat. The force provider is a callback so the same integrator
+// drives LJ, Ehrenfest (DC-MESH), and NNQMD forces.
 
 #include <functional>
 #include <vector>
@@ -15,13 +15,12 @@ namespace mlmd::qxmd {
 /// returns the potential energy.
 using ForceProvider = std::function<double(const Atoms&, std::vector<double>&)>;
 
-enum class Thermostat { kNone, kBerendsen, kLangevin, kNoseHoover };
+enum class Thermostat { kNone, kLangevin };
 
 struct VerletOptions {
   double dt = 40.0;           ///< MD step [a.u.] (~1 fs)
   Thermostat thermostat = Thermostat::kNone;
   double target_kt = 0.0;     ///< target temperature [Ha]
-  double tau = 4000.0;        ///< Berendsen coupling time [a.u.]
   double gamma = 1e-3;        ///< Langevin friction [1/a.u.]
   unsigned long long seed = 7;
 };
@@ -39,9 +38,6 @@ public:
 
   const std::vector<double>& forces() const { return f_; }
 
-  /// Nose-Hoover friction variable (kNoseHoover only).
-  double nh_xi() const { return nh_xi_; }
-
 private:
   void apply_thermostat(Atoms& atoms);
 
@@ -51,7 +47,6 @@ private:
   bool have_forces_ = false;
   long steps_ = 0;
   Rng rng_;
-  double nh_xi_ = 0.0; ///< Nose-Hoover friction coordinate
 };
 
 } // namespace mlmd::qxmd

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <functional>
-#include <stdexcept>
 
 #include "mlmd/common/flops.hpp"
 #include "mlmd/par/thread_pool.hpp"
@@ -58,46 +57,6 @@ double lj_energy_forces(const Atoms& atoms, const NeighborList& nl,
         return energy;
       },
       std::plus<>());
-}
-
-double lj_virial(const Atoms& atoms, const NeighborList& nl, const LjParams& p) {
-  auto lj_du = [&](double r) {
-    const double sr6 = std::pow(p.sigma / r, 6);
-    return -24.0 * p.epsilon * (2.0 * sr6 * sr6 - sr6) / r;
-  };
-  const double du_rc = lj_du(p.rc);
-  const double rc2 = p.rc * p.rc;
-
-  double w = 0.0;
-  for (std::size_t i = 0; i < atoms.n(); ++i) {
-    for (std::uint32_t j : nl.neighbors(i)) {
-      const auto d = atoms.box.mic(atoms.pos(i), atoms.pos(j));
-      const double r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-      if (r2 >= rc2 || r2 <= 0.0) continue;
-      const double r = std::sqrt(r2);
-      // r . F = -r dU/dr; half per directed pair.
-      w += 0.5 * (-(lj_du(r) - du_rc)) * r;
-    }
-  }
-  return w;
-}
-
-double pressure(const Atoms& atoms, const NeighborList& nl, const LjParams& p) {
-  const double v = atoms.box.volume();
-  if (v <= 0) throw std::invalid_argument("pressure: box not set");
-  const double kinetic_term =
-      static_cast<double>(atoms.n()) * atoms.temperature();
-  return (kinetic_term + lj_virial(atoms, nl, p) / 3.0) / v;
-}
-
-double berendsen_barostat(Atoms& atoms, double p_now, double target_p, double dt,
-                          double tau, double beta) {
-  const double mu = std::cbrt(1.0 - beta * dt / tau * (target_p - p_now));
-  atoms.box.lx *= mu;
-  atoms.box.ly *= mu;
-  atoms.box.lz *= mu;
-  for (double& x : atoms.r) x *= mu;
-  return mu;
 }
 
 } // namespace mlmd::qxmd

@@ -39,39 +39,14 @@ double VelocityVerlet::step(Atoms& atoms) {
 }
 
 void VelocityVerlet::apply_thermostat(Atoms& atoms) {
-  switch (opt_.thermostat) {
-    case Thermostat::kNone: return;
-    case Thermostat::kBerendsen: {
-      const double t_now = atoms.temperature();
-      if (t_now <= 0) return;
-      const double lambda =
-          std::sqrt(1.0 + opt_.dt / opt_.tau * (opt_.target_kt / t_now - 1.0));
-      for (double& v : atoms.v) v *= lambda;
-      return;
-    }
-    case Thermostat::kLangevin: {
-      // BAOAB-style O-step: v <- c1 v + c2 * xi, after the Verlet update.
-      const double c1 = std::exp(-opt_.gamma * opt_.dt);
-      for (std::size_t i = 0; i < atoms.n(); ++i) {
-        const double c2 =
-            std::sqrt((1.0 - c1 * c1) * opt_.target_kt / atoms.mass[i]);
-        for (int k = 0; k < 3; ++k)
-          atoms.vel(i)[k] = c1 * atoms.vel(i)[k] + c2 * rng_.normal();
-      }
-      return;
-    }
-    case Thermostat::kNoseHoover: {
-      // Single-chain Nose-Hoover: the friction coordinate integrates the
-      // temperature error, velocities are scaled by exp(-xi dt).
-      // Deterministic (unlike Langevin) and samples canonical averages.
-      const double t_now = atoms.temperature();
-      if (opt_.target_kt <= 0) return;
-      nh_xi_ += opt_.dt / (opt_.tau * opt_.tau) *
-                (t_now / opt_.target_kt - 1.0);
-      const double scale = std::exp(-nh_xi_ * opt_.dt);
-      for (double& v : atoms.v) v *= scale;
-      return;
-    }
+  if (opt_.thermostat != Thermostat::kLangevin) return;
+  // BAOAB-style O-step: v <- c1 v + c2 * xi, after the Verlet update.
+  const double c1 = std::exp(-opt_.gamma * opt_.dt);
+  for (std::size_t i = 0; i < atoms.n(); ++i) {
+    const double c2 =
+        std::sqrt((1.0 - c1 * c1) * opt_.target_kt / atoms.mass[i]);
+    for (int k = 0; k < 3; ++k)
+      atoms.vel(i)[k] = c1 * atoms.vel(i)[k] + c2 * rng_.normal();
   }
 }
 

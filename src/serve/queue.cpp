@@ -1,18 +1,10 @@
 #include "mlmd/serve/queue.hpp"
 
-#include <chrono>
-
 #include "mlmd/obs/metrics.hpp"
+#include "mlmd/obs/trace.hpp"
 
 namespace mlmd::serve {
 namespace {
-
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 bool valid(const Request& r) {
   if (r.opt.lattice == 0 || r.opt.xs_steps < 0) return false;
@@ -77,7 +69,7 @@ Ticket RequestQueue::push(Request req) {
     return reject(Reject::kTenantQuota);
 
   const long id = req.id;
-  t.fifo.push_back({std::move(req), mono_ns()});
+  t.fifo.push_back({std::move(req), obs::mono_ns()});
   ++t.load;
   ++queued_;
   accepted.add(1);
@@ -104,7 +96,7 @@ bool RequestQueue::pop(Request& out) {
     --queued_; // load stays: the request is now in-flight
   }
   const double wait =
-      static_cast<double>(mono_ns() - p.t_enqueue_ns) * 1e-9;
+      static_cast<double>(obs::mono_ns() - p.t_enqueue_ns) * 1e-9;
   static auto& wait_all =
       obs::Registry::global().histogram("serve.queue.wait_seconds");
   wait_all.observe(wait);

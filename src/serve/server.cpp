@@ -10,16 +10,10 @@
 
 #include "mlmd/ft/fault.hpp"
 #include "mlmd/obs/metrics.hpp"
+#include "mlmd/obs/trace.hpp"
 
 namespace mlmd::serve {
 namespace {
-
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string ckpt_path(const std::string& dir, long id) {
   return dir + "/session-" + std::to_string(id) + ".ckpt";
@@ -98,7 +92,7 @@ Ticket Server::submit(Request req) {
     // A resubmit of a reaped/drained id resumes from its kept checkpoint;
     // drop the stale outcome so wait(id) blocks for the new run.
     outcomes_.erase(id);
-    submitted_[id] = mono_ns();
+    submitted_[id] = obs::mono_ns();
     ++pending_;
   }
   Ticket t = queue_.push(std::move(req));
@@ -136,7 +130,7 @@ Server::Stats Server::stats() const {
 }
 
 void Server::drain() {
-  const std::uint64_t t0 = mono_ns();
+  const std::uint64_t t0 = obs::mono_ns();
   {
     std::lock_guard lk(mu_);
     draining_ = true;
@@ -149,7 +143,7 @@ void Server::drain() {
   }
   obs::Registry::global()
       .histogram("serve.drain.seconds")
-      .observe(static_cast<double>(mono_ns() - t0) * 1e-9);
+      .observe(static_cast<double>(obs::mono_ns() - t0) * 1e-9);
 }
 
 void Server::complete(Active& a, Outcome out) {
@@ -166,7 +160,7 @@ void Server::complete(Active& a, Outcome out) {
   auto& reg = obs::Registry::global();
   if (a.t_submit_ns) {
     static auto& latency = reg.histogram("serve.latency_seconds");
-    const double lat = static_cast<double>(mono_ns() - a.t_submit_ns) * 1e-9;
+    const double lat = static_cast<double>(obs::mono_ns() - a.t_submit_ns) * 1e-9;
     latency.observe(lat);
     latency_lane(a.tenant).observe(lat);
   }
@@ -216,7 +210,7 @@ bool Server::activate(Request req) {
   // A request that overshot its deadline while still QUEUED is reaped
   // here, before stages 1-2 are built for nothing. An earlier incarnation's
   // checkpoint (if any) survives: complete() keeps it for kDeadline.
-  if (a.deadline_ns && mono_ns() > a.deadline_ns) {
+  if (a.deadline_ns && obs::mono_ns() > a.deadline_ns) {
     Outcome out;
     out.reject = Reject::kDeadline;
     out.error = "deadline exceeded (" + std::to_string(req.deadline_ms) +
@@ -362,7 +356,7 @@ void Server::scheduler_loop() {
           break;
         }
       if (any_deadline) {
-        const std::uint64_t now = mono_ns();
+        const std::uint64_t now = obs::mono_ns();
         for (std::size_t i = 0; i < active_.size();) {
           Active& a = active_[i];
           if (!a.deadline_ns || now <= a.deadline_ns) {

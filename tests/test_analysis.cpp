@@ -1,15 +1,20 @@
-// Tests for spectroscopy post-processing: VACF, power spectra,
-// vibrational DOS, absorption spectra.
+// Tests for structural and spectroscopy post-processing: VACF, power
+// spectra, vibrational DOS, absorption spectra, radial distribution
+// functions.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
+#include "mlmd/analysis/rdf.hpp"
 #include "mlmd/analysis/spectrum.hpp"
+#include "mlmd/common/rng.hpp"
+#include "mlmd/qxmd/structures.hpp"
 
 namespace {
 
+using namespace mlmd;
 using namespace mlmd::analysis;
 
 TEST(Vacf, ConstantVelocityGivesUnitCorrelation) {
@@ -91,6 +96,43 @@ TEST(Spectrum, OmegaAxisMonotone) {
   auto s = power_spectrum(sig, 0.5);
   for (std::size_t k = 1; k < s.omega.size(); ++k)
     EXPECT_GT(s.omega[k], s.omega[k - 1]);
+}
+
+// --- radial distribution function ------------------------------------------------
+
+TEST(Rdf, LatticeFirstShellAtLatticeConstant) {
+  auto atoms = qxmd::make_cubic_lattice(5, 5, 5, 4.0, 100.0);
+  auto rdf = analysis::radial_distribution(atoms, 9.9, 99);
+  EXPECT_NEAR(analysis::first_peak(rdf, 2.0), 4.0, 0.2);
+}
+
+TEST(Rdf, IdealGasIsFlat) {
+  qxmd::Atoms atoms;
+  atoms.resize(4000);
+  atoms.box = {20.0, 20.0, 20.0};
+  mlmd::Rng rng(5);
+  for (auto& x : atoms.r) x = rng.uniform(0.0, 20.0);
+  auto rdf = analysis::radial_distribution(atoms, 9.0, 30);
+  // Away from the smallest bins (poor statistics), g ~ 1.
+  for (std::size_t k = 5; k < rdf.g.size(); ++k)
+    EXPECT_NEAR(rdf.g[k], 1.0, 0.15) << rdf.r[k];
+}
+
+TEST(Rdf, PartialSelectsSpecies) {
+  qxmd::PerovskiteSpec spec;
+  auto atoms = qxmd::make_perovskite(3, 3, 3, spec);
+  // B-O first shell at a0/2; A-B first shell at sqrt(3)/2 a0.
+  auto bo = analysis::radial_distribution(atoms, 0.5 * 3 * spec.a0 * 0.99, 150, 1, 2);
+  EXPECT_NEAR(analysis::first_peak(bo, 1.0), 0.5 * spec.a0, 0.15);
+  auto ab = analysis::radial_distribution(atoms, 0.5 * 3 * spec.a0 * 0.99, 150, 0, 1);
+  EXPECT_NEAR(analysis::first_peak(ab, 1.0), 0.5 * std::sqrt(3.0) * spec.a0, 0.2);
+}
+
+TEST(Rdf, RejectsBadArguments) {
+  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 4.0, 100.0);
+  EXPECT_THROW(analysis::radial_distribution(atoms, 100.0, 10),
+               std::invalid_argument);
+  EXPECT_THROW(analysis::radial_distribution(atoms, 3.0, 0), std::invalid_argument);
 }
 
 } // namespace

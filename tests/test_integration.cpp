@@ -1,20 +1,16 @@
 // Cross-module integration scenarios that tie physics together end to
 // end: Peierls diamagnetic current, delta-kick spectroscopy vs the
-// orbital spectrum, NN energy prediction on held-out lattice physics, and
-// trajectory plumbing (driver -> XYZ -> reader).
+// orbital spectrum, and NN energy prediction on held-out lattice physics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "mlmd/analysis/spectrum.hpp"
 #include "mlmd/common/units.hpp"
 #include "mlmd/lfd/domain.hpp"
-#include "mlmd/nnq/allegro.hpp"
-#include "mlmd/nnq/md_driver.hpp"
+#include "mlmd/nnq/descriptor.hpp"
 #include "mlmd/nnq/train.hpp"
-#include "mlmd/qxmd/xyz.hpp"
 
 namespace {
 
@@ -113,26 +109,6 @@ TEST(Integration, TrainedLatticeModelPredictsHeldOutEnergies) {
   mean /= static_cast<double>(test.size());
   const double rmse = std::sqrt(ss_res / static_cast<double>(test.size()));
   EXPECT_LT(rmse, 0.15 * std::abs(mean));
-}
-
-TEST(Integration, DriverTrajectoryRoundTrip) {
-  auto model = nnq::AtomModel(nnq::RadialBasis::make(4, 1.5, 6.0, 1.2), {8}, 3);
-  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 4.5, 200.0);
-  qxmd::thermalize(atoms, 0.002, 9);
-  nnq::NnqmdDriver driver(model, nullptr, atoms, {});
-
-  const std::string path = ::testing::TempDir() + "drv.xyz";
-  std::remove(path.c_str());
-  for (int s = 0; s < 5; ++s) {
-    driver.step();
-    qxmd::append_xyz(driver.atoms(), path, "step");
-  }
-  auto frames = qxmd::read_xyz(path);
-  ASSERT_EQ(frames.size(), 5u);
-  EXPECT_EQ(frames[0].n(), 8u);
-  // Atoms moved between frames.
-  EXPECT_NE(frames[0].pos(0)[0], frames[4].pos(0)[0]);
-  std::remove(path.c_str());
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 
 namespace {
 
+using namespace mlmd;
 using namespace mlmd::la;
 using cd = std::complex<double>;
 using cf = std::complex<float>;
@@ -599,6 +600,13 @@ TEST(Ortho, LowdinPreservesOrthonormalInput) {
   lowdin_orthonormalize(psi, dv);
   // Lowdin is the identity on already-orthonormal sets.
   EXPECT_LT(max_abs_diff(psi, before), 1e-7);
+}
+
+TEST(Matrix, FroNormKnownValue) {
+  la::Matrix<double> m(2, 2);
+  m(0, 0) = 3.0;
+  m(1, 1) = 4.0;
+  EXPECT_DOUBLE_EQ(la::fro_norm(m), 5.0);
 }
 
 } // namespace

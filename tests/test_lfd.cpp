@@ -1,12 +1,15 @@
 // Tests for the LFD module: unitarity and correctness of the kin_prop
 // ladder, vloc phases, GEMMified nonlocal correction, observables, the
-// DSA Hartree updater, and the LfdDomain shadow-dynamics contract.
+// DSA Hartree updater, the LfdDomain shadow-dynamics contract, Fermi
+// occupations (standalone and in LfdDomain), fourth-order propagation,
+// and subspace diagonalization.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -14,6 +17,7 @@
 #include "mlmd/lfd/density.hpp"
 #include "mlmd/lfd/domain.hpp"
 #include "mlmd/lfd/dsa.hpp"
+#include "mlmd/lfd/fermi.hpp"
 #include "mlmd/lfd/hamiltonian.hpp"
 #include "mlmd/lfd/kin_prop.hpp"
 #include "mlmd/lfd/nlp_prop.hpp"
@@ -28,6 +32,10 @@ using namespace mlmd;
 using namespace mlmd::lfd;
 
 grid::Grid3 small_grid() { return {8, 8, 8, 0.6, 0.6, 0.6}; }
+
+std::vector<lfd::Ion> center_ion(const grid::Grid3& g) {
+  return {{0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.5, 1.5, 2.0}};
+}
 
 double max_norm_deviation(const SoAWave<double>& w) {
   auto n = w.norms2();
@@ -545,6 +553,198 @@ TEST(LfdDomain, VectorPotentialPumpsEnergy) {
     dom.qd_step(a);
   }
   EXPECT_GT(dom.energy(zero), e0 - 1e-9);
+}
+
+// --- Fermi occupations -----------------------------------------------------------
+
+TEST(Fermi, CountExactAtFiniteTemperature) {
+  std::vector<double> e = {-1.0, -0.5, -0.1, 0.3, 0.8};
+  for (double nelec : {1.0, 3.0, 6.0, 9.5}) {
+    auto r = lfd::fermi_occupations(e, nelec, 0.05);
+    double total = 0;
+    for (double f : r.f) {
+      total += f;
+      EXPECT_GE(f, 0.0);
+      EXPECT_LE(f, 2.0);
+    }
+    EXPECT_NEAR(total, nelec, 1e-8) << nelec;
+  }
+}
+
+TEST(Fermi, ZeroTemperatureStep) {
+  std::vector<double> e = {-1.0, -0.5, 0.0, 0.5};
+  auto r = lfd::fermi_occupations(e, 4.0, 0.0);
+  EXPECT_DOUBLE_EQ(r.f[0], 2.0);
+  EXPECT_DOUBLE_EQ(r.f[1], 2.0);
+  EXPECT_NEAR(r.f[2] + r.f[3], 0.0, 1e-9);
+}
+
+TEST(Fermi, DegenerateFrontierSharesFractionally) {
+  std::vector<double> e = {-1.0, 0.0, 0.0, 1.0};
+  auto r = lfd::fermi_occupations(e, 3.0, 0.0);
+  EXPECT_DOUBLE_EQ(r.f[0], 2.0);
+  EXPECT_NEAR(r.f[1] + r.f[2], 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(r.f[3], 0.0);
+}
+
+TEST(Fermi, SmearingBroadensWithTemperature) {
+  std::vector<double> e = {-0.1, 0.1};
+  auto cold = lfd::fermi_occupations(e, 2.0, 0.005);
+  auto hot = lfd::fermi_occupations(e, 2.0, 0.2);
+  // Hotter -> occupations closer to each other.
+  EXPECT_LT(hot.f[0] - hot.f[1], cold.f[0] - cold.f[1]);
+}
+
+TEST(Fermi, EntropyNegativeAndVanishesAtFullOrEmpty) {
+  EXPECT_NEAR(lfd::fermi_entropy_term({2.0, 0.0}, 0.1), 0.0, 1e-12);
+  EXPECT_LT(lfd::fermi_entropy_term({1.0, 1.0}, 0.1), -1e-3);
+}
+
+TEST(Fermi, BadArgsThrow) {
+  EXPECT_THROW(lfd::fermi_occupations({}, 1.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(lfd::fermi_occupations({0.0}, 5.0, 0.1), std::invalid_argument);
+}
+
+TEST(Fermi, SpinlessChannel) {
+  std::vector<double> e = {-1.0, 0.0, 1.0};
+  auto r = lfd::fermi_occupations(e, 2.0, 0.01, /*f_max=*/1.0);
+  EXPECT_NEAR(r.f[0], 1.0, 1e-6);
+  EXPECT_NEAR(r.f[1], 1.0, 1e-6);
+  EXPECT_NEAR(r.f[2], 0.0, 1e-6);
+}
+
+// --- LfdDomain extensions -------------------------------------------------------
+
+TEST(LfdDomainFermi, SmearedOccupationsSumToElectronCount) {
+  lfd::LfdOptions opt;
+  opt.electronic_kt = 0.05;
+  lfd::LfdDomain<double> dom(small_grid(), 6, opt);
+  dom.initialize(center_ion(small_grid()), 3);
+  const auto& f = dom.occupations();
+  const double total = std::accumulate(f.begin(), f.end(), 0.0);
+  EXPECT_NEAR(total, 6.0, 1e-8);
+  // Smearing spreads weight beyond the lowest 3 orbitals.
+  EXPECT_GT(f[3], 0.0);
+  EXPECT_LT(f[0], 2.0);
+  // n_exc reference is the smeared distribution: starts at zero.
+  EXPECT_NEAR(dom.n_exc(), 0.0, 1e-8);
+}
+
+TEST(LfdDomainFermi, ColdLimitGivesIntegerFilling) {
+  // At kT -> 0 the Fermi fill puts 2 electrons in each of the two
+  // lowest-ENERGY orbitals (which need not be the lowest-index ones —
+  // the relaxed set is not index-sorted by energy).
+  lfd::LfdOptions opt;
+  opt.electronic_kt = 1e-6;
+  lfd::LfdDomain<double> dom(small_grid(), 4, opt);
+  dom.initialize(center_ion(small_grid()), 2);
+  const auto& f = dom.occupations();
+  int full = 0, empty = 0;
+  for (double fs : f) {
+    if (std::abs(fs - 2.0) < 1e-3) ++full;
+    if (std::abs(fs) < 1e-3) ++empty;
+  }
+  EXPECT_EQ(full, 2);
+  EXPECT_EQ(empty, 2);
+}
+
+TEST(LfdDomainProp, FourthOrderStepUnitaryAndMoreAccurate) {
+  auto make = [&](lfd::PropOrder order, double dt) {
+    lfd::LfdOptions opt;
+    opt.prop_order = order;
+    opt.dt_qd = dt;
+    opt.self_consistent = false;
+    opt.nlp_every = 0;
+    lfd::LfdDomain<double> dom(small_grid(), 3, opt);
+    dom.initialize(center_ion(small_grid()), 1);
+    return dom;
+  };
+  // Reference: tiny steps.
+  auto ref = make(lfd::PropOrder::kSecond, 0.4 / 256);
+  const double a[3] = {0, 0, 0};
+  ref.run_qd(256, a);
+
+  auto s2 = make(lfd::PropOrder::kSecond, 0.4 / 8);
+  s2.run_qd(8, a);
+  auto s4 = make(lfd::PropOrder::kFourth, 0.4 / 8);
+  s4.run_qd(8, a);
+
+  const double e2 = la::max_abs_diff(s2.wave().psi, ref.wave().psi);
+  const double e4 = la::max_abs_diff(s4.wave().psi, ref.wave().psi);
+  EXPECT_LT(e4, 0.2 * e2);
+
+  auto norms = s4.wave().norms2();
+  for (double n : norms) EXPECT_NEAR(n, 1.0, 1e-9);
+}
+
+TEST(SubspaceDiag, HamiltonianDiagonalAfterRotation) {
+  lfd::LfdOptions opt;
+  lfd::LfdDomain<double> dom(small_grid(), 4, opt);
+  dom.initialize(center_ion(small_grid()), 2);
+  const double a[3] = {0, 0, 0};
+  auto bands = dom.diagonalize_subspace(a);
+  ASSERT_EQ(bands.size(), 4u);
+  for (std::size_t s = 1; s < 4; ++s) EXPECT_LE(bands[s - 1], bands[s] + 1e-10);
+
+  auto h = lfd::orbital_hamiltonian(dom.wave(), dom.vloc(), a);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(h(i, i).real(), bands[i], 1e-7);
+    for (std::size_t j = 0; j < 4; ++j) {
+      if (i != j) {
+        EXPECT_NEAR(std::abs(h(i, j)), 0.0, 1e-7) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(SubspaceDiag, ConservesTotalOccupationAndNorms) {
+  lfd::LfdOptions opt;
+  lfd::LfdDomain<double> dom(small_grid(), 4, opt);
+  dom.initialize(center_ion(small_grid()), 2);
+  const double total0 =
+      std::accumulate(dom.occupations().begin(), dom.occupations().end(), 0.0);
+  const double a[3] = {0, 0, 0};
+  dom.diagonalize_subspace(a);
+  EXPECT_NEAR(std::accumulate(dom.occupations().begin(), dom.occupations().end(),
+                              0.0),
+              total0, 1e-9);
+  for (double n : dom.wave().norms2()) EXPECT_NEAR(n, 1.0, 1e-8);
+}
+
+// --- zero-step identities and potential superposition ---------------------------
+
+TEST(ZeroStep, KinPropIdentity) {
+  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
+  lfd::SoAWave<double> w(g, 3);
+  lfd::init_plane_waves(w);
+  auto before = w.psi;
+  lfd::KinParams p;
+  p.dt = 0.0;
+  lfd::kin_prop(w, p, lfd::KinVariant::kReordered);
+  EXPECT_LT(la::max_abs_diff(w.psi, before), 1e-15);
+  lfd::kin_prop(w, p, lfd::KinVariant::kParallel);
+  EXPECT_LT(la::max_abs_diff(w.psi, before), 1e-15);
+}
+
+TEST(ZeroStep, VlocPropIdentity) {
+  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
+  lfd::SoAWave<double> w(g, 2);
+  lfd::init_plane_waves(w);
+  auto before = w.psi;
+  std::vector<double> v(g.size(), 1.7);
+  lfd::vloc_prop(w, v, 0.0);
+  EXPECT_LT(la::max_abs_diff(w.psi, before), 1e-15);
+}
+
+TEST(IonicPotential, SuperpositionOfWells) {
+  grid::Grid3 g{8, 8, 8, 0.7, 0.7, 0.7};
+  lfd::Ion a{1.0, 1.0, 1.0, 2.0, 1.0, 2.0};
+  lfd::Ion b{4.0, 4.0, 4.0, 1.0, 1.5, 2.0};
+  auto va = lfd::ionic_potential(g, {a});
+  auto vb = lfd::ionic_potential(g, {b});
+  auto vab = lfd::ionic_potential(g, {a, b});
+  for (std::size_t i = 0; i < vab.size(); ++i)
+    EXPECT_NEAR(vab[i], va[i] + vb[i], 1e-12);
 }
 
 } // namespace

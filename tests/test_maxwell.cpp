@@ -9,6 +9,7 @@
 
 namespace {
 
+using namespace mlmd;
 using namespace mlmd::maxwell;
 using mlmd::units::c_light;
 
@@ -163,6 +164,41 @@ TEST(Maxwell, JySizeMismatchThrows) {
 TEST(Maxwell, BadSourceCellThrows) {
   Maxwell1D em(16, 10.0, 0.02);
   EXPECT_THROW(em.set_source(99, Pulse{}), std::out_of_range);
+}
+
+TEST(Maxwell1D, LinearSuperpositionOfSources) {
+  // The vacuum solver is linear: the field of two current sources equals
+  // the sum of their individual fields.
+  const std::size_t n = 48;
+  const double dx = 10.0, dt = 0.4 * dx / units::c_light;
+  auto run = [&](bool s1, bool s2) {
+    maxwell::Maxwell1D em(n, dx, dt);
+    std::vector<double> j(n, 0.0);
+    for (int step = 0; step < 60; ++step) {
+      j.assign(n, 0.0);
+      if (s1) j[10] = 1e-3 * std::sin(0.3 * step);
+      if (s2) j[30] = 2e-3 * std::cos(0.2 * step);
+      em.step(j);
+    }
+    std::vector<double> a(em.a().begin(), em.a().end());
+    return a;
+  };
+  auto a1 = run(true, false);
+  auto a2 = run(false, true);
+  auto a12 = run(true, true);
+  for (std::size_t c = 0; c < n; ++c)
+    EXPECT_NEAR(a12[c], a1[c] + a2[c], 1e-12) << c;
+}
+
+TEST(Pulse, PeakVectorPotentialScale) {
+  maxwell::Pulse p;
+  p.e0 = 0.02;
+  p.omega = 0.1;
+  p.t0 = 500.0;
+  p.fwhm = 4000.0; // long envelope: A0 ~ c E0/omega
+  double max_a = 0;
+  for (double t = 400; t < 600; t += 1.0) max_a = std::max(max_a, std::abs(p.apot(t)));
+  EXPECT_NEAR(max_a, units::c_light * p.e0 / p.omega, 0.05 * max_a);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 // Tests for the NNQMD stack: MLP gradients, descriptors, Allegro-style
 // models (forces vs numerical gradients, block inference), training with
-// Adam and SAM, TEA dataset unification, Eq. (4) mixing, and the
-// fidelity-scaling instrumentation.
+// Adam and SAM, TEA dataset unification, Eq. (4) mixing, the
+// fidelity-scaling instrumentation, angular (three-body) descriptors,
+// and multi-species descriptors/models.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "mlmd/common/workspace.hpp"
 #include "mlmd/la/matrix.hpp"
 #include "mlmd/nnq/allegro.hpp"
+#include "mlmd/nnq/angular.hpp"
 #include "mlmd/nnq/descriptor.hpp"
 #include "mlmd/nnq/fidelity.hpp"
 #include "mlmd/nnq/mlp.hpp"
@@ -424,6 +426,171 @@ TEST(Fidelity, StableModelSurvivesLonger) {
   const long t_quiet = time_to_failure(model, 8, 8, params, quiet);
   const long t_noisy = time_to_failure(model, 8, 8, params, noisy);
   EXPECT_GT(t_quiet, t_noisy);
+}
+
+// --- angular descriptors -----------------------------------------------------
+
+qxmd::Atoms jittered(std::size_t n, double a0, unsigned long long seed) {
+  auto atoms = qxmd::make_cubic_lattice(n, n, n, a0, 100.0);
+  mlmd::Rng rng(seed);
+  for (auto& x : atoms.r) x += 0.25 * rng.normal();
+  for (std::size_t i = 0; i < atoms.n(); ++i) atoms.box.wrap(atoms.pos(i));
+  return atoms;
+}
+
+TEST(Angular, BasisLadderShape) {
+  auto b = nnq::AngularBasis::make(3, 6.0, 0.05);
+  EXPECT_EQ(b.size(), 6u); // 3 zeta x 2 lambda
+  EXPECT_DOUBLE_EQ(b.channels[0].first, 1.0);
+  EXPECT_DOUBLE_EQ(b.channels[4].first, 4.0);
+  EXPECT_DOUBLE_EQ(b.channels[1].second, -1.0);
+}
+
+TEST(Angular, InvariantUnderTranslation) {
+  auto atoms = jittered(3, 4.2, 1);
+  auto basis = nnq::AngularBasis::make(2, 5.5, 0.05);
+  qxmd::NeighborList nl(atoms, basis.rc);
+  std::vector<double> d1(atoms.n() * basis.size());
+  nnq::angular_descriptors(atoms, nl, basis, d1, basis.size(), 0);
+
+  for (std::size_t i = 0; i < atoms.n(); ++i) {
+    atoms.pos(i)[1] += 2.3;
+    atoms.box.wrap(atoms.pos(i));
+  }
+  qxmd::NeighborList nl2(atoms, basis.rc);
+  std::vector<double> d2(atoms.n() * basis.size());
+  nnq::angular_descriptors(atoms, nl2, basis, d2, basis.size(), 0);
+  for (std::size_t i = 0; i < d1.size(); ++i) EXPECT_NEAR(d1[i], d2[i], 1e-9);
+}
+
+TEST(Angular, ThreeAtomTriangleAnalytic) {
+  // Equilateral triangle, side r0: one triplet per vertex with cos = 1/2.
+  qxmd::Atoms atoms;
+  atoms.resize(3);
+  atoms.box = {40.0, 40.0, 40.0};
+  const double r0 = 3.0;
+  atoms.pos(0)[0] = 20.0;
+  atoms.pos(0)[1] = 20.0;
+  atoms.pos(1)[0] = 20.0 + r0;
+  atoms.pos(1)[1] = 20.0;
+  atoms.pos(2)[0] = 20.0 + 0.5 * r0;
+  atoms.pos(2)[1] = 20.0 + 0.5 * std::sqrt(3.0) * r0;
+  for (std::size_t i = 0; i < 3; ++i) atoms.pos(i)[2] = 20.0;
+
+  nnq::AngularBasis basis;
+  basis.rc = 6.0;
+  basis.eta = 0.05;
+  basis.channels = {{2.0, +1.0}};
+  qxmd::NeighborList nl(atoms, basis.rc);
+  std::vector<double> d(3, 0.0);
+  nnq::angular_descriptors(atoms, nl, basis, d, 1, 0);
+
+  const double fc = basis.fc(r0);
+  const double expect = std::pow(2.0, -1.0) * std::pow(1.5, 2.0) *
+                        std::exp(-basis.eta * 2.0 * r0 * r0) * fc * fc;
+  for (int i = 0; i < 3; ++i) EXPECT_NEAR(d[static_cast<std::size_t>(i)], expect, 1e-12);
+}
+
+TEST(Angular, ModelForcesMatchEnergyGradient) {
+  auto atoms = jittered(2, 4.4, 2);
+  nnq::AtomModel model(nnq::RadialBasis::make(4, 1.5, 5.5, 1.2),
+                       nnq::AngularBasis::make(2, 5.5, 0.06), {10, 6}, 7);
+  EXPECT_EQ(model.feature_width(), 4u + 4u);
+  qxmd::NeighborList nl(atoms, 5.5);
+  std::vector<double> f;
+  model.energy_forces(atoms, nl, f);
+
+  const double eps = 1e-5;
+  for (std::size_t i : {0ul, 3ul, 6ul}) {
+    for (int k = 0; k < 3; ++k) {
+      qxmd::Atoms moved = atoms;
+      moved.pos(i)[k] += eps;
+      qxmd::NeighborList nlp(moved, 5.5);
+      std::vector<double> tmp;
+      const double ep = model.energy_forces(moved, nlp, tmp);
+      moved.pos(i)[k] -= 2 * eps;
+      qxmd::NeighborList nlm(moved, 5.5);
+      const double em = model.energy_forces(moved, nlm, tmp);
+      EXPECT_NEAR(f[3 * i + static_cast<std::size_t>(k)], -(ep - em) / (2 * eps),
+                  2e-4) << i << "," << k;
+    }
+  }
+}
+
+TEST(Angular, NewtonsThirdLawWithTriplets) {
+  auto atoms = jittered(3, 4.2, 3);
+  nnq::AtomModel model(nnq::RadialBasis::make(4, 1.5, 5.0, 1.2),
+                       nnq::AngularBasis::make(2, 5.0, 0.06), {8}, 9);
+  qxmd::NeighborList nl(atoms, 5.0);
+  std::vector<double> f;
+  model.energy_forces(atoms, nl, f);
+  double total[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < atoms.n(); ++i)
+    for (int k = 0; k < 3; ++k) total[k] += f[3 * i + static_cast<std::size_t>(k)];
+  for (double t : total) EXPECT_NEAR(t, 0.0, 1e-9);
+}
+
+// --- multi-species descriptors ---------------------------------------------------
+
+qxmd::Atoms two_species_lattice(unsigned long long seed) {
+  auto atoms = qxmd::make_cubic_lattice(3, 3, 3, 4.2, 100.0);
+  for (std::size_t i = 0; i < atoms.n(); ++i) atoms.type[i] = i % 2;
+  mlmd::Rng rng(seed);
+  for (auto& x : atoms.r) x += 0.2 * rng.normal();
+  return atoms;
+}
+
+TEST(MultiSpecies, DescriptorWidthAndChannels) {
+  auto atoms = two_species_lattice(1);
+  auto basis = nnq::RadialBasis::make(4, 1.5, 6.0, 1.2);
+  qxmd::NeighborList nl(atoms, basis.rc);
+  auto d1 = nnq::atom_descriptors(atoms, nl, basis, 1);
+  auto d2 = nnq::atom_descriptors(atoms, nl, basis, 2);
+  EXPECT_EQ(d1.size(), atoms.n() * 4);
+  EXPECT_EQ(d2.size(), atoms.n() * 8);
+  // Channel sum equals the species-blind descriptor.
+  for (std::size_t i = 0; i < atoms.n(); ++i)
+    for (std::size_t k = 0; k < 4; ++k)
+      EXPECT_NEAR(d2[i * 8 + k] + d2[i * 8 + 4 + k], d1[i * 4 + k], 1e-10);
+}
+
+TEST(MultiSpecies, SpeciesSwapChangesEnergy) {
+  auto atoms = two_species_lattice(2);
+  nnq::AtomModel model(nnq::RadialBasis::make(4, 1.5, 6.0, 1.2), {10, 6}, 3, 2);
+  qxmd::NeighborList nl(atoms, 6.0);
+  std::vector<double> f;
+  const double e1 = model.energy_forces(atoms, nl, f);
+  std::swap(atoms.type[0], atoms.type[1]); // unlike species swapped
+  const double e2 = model.energy_forces(atoms, nl, f);
+  EXPECT_NE(e1, e2);
+}
+
+TEST(MultiSpecies, ForcesMatchEnergyGradient) {
+  auto atoms = two_species_lattice(3);
+  nnq::AtomModel model(nnq::RadialBasis::make(4, 1.5, 6.0, 1.2), {10, 6}, 5, 2);
+  qxmd::NeighborList nl(atoms, 6.0);
+  std::vector<double> f;
+  model.energy_forces(atoms, nl, f);
+  const double eps = 1e-5;
+  for (std::size_t i : {0ul, 7ul, 13ul}) {
+    for (int k = 0; k < 3; ++k) {
+      qxmd::Atoms moved = atoms;
+      moved.pos(i)[k] += eps;
+      qxmd::NeighborList nlp(moved, 6.0);
+      std::vector<double> tmp;
+      const double ep = model.energy_forces(moved, nlp, tmp);
+      moved.pos(i)[k] -= 2 * eps;
+      qxmd::NeighborList nlm(moved, 6.0);
+      const double em = model.energy_forces(moved, nlm, tmp);
+      EXPECT_NEAR(f[3 * i + static_cast<std::size_t>(k)], -(ep - em) / (2 * eps),
+                  1e-4);
+    }
+  }
+}
+
+TEST(MultiSpecies, BadNtypesThrows) {
+  EXPECT_THROW(nnq::AtomModel(nnq::RadialBasis::make(4, 1.5, 6.0, 1.2), {8}, 1, 0),
+               std::invalid_argument);
 }
 
 } // namespace

@@ -260,15 +260,24 @@ TEST(Metrics, ConcurrentCounterUpdatesAreLossless) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kAdds);
 }
 
-TEST(Metrics, ScopedAccumObservesElapsed) {
-  auto& h = mlmd::obs::Registry::global().histogram("test.accum");
-  h.reset();
-  {
-    mlmd::obs::ScopedAccum a(h);
+TEST(Metrics, ObsScopeHistogramObservesElapsed) {
+  // The histogram sees the region whether tracing is off or on; with
+  // tracing on, the same scope also records its span.
+  auto& h = mlmd::obs::Registry::global().histogram("test.scope.seconds");
+  for (const bool traced : {false, true}) {
+    h.reset();
+    Tracer::enable(traced);
+    Tracer::clear();
+    {
+      ObsScope span("test.scope", Cat::kKernel, &h);
+    }
+    Tracer::enable(false);
+    EXPECT_EQ(h.count(), 1u) << "traced=" << traced;
+    EXPECT_GE(h.sum(), 0.0);
+    EXPECT_LT(h.sum(), 1.0); // an empty region is far below a second
+    EXPECT_EQ(spans_named("test.scope").size(), traced ? 1u : 0u);
   }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.sum(), 0.0);
-  EXPECT_LT(h.sum(), 1.0); // an empty region is far below a second
+  Tracer::clear();
 }
 
 TEST(SimComm, FourRankExactPerCollectiveAccounting) {

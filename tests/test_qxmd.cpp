@@ -1,6 +1,7 @@
 // Tests for the QXMD substrate: atoms/box, linked-cell neighbor lists,
-// the LJ potential, velocity-Verlet integration and thermostats, and the
-// surface-hopping occupation updater.
+// the LJ potential, velocity-Verlet integration and the Langevin
+// thermostat, the surface-hopping occupation updater, perovskite
+// structures, and the three-body potential.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 #include "mlmd/qxmd/atoms.hpp"
 #include "mlmd/qxmd/neighbor.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
+#include "mlmd/qxmd/structures.hpp"
 #include "mlmd/qxmd/surface_hopping.hpp"
+#include "mlmd/qxmd/three_body.hpp"
 #include "mlmd/qxmd/verlet.hpp"
 
 namespace {
@@ -155,25 +158,6 @@ TEST(Verlet, ConservesEnergyMicrocanonical) {
   EXPECT_NEAR(e_final, e_init, 5e-3 * std::abs(e_init) + 1e-5);
 }
 
-TEST(Verlet, BerendsenReachesTarget) {
-  auto atoms = make_cubic_lattice(4, 4, 4, 4.3, 200.0);
-  thermalize(atoms, 0.001, 4);
-  LjParams p;
-  p.epsilon = 0.002;
-  auto forces_fn = [&](const Atoms& a, std::vector<double>& f) {
-    NeighborList nl(a, p.rc);
-    return lj_energy_forces(a, nl, p, f);
-  };
-  VerletOptions opt;
-  opt.dt = 10.0;
-  opt.thermostat = Thermostat::kBerendsen;
-  opt.target_kt = 0.004;
-  opt.tau = 200.0;
-  VelocityVerlet vv(forces_fn, opt);
-  for (int s = 0; s < 200; ++s) vv.step(atoms);
-  EXPECT_NEAR(atoms.temperature(), opt.target_kt, 0.4 * opt.target_kt);
-}
-
 TEST(Verlet, LangevinSamplesTargetTemperature) {
   auto atoms = make_cubic_lattice(4, 4, 4, 4.3, 200.0);
   LjParams p;
@@ -312,6 +296,162 @@ TEST(SurfaceHopping, EnergiesSortedAscending) {
   const auto& e = sh.energies();
   ASSERT_EQ(e.size(), 2u);
   EXPECT_LT(e[0], e[1]);
+}
+
+// --- perovskite structures -----------------------------------------------------
+
+TEST(Perovskite, Stoichiometry) {
+  auto atoms = qxmd::make_perovskite(3, 3, 3);
+  EXPECT_EQ(atoms.n(), 135u); // 5 per cell
+  EXPECT_EQ(qxmd::count_type(atoms, 0), 27u);
+  EXPECT_EQ(qxmd::count_type(atoms, 1), 27u);
+  EXPECT_EQ(qxmd::count_type(atoms, 2), 81u);
+}
+
+TEST(Perovskite, BOctahedralCoordination) {
+  // Each B cation's nearest neighbours are 6 oxygens at a0/2.
+  qxmd::PerovskiteSpec spec;
+  auto atoms = qxmd::make_perovskite(3, 3, 3, spec);
+  qxmd::NeighborList nl(atoms, 0.55 * spec.a0);
+  for (std::size_t i = 0; i < atoms.n(); ++i) {
+    if (atoms.type[i] != 1) continue;
+    std::size_t noxy = 0;
+    for (auto j : nl.neighbors(i))
+      if (atoms.type[j] == 2) ++noxy;
+    EXPECT_EQ(noxy, 6u) << "B cation " << i;
+  }
+}
+
+TEST(Perovskite, PolarizationDisplacesSublattices) {
+  auto atoms = qxmd::make_perovskite(2, 2, 2);
+  auto ref = atoms;
+  qxmd::polarize_perovskite(atoms, 0.3);
+  for (std::size_t i = 0; i < atoms.n(); ++i) {
+    // Minimum image: displaced atoms at z = 0 wrap across the boundary.
+    const double dz = atoms.box.mic(atoms.pos(i), ref.pos(i))[2];
+    if (atoms.type[i] == 1)
+      EXPECT_NEAR(dz, 0.3, 1e-12);
+    else if (atoms.type[i] == 2)
+      EXPECT_NEAR(dz, -0.15, 1e-12);
+    else
+      EXPECT_NEAR(dz, 0.0, 1e-12);
+  }
+}
+
+// --- three-body potential ------------------------------------------------------
+
+qxmd::Atoms jittered(std::size_t n, double a0, unsigned long long seed) {
+  auto atoms = qxmd::make_cubic_lattice(n, n, n, a0, 100.0);
+  mlmd::Rng rng(seed);
+  for (auto& x : atoms.r) x += 0.25 * rng.normal();
+  for (std::size_t i = 0; i < atoms.n(); ++i) atoms.box.wrap(atoms.pos(i));
+  return atoms;
+}
+
+TEST(ThreeBody, EnergyZeroAtPreferredAngle) {
+  // Linear chain i-j-k with j central: for the pair (i,k) around j the
+  // angle is 180 deg, cos = -1. With cos0 = -1 the energy vanishes.
+  qxmd::Atoms atoms;
+  atoms.resize(3);
+  atoms.box = {30, 30, 30};
+  for (int a = 0; a < 3; ++a) {
+    atoms.pos(static_cast<std::size_t>(a))[0] = 10.0 + 3.0 * a;
+    atoms.pos(static_cast<std::size_t>(a))[1] = 15.0;
+    atoms.pos(static_cast<std::size_t>(a))[2] = 15.0;
+  }
+  qxmd::ThreeBodyParams p;
+  p.cos0 = -1.0;
+  p.rc = 4.0; // only nearest bonds: central atom sees the one 180-deg pair
+  qxmd::NeighborList nl(atoms, p.rc);
+  std::vector<double> f(9, 0.0);
+  EXPECT_NEAR(qxmd::three_body_energy_forces(atoms, nl, p, f), 0.0, 1e-12);
+}
+
+TEST(ThreeBody, EnergyPositiveOffAngle) {
+  qxmd::Atoms atoms;
+  atoms.resize(3);
+  atoms.box = {30, 30, 30};
+  atoms.pos(0)[0] = 15.0;
+  atoms.pos(0)[1] = 15.0;
+  atoms.pos(1)[0] = 18.0;
+  atoms.pos(1)[1] = 15.0;
+  atoms.pos(2)[0] = 15.0;
+  atoms.pos(2)[1] = 18.0; // 90-degree angle at atom 0
+  for (int a = 0; a < 3; ++a) atoms.pos(static_cast<std::size_t>(a))[2] = 15.0;
+  qxmd::ThreeBodyParams p;
+  p.rc = 4.0;
+  qxmd::NeighborList nl(atoms, p.rc);
+  std::vector<double> f(9, 0.0);
+  EXPECT_GT(qxmd::three_body_energy_forces(atoms, nl, p, f), 0.0);
+}
+
+TEST(ThreeBody, ForcesMatchNumericalGradient) {
+  auto atoms = jittered(2, 4.2, 4);
+  qxmd::ThreeBodyParams p;
+  p.rc = 5.0;
+  p.k3 = 0.05;
+  qxmd::NeighborList nl(atoms, p.rc);
+  std::vector<double> f(3 * atoms.n(), 0.0);
+  qxmd::three_body_energy_forces(atoms, nl, p, f);
+
+  const double eps = 1e-6;
+  for (std::size_t i : {0ul, 3ul, 6ul}) {
+    for (int k = 0; k < 3; ++k) {
+      qxmd::Atoms moved = atoms;
+      moved.pos(i)[k] += eps;
+      qxmd::NeighborList nlp(moved, p.rc);
+      std::vector<double> tmp(3 * atoms.n(), 0.0);
+      const double ep = qxmd::three_body_energy_forces(moved, nlp, p, tmp);
+      moved.pos(i)[k] -= 2 * eps;
+      qxmd::NeighborList nlm(moved, p.rc);
+      tmp.assign(3 * atoms.n(), 0.0);
+      const double em = qxmd::three_body_energy_forces(moved, nlm, p, tmp);
+      EXPECT_NEAR(f[3 * i + static_cast<std::size_t>(k)], -(ep - em) / (2 * eps),
+                  1e-5) << i << "," << k;
+    }
+  }
+}
+
+TEST(ThreeBody, NewtonsThirdLaw) {
+  auto atoms = jittered(3, 4.0, 5);
+  qxmd::ThreeBodyParams p;
+  p.rc = 5.0;
+  qxmd::NeighborList nl(atoms, p.rc);
+  std::vector<double> f(3 * atoms.n(), 0.0);
+  qxmd::three_body_energy_forces(atoms, nl, p, f);
+  double total[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < atoms.n(); ++i)
+    for (int k = 0; k < 3; ++k) total[k] += f[3 * i + static_cast<std::size_t>(k)];
+  for (double t : total) EXPECT_NEAR(t, 0.0, 1e-10);
+}
+
+TEST(ThreeBody, WrongForceSizeThrows) {
+  auto atoms = jittered(2, 4.0, 6);
+  qxmd::NeighborList nl(atoms, 5.0);
+  std::vector<double> f(5, 0.0);
+  EXPECT_THROW(qxmd::three_body_energy_forces(atoms, nl, {}, f),
+               std::invalid_argument);
+}
+
+TEST(LjCutoff, ShiftedForceContinuity) {
+  // The shifted-force form: both U and dU vanish at the cutoff, so a pair
+  // crossing rc contributes continuously.
+  qxmd::LjParams p;
+  p.rc = 9.0;
+  qxmd::Atoms atoms;
+  atoms.resize(2);
+  atoms.box = {40, 40, 40};
+  atoms.pos(0)[0] = atoms.pos(0)[1] = atoms.pos(0)[2] = 20;
+  atoms.pos(1)[1] = atoms.pos(1)[2] = 20;
+
+  auto energy_at = [&](double r) {
+    atoms.pos(1)[0] = 20 + r;
+    qxmd::NeighborList nl(atoms, p.rc + 1.0);
+    std::vector<double> f;
+    return qxmd::lj_energy_forces(atoms, nl, p, f);
+  };
+  EXPECT_NEAR(energy_at(p.rc - 1e-6), 0.0, 1e-9);
+  EXPECT_DOUBLE_EQ(energy_at(p.rc + 0.1), 0.0);
 }
 
 } // namespace

@@ -1,4 +1,5 @@
-// Tests for the DC-DFT global-local SCF loop.
+// Tests for the DC-DFT global-local SCF loop, Anderson mixing, and Fermi
+// smearing.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,59 @@ TEST(DcScf, BoundStatesHaveNegativeEnergy) {
   DcScf scf(dec, ions, opt);
   auto res = scf.run();
   EXPECT_LT(res.band_energies[0], 0.0);
+}
+
+// --- Anderson mixing ------------------------------------------------------------
+
+TEST(Anderson, ConvergesNoSlowerThanLinear) {
+  grid::Grid3 g{12, 12, 12, 0.8, 0.8, 0.8};
+  grid::DcDecomposition dec(g, 1, 1, 1, 0);
+  std::vector<lfd::Ion> ions = {
+      {0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.5, 1.5, 2.0}};
+  scf::ScfOptions opt;
+  opt.norb = 3;
+  opt.nfilled = 1;
+  opt.mix = 0.5;
+  opt.tol = 1e-4;
+  opt.max_outer = 60;
+
+  scf::DcScf linear(dec, ions, opt);
+  auto r_lin = linear.run();
+
+  opt.anderson = true;
+  scf::DcScf accel(dec, ions, opt);
+  auto r_and = accel.run();
+
+  EXPECT_TRUE(r_and.converged);
+  ASSERT_TRUE(r_lin.converged);
+  EXPECT_LE(r_and.outer_iters, r_lin.outer_iters);
+}
+
+// --- Fermi smearing ---------------------------------------------------------------
+
+TEST(ScfSmearing, ConvergesAndReportsFreeEnergy) {
+  grid::Grid3 g{12, 12, 12, 0.8, 0.8, 0.8};
+  grid::DcDecomposition dec(g, 1, 1, 1, 0);
+  std::vector<lfd::Ion> ions = {
+      {0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.5, 1.5, 2.0}};
+  scf::ScfOptions opt;
+  opt.norb = 4;
+  opt.nfilled = 2;
+  opt.max_outer = 60;
+  opt.tol = 2e-3;
+  opt.anderson = true;
+
+  scf::DcScf cold(dec, ions, opt);
+  auto r_cold = cold.run();
+  ASSERT_TRUE(r_cold.converged);
+
+  opt.electronic_kt = 0.02;
+  scf::DcScf warm(dec, ions, opt);
+  auto r_warm = warm.run();
+  EXPECT_TRUE(r_warm.converged);
+  // The Mermin free energy includes -TS < 0 and smeared band occupation:
+  // it must not exceed the cold band sum by more than the smearing scale.
+  EXPECT_LT(r_warm.total_energy, r_cold.total_energy + 0.5);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 // Tests for topological analysis: solid angles, charge quantization of
-// painted textures, and initializers.
+// painted textures, initializers, and polar vortices (in-plane winding).
 
 #include <gtest/gtest.h>
 
@@ -118,6 +118,51 @@ TEST(Topo, ZeroCellsAreSkipped) {
   const double q = topological_charge(lat);
   EXPECT_DOUBLE_EQ(q, 0.0);
   EXPECT_FALSE(std::isnan(q));
+}
+
+// --- vortices ---------------------------------------------------------------
+
+TEST(Vortex, WindingMatchesPainted) {
+  ferro::FerroLattice lat(24, 24);
+  topo::paint_vortex(lat, 12, 12, 0.8, +1);
+  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), 1.0, 0.05);
+  topo::paint_vortex(lat, 12, 12, 0.8, -1);
+  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), -1.0, 0.05);
+  topo::paint_vortex(lat, 12, 12, 0.8, +2);
+  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), 2.0, 0.1);
+}
+
+TEST(Vortex, EscapedCoreHasMeronHalfCharge) {
+  // A vortex whose core escapes into +z covers half the sphere: the
+  // charge density integrated over the core disc is |Q| = 1/2 (a meron).
+  // (The lattice-total charge is an integer on a torus — the compensating
+  // density lives at the periodic seam — so the measurement is local.)
+  ferro::FerroLattice lat(32, 32);
+  topo::paint_vortex(lat, 16, 16, 0.8, +1, 3.0);
+  auto q = topo::charge_density(lat.field(), 32, 32);
+  double q_core = 0.0;
+  for (int x = 0; x < 32; ++x)
+    for (int y = 0; y < 32; ++y) {
+      const double dx = x - 16.0, dy = y - 16.0;
+      if (dx * dx + dy * dy < 100.0)
+        q_core += q[static_cast<std::size_t>(x * 32 + y)];
+    }
+  EXPECT_NEAR(std::abs(q_core), 0.5, 0.1);
+}
+
+TEST(Vortex, UniformFieldHasNoWinding) {
+  ferro::FerroLattice lat(16, 16);
+  for (auto& u : lat.field()) u = {0.3, 0.1, 0.5};
+  EXPECT_NEAR(topo::in_plane_winding(lat, 8, 8, 5.0), 0.0, 1e-9);
+}
+
+TEST(Topo, ChargeDensitySumsToTotalCharge) {
+  ferro::FerroLattice lat(24, 24);
+  topo::init_skyrmion_superlattice(lat, 2, 2);
+  auto q = topo::charge_density(lat.field(), 24, 24);
+  double sum = 0;
+  for (double v : q) sum += v;
+  EXPECT_NEAR(sum, topo::topological_charge(lat), 1e-12);
 }
 
 } // namespace
