@@ -27,7 +27,6 @@
 #include "mlmd/nnq/md_driver.hpp"
 #include "mlmd/obs/obs.hpp"
 #include "mlmd/par/thread_pool.hpp"
-#include "mlmd/par/transport.hpp"
 #include "mlmd/scf/dc_scf.hpp"
 
 namespace {
@@ -200,14 +199,6 @@ void usage() {
       "  --trace=PATH  write a Chrome trace-event JSON of kernel/phase/comm\n"
       "                spans to PATH (or set MLMD_TRACE=PATH); load it in\n"
       "                chrome://tracing or Perfetto\n"
-      "  --transport=inproc|shm\n"
-      "                SimComm backend: rank threads in-process (default)\n"
-      "                or forked processes over shared memory (or set\n"
-      "                MLMD_TRANSPORT)\n"
-      "  --comm=sync|async\n"
-      "                stepping-loop communication mode: fully blocking, or\n"
-      "                boundary exchanges overlapped with interior compute\n"
-      "                (default; bit-identical results; or set MLMD_COMM)\n"
       "pipeline robustness options (DESIGN.md Sec. 10):\n"
       "  --faults=SPEC           inject deterministic faults, e.g.\n"
       "                          'nan_force@step=25;exchange_fail@step=10,\n"
@@ -222,7 +213,7 @@ void usage() {
 
 /// Accepted --keys per subcommand (first the global ones).
 std::vector<std::string> known_keys(const std::string& cmd) {
-  std::vector<std::string> keys = {"threads", "trace", "transport", "comm"};
+  std::vector<std::string> keys = {"threads", "trace"};
   auto add = [&keys](std::initializer_list<const char*> more) {
     for (const char* k : more) keys.emplace_back(k);
   };
@@ -257,10 +248,6 @@ int main(int argc, char** argv) {
     if (cli.has("threads"))
       par::ThreadPool::set_global_threads(
           static_cast<int>(cli.integer("threads", 0)));
-    par::set_default_transport(cli.choice("transport", par::kTransportChoices,
-                                          par::default_transport()));
-    par::set_default_comm_mode(cli.choice("comm", par::kCommModeChoices,
-                                          par::default_comm_mode()));
     const std::string trace_path =
         obs::init_tracing(cli.has("trace") ? cli.str("trace") : "");
     if (cmd == "pipeline") rc = run_pipeline_cmd(cli);
@@ -271,8 +258,8 @@ int main(int argc, char** argv) {
     else usage();
     if (!obs::finish_tracing(trace_path) && rc == 0) rc = 1;
   } catch (const std::invalid_argument& e) {
-    // Malformed option values (strict Cli numeric parsing, bad
-    // --transport) are usage errors, not crashes.
+    // Malformed option values (strict Cli numeric parsing) are usage
+    // errors, not crashes.
     std::fprintf(stderr, "error: %s\n", e.what());
     std::fprintf(stderr, "run 'mlmd_run' with no arguments for usage\n");
     return 1;

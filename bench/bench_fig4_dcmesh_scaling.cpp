@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (!cli.check_known(
           {"steps", "node_speedup", "model", "ranks", "md_steps", "transport",
-           "comm", "json"},
+           "json"},
           "usage: bench_fig4_dcmesh_scaling [--steps=N] [--node_speedup=X] "
           "[--model=0|1] [--ranks=N] [--md_steps=N] "
-          "[--transport=inproc|shm] [--comm=sync|async] [--json=path]"))
+          "[--transport=inproc|shm] [--json=path]"))
     return 1;
 
   int steps = 8, ranks = 4, md_steps = 1;
@@ -58,8 +58,6 @@ int main(int argc, char** argv) {
     json_path = cli.str("json", "");
     par::set_default_transport(cli.choice("transport", par::kTransportChoices,
                                           par::default_transport()));
-    par::set_default_comm_mode(cli.choice("comm", par::kCommModeChoices,
-                                          par::default_comm_mode()));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -136,7 +134,6 @@ int main(int argc, char** argv) {
 
   // --- real SimComm mini-run validating the communication pattern ------
   const char* transport = par::transport_name(par::default_transport());
-  const char* comm_mode = par::comm_mode_name(par::default_comm_mode());
   mesh::ParallelMeshOptions popt;
   popt.md_steps = md_steps;
   popt.grid_n = 8;
@@ -145,52 +142,20 @@ int main(int argc, char** argv) {
   popt.mesh.nqd_per_md = 10;
   auto res = mesh::run_parallel_mesh(ranks, popt);
   std::printf("\n# SimComm validation (%d ranks, %d MD step(s), transport "
-              "%s, comm %s): n_exc gathered from %zu domains, %llu collective "
-              "ops, %llu bytes\n",
-              ranks, md_steps, transport, comm_mode,
+              "%s): n_exc gathered from %zu domains, %llu collective ops, "
+              "%llu bytes\n",
+              ranks, md_steps, transport,
               res.n_exc_per_domain.size(),
               static_cast<unsigned long long>(res.traffic.collective_ops),
               static_cast<unsigned long long>(res.traffic.collective_bytes));
-  for (std::size_t r = 0; r < res.rank_traffic.size(); ++r) {
-    unsigned long long bytes = 0, calls = 0;
-    for (const auto& [op, st] : res.rank_traffic[r].ops) {
-      bytes += st.bytes;
-      calls += st.calls;
-    }
-    std::printf("#   rank %zu: %llu comm calls, %llu bytes, %.3e s waiting, "
-                "%.3e s overlapped (%llu/%llu handles)\n",
-                r, calls, bytes, res.rank_traffic[r].wait_seconds,
-                res.rank_traffic[r].overlap_seconds,
-                static_cast<unsigned long long>(
-                    res.rank_traffic[r].handles_completed),
-                static_cast<unsigned long long>(
-                    res.rank_traffic[r].handles_posted));
-  }
-
+  const auto recs = benchjson::rank_records("dcmesh_mini", res.wall_seconds,
+                                           res.rank_traffic);
   if (!json_path.empty()) {
-    // One record per rank of the measured mini-run: comm_bytes is the
-    // rank's exact contributed payload, which must match bit-for-bit
-    // between the inproc and shm transports for the same configuration
-    // (trace_check --compare-comm enforces this in CI).
-    std::vector<benchjson::Record> recs;
-    for (std::size_t r = 0; r < res.rank_traffic.size(); ++r) {
-      benchjson::Record rec;
-      rec.kernel = "dcmesh_mini.rank" + std::to_string(r);
-      rec.seconds = res.wall_seconds;
-      for (const auto& [op, st] : res.rank_traffic[r].ops)
-        rec.comm_bytes += st.bytes;
-      rec.comm_seconds = res.rank_traffic[r].wait_seconds;
-      rec.comm_overlap_seconds = res.rank_traffic[r].overlap_seconds;
-      rec.handles_posted = res.rank_traffic[r].handles_posted;
-      rec.handles_completed = res.rank_traffic[r].handles_completed;
-      recs.push_back(rec);
-    }
-    if (!benchjson::write(json_path, recs, nullptr, transport, comm_mode)) {
+    if (!benchjson::write(json_path, recs, nullptr, transport)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::printf("# wrote %s (transport %s, comm %s)\n", json_path.c_str(),
-                transport, comm_mode);
+    std::printf("# wrote %s (transport %s)\n", json_path.c_str(), transport);
   }
   return 0;
 }

@@ -13,11 +13,7 @@
 // comm_bytes must be identical across transports (trace_check
 // --compare-comm). --model=0 skips the analytic sweeps for CI smoke.
 
-#include <array>
-#include <bit>
-#include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,10 +33,10 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (!cli.check_known(
           {"lattice", "steps", "node_speedup", "model", "ranks", "halo_steps",
-           "transport", "comm", "json"},
+           "transport", "json"},
           "usage: bench_fig5_nnqmd_scaling [--lattice=N] [--steps=N] "
           "[--node_speedup=X] [--model=0|1] [--ranks=N] [--halo_steps=N] "
-          "[--transport=inproc|shm] [--comm=sync|async] [--json=path]"))
+          "[--transport=inproc|shm] [--json=path]"))
     return 1;
 
   std::size_t lat = 12;
@@ -58,8 +54,6 @@ int main(int argc, char** argv) {
     json_path = cli.str("json", "");
     par::set_default_transport(cli.choice("transport", par::kTransportChoices,
                                           par::default_transport()));
-    par::set_default_comm_mode(cli.choice("comm", par::kCommModeChoices,
-                                          par::default_comm_mode()));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -129,19 +123,14 @@ int main(int argc, char** argv) {
 
   // --- real SimComm mini-run: halo exchange + energy allreduce ----------
   // The measured counterpart of the modeled comm terms above: each rank
-  // exchanges a fixed halo slab with its ring neighbours (sendrecv, the
-  // Fig. 5 divide-and-conquer boundary pattern) and joins a global energy
-  // allreduce per step. Per-rank accounts ride one final gather, sampled
-  // beforehand so they are identical across transports.
+  // exchanges a fixed halo slab with its ring neighbours (the Fig. 5
+  // divide-and-conquer boundary pattern) and joins a global energy
+  // allreduce per step. par::run returns every rank's account, identical
+  // across transports.
   const char* transport = par::transport_name(par::default_transport());
-  const char* comm_mode = par::comm_mode_name(par::default_comm_mode());
-  const bool overlap = par::default_comm_mode() == par::CommMode::kAsync;
   constexpr std::size_t kHaloDoubles = 512; // fixed slab per exchange
-  // packed: calls, bytes, wait bits, overlap bits, posted, completed
-  std::vector<std::array<std::uint64_t, 6>> per_rank;
-  std::mutex per_rank_mu;
   Timer wall;
-  auto traffic = par::run(ranks, [&](par::Comm& comm) {
+  const auto traffic = par::run(ranks, [&](par::Comm& comm) {
     const int rank = comm.rank();
     const int n = comm.size();
     const int right = (rank + 1) % n;
@@ -150,29 +139,21 @@ int main(int argc, char** argv) {
                              static_cast<double>(rank) + 0.25);
     std::vector<double> recvd;
     double energy = 1.0 + 0.01 * static_cast<double>(rank);
-    // The halo slab is constant across steps, so under --comm=async step
-    // s+1's exchange is posted before step s's energy allreduce: the p2p
-    // transfer overlaps the collective. Payloads, tags, and arithmetic are
-    // identical to the synchronous path, so energies (and comm_bytes) are
-    // bit-identical across --comm modes.
+    // The halo slab is constant across steps, so step s+1's exchange is
+    // posted before step s's energy allreduce: the p2p transfer overlaps
+    // the collective. With n == 1 the ring degenerates to a self-send, so
+    // the exchange is skipped entirely.
     par::CommHandle hs, hr;
-    if (overlap && n > 1) {
+    if (n > 1) {
       hs = comm.isend(right, /*tag=*/0, std::span<const double>(halo));
       hr = comm.irecv(left, /*tag=*/0);
     }
     for (int s = 0; s < halo_steps; ++s) {
-      // Ring halo exchange; with n == 1 the ring degenerates to a
-      // self-send, so skip the exchange entirely.
       if (n > 1) {
-        if (overlap) {
-          comm.wait_into(hr, recvd);
-          hs.wait();
-        } else {
-          comm.sendrecv_into(right, std::span<const double>(halo), left,
-                             /*tag=*/s, recvd);
-        }
+        comm.wait_into(hr, recvd);
+        hs.wait();
         energy += recvd.empty() ? 0.0 : recvd.front() * 1e-3;
-        if (overlap && s + 1 < halo_steps) {
+        if (s + 1 < halo_steps) {
           hs = comm.isend(right, s + 1, std::span<const double>(halo));
           hr = comm.irecv(left, s + 1);
         }
@@ -180,59 +161,22 @@ int main(int argc, char** argv) {
       auto e_all = comm.allreduce(energy, par::ReduceOp::kSum);
       energy = 0.5 * (energy + e_all / static_cast<double>(n));
     }
-    const par::RankTraffic mine = comm.rank_traffic();
-    std::array<std::uint64_t, 6> packed{};
-    for (const auto& [op, st] : mine.ops) {
-      packed[0] += st.calls;
-      packed[1] += st.bytes;
-    }
-    packed[2] = std::bit_cast<std::uint64_t>(mine.wait_seconds);
-    packed[3] = std::bit_cast<std::uint64_t>(mine.overlap_seconds);
-    packed[4] = mine.handles_posted;
-    packed[5] = mine.handles_completed;
-    auto gathered = comm.gather(packed, 0);
-    if (rank == 0) {
-      std::lock_guard lk(per_rank_mu);
-      per_rank = std::move(gathered);
-    }
   });
   const double wall_seconds = wall.seconds();
-  std::printf("\n# SimComm halo mini-run (%d ranks, %d steps, transport %s, "
-              "comm %s): %llu messages, %llu p2p bytes, %llu collective "
-              "bytes\n",
-              ranks, halo_steps, transport, comm_mode,
+  std::printf("\n# SimComm halo mini-run (%d ranks, %d steps, transport %s): "
+              "%llu messages, %llu p2p bytes, %llu collective bytes\n",
+              ranks, halo_steps, transport,
               static_cast<unsigned long long>(traffic.messages),
               static_cast<unsigned long long>(traffic.p2p_bytes),
               static_cast<unsigned long long>(traffic.collective_bytes));
-  for (std::size_t r = 0; r < per_rank.size(); ++r)
-    std::printf("#   rank %zu: %llu comm calls, %llu bytes, %.3e s waiting, "
-                "%.3e s overlapped (%llu/%llu handles)\n",
-                r, static_cast<unsigned long long>(per_rank[r][0]),
-                static_cast<unsigned long long>(per_rank[r][1]),
-                std::bit_cast<double>(per_rank[r][2]),
-                std::bit_cast<double>(per_rank[r][3]),
-                static_cast<unsigned long long>(per_rank[r][5]),
-                static_cast<unsigned long long>(per_rank[r][4]));
-
+  const auto recs =
+      benchjson::rank_records("nnqmd_halo", wall_seconds, traffic.ranks);
   if (!json_path.empty()) {
-    std::vector<benchjson::Record> recs;
-    for (std::size_t r = 0; r < per_rank.size(); ++r) {
-      benchjson::Record rec;
-      rec.kernel = "nnqmd_halo.rank" + std::to_string(r);
-      rec.seconds = wall_seconds;
-      rec.comm_bytes = per_rank[r][1];
-      rec.comm_seconds = std::bit_cast<double>(per_rank[r][2]);
-      rec.comm_overlap_seconds = std::bit_cast<double>(per_rank[r][3]);
-      rec.handles_posted = per_rank[r][4];
-      rec.handles_completed = per_rank[r][5];
-      recs.push_back(rec);
-    }
-    if (!benchjson::write(json_path, recs, nullptr, transport, comm_mode)) {
+    if (!benchjson::write(json_path, recs, nullptr, transport)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::printf("# wrote %s (transport %s, comm %s)\n", json_path.c_str(),
-                transport, comm_mode);
+    std::printf("# wrote %s (transport %s)\n", json_path.c_str(), transport);
   }
   return 0;
 }

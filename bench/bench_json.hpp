@@ -16,7 +16,7 @@
 //   comm_seconds SimComm blocked-wait seconds over the measurement
 //   comm_overlap_seconds
 //                communication hidden behind compute: summed post->wait
-//                spans of the nonblocking handles (0 under --comm=sync)
+//                spans of the nonblocking handles
 //   handles_posted / handles_completed
 //                nonblocking CommHandles created / waited during the
 //                measurement; equal counts are the handle-leak invariant
@@ -31,10 +31,7 @@
 // When the measurement ran over a SimComm transport the object carries
 // an optional top-level "transport" string ("inproc" or "shm", DESIGN.md
 // Sec. 11) identifying the backend, so scaling points measured over real
-// process boundaries are distinguishable from threaded ones, and an
-// optional top-level "comm" string ("sync" or "async") recording the
-// stepping-loop communication mode (results are bit-identical across
-// modes; only wait/overlap seconds move).
+// process boundaries are distinguishable from threaded ones.
 //
 // Every file additionally carries an optional "machine" block
 //
@@ -85,6 +82,7 @@
 #include <vector>
 
 #include "mlmd/obs/metrics.hpp"
+#include "mlmd/par/transport.hpp"
 #include "mlmd/simd/simd.hpp"
 
 namespace mlmd::benchjson {
@@ -152,6 +150,39 @@ struct LivenessStats {
   }
 };
 
+/// One record per SimComm rank of a measured mini-run, named
+/// "<prefix>.rank<r>", each also printed as a "#   rank r: ..." line.
+/// comm_bytes is the rank's exact contributed payload, which must match
+/// bit-for-bit between the inproc and shm transports for the same
+/// configuration (trace_check --compare-comm enforces this in CI).
+inline std::vector<Record> rank_records(
+    const std::string& prefix, double seconds,
+    const std::vector<par::RankTraffic>& ranks) {
+  std::vector<Record> recs;
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    const par::RankTraffic& rt = ranks[r];
+    Record rec;
+    rec.kernel = prefix + ".rank" + std::to_string(r);
+    rec.seconds = seconds;
+    unsigned long long calls = 0;
+    for (const auto& [op, st] : rt.ops) {
+      calls += st.calls;
+      rec.comm_bytes += st.bytes;
+    }
+    rec.comm_seconds = rt.wait_seconds;
+    rec.comm_overlap_seconds = rt.overlap_seconds;
+    rec.handles_posted = rt.handles_posted;
+    rec.handles_completed = rt.handles_completed;
+    std::printf("#   rank %zu: %llu comm calls, %llu bytes, %.3e s waiting, "
+                "%.3e s overlapped (%llu/%llu handles)\n",
+                r, calls, rec.comm_bytes, rec.comm_seconds,
+                rec.comm_overlap_seconds, rec.handles_completed,
+                rec.handles_posted);
+    recs.push_back(rec);
+  }
+  return recs;
+}
+
 /// Snapshot the process-global ft.* instruments. counter()/histogram()
 /// get-or-register, so this is safe even when the ft layer never ran.
 inline FtStats ft_stats_from_registry() {
@@ -183,7 +214,6 @@ inline LivenessStats liveness_stats_from_registry() {
 inline bool write(const std::string& path, const std::vector<Record>& recs,
                   const FtStats* ft = nullptr,
                   const std::string& transport = "",
-                  const std::string& comm_mode = "",
                   const ServeStats* serve = nullptr,
                   const LivenessStats* liveness = nullptr) {
   std::FILE* fp = std::fopen(path.c_str(), "w");
@@ -197,8 +227,6 @@ inline bool write(const std::string& path, const std::vector<Record>& recs,
   std::fprintf(fp, "]}, ");
   if (!transport.empty())
     std::fprintf(fp, "\"transport\": \"%s\", ", transport.c_str());
-  if (!comm_mode.empty())
-    std::fprintf(fp, "\"comm\": \"%s\", ", comm_mode.c_str());
   std::fprintf(fp, "\"records\": [\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const auto& r = recs[i];

@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
       recs[0].seconds = base.elapsed_s;
       recs[1].kernel = "serve." + mode + ".batchN";
       recs[1].seconds = batched.elapsed_s;
-      if (!benchjson::write(cli.str("json"), recs, nullptr, "", "",
-                            &serve_stats, &liveness)) {
+      if (!benchjson::write(cli.str("json"), recs, nullptr, "", &serve_stats,
+                            &liveness)) {
         std::fprintf(stderr, "error: cannot write %s\n",
                      cli.str("json").c_str());
         return 1;

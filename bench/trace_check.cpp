@@ -365,20 +365,6 @@ int check_bench(const Value& root) {
     transport = t->str;
   }
 
-  // Optional comm-mode tag: "sync" or "async" stepping-loop communication
-  // (results must be bit-identical across modes; trace_check
-  // --compare-comm proves the traffic is too).
-  std::string comm_mode;
-  if (root.obj.count("comm")) {
-    const Value* c = field(root, "comm", Value::Kind::kString);
-    if (!c || (c->str != "sync" && c->str != "async")) {
-      std::fprintf(stderr,
-                   "trace_check: \"comm\" must be \"sync\" or \"async\"\n");
-      return 1;
-    }
-    comm_mode = c->str;
-  }
-
   // Optional fault-tolerance block: validated only when the emitter
   // decided the run exercised the ft layer.
   bool have_ft = false;
@@ -514,11 +500,10 @@ int check_bench(const Value& root) {
   }
 
   std::printf(
-      "trace_check: OK, bench schema v%d, %zu records%s%s%s%s%s%s%s%s%s\n",
+      "trace_check: OK, bench schema v%d, %zu records%s%s%s%s%s%s%s\n",
       static_cast<int>(ver->num), recs->arr.size(),
       simd_target.empty() ? "" : ", simd ", simd_target.c_str(),
       transport.empty() ? "" : ", transport ", transport.c_str(),
-      comm_mode.empty() ? "" : ", comm ", comm_mode.c_str(),
       have_ft ? ", ft block present" : "",
       have_serve ? ", serve block present" : "",
       have_liveness ? ", liveness block present" : "");
@@ -549,9 +534,9 @@ ValuePtr parse_file(const char* path) {
 
 /// --compare-comm a.json b.json: both must be valid bench files with the
 /// same kernel set and bit-equal comm_bytes per kernel. This is how CI
-/// proves the shm and inproc transports — and the sync and async comm
-/// modes — move identical traffic for the same configuration (timings,
-/// overlap seconds, and handle counts are allowed to differ).
+/// proves the shm and inproc transports move identical traffic for the
+/// same configuration (timings, overlap seconds, and handle counts are
+/// allowed to differ).
 int compare_comm(const char* path_a, const char* path_b) {
   ValuePtr a = parse_file(path_a);
   ValuePtr b = parse_file(path_b);

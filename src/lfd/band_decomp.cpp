@@ -36,13 +36,11 @@ namespace {
 /// once per rank, starting with this rank's own slice. Slices may have
 /// different column counts; each transfer carries the flattened matrix.
 ///
-/// With --comm=async each round's transfer is posted *before* the round's
-/// block GEMM, so the boundary communication overlaps the compute on the
-/// slice already in hand (the ring-systolic overlap plane-wave codes
-/// rely on). Transfer order and payloads are identical to the synchronous
-/// path, so results are bit-identical across modes. An active `pre`
-/// (ring_prefetch) supplies the round-0 transfer, posted even earlier —
-/// before the caller's grid-local stencil work.
+/// Each round's transfer is posted *before* the round's block GEMM, so
+/// the boundary communication overlaps the compute on the slice already
+/// in hand (the ring-systolic overlap plane-wave codes rely on). An
+/// active `pre` (ring_prefetch) supplies the round-0 transfer, posted
+/// even earlier — before the caller's grid-local stencil work.
 void ring_visit(par::Comm& comm, const la::Matrix<cd>& my_slice,
                 const std::function<void(int, const la::Matrix<cd>&)>& visit,
                 lfd::RingPrefetch* pre = nullptr) {
@@ -50,7 +48,6 @@ void ring_visit(par::Comm& comm, const la::Matrix<cd>& my_slice,
   const int next = (comm.rank() + 1) % p;
   const int prev = (comm.rank() + p - 1) % p;
   const std::size_t ngrid = my_slice.rows();
-  const bool overlap = par::default_comm_mode() == par::CommMode::kAsync;
 
   la::Matrix<cd> current = my_slice;
   int owner = comm.rank();
@@ -58,7 +55,7 @@ void ring_visit(par::Comm& comm, const la::Matrix<cd>& my_slice,
   for (int round = 0; round < p; ++round) {
     const bool last = round + 1 == p;
     par::CommHandle hs, hr;
-    if (!last && (overlap || (pre && pre->active && round == 0))) {
+    if (!last) {
       if (pre && pre->active && round == 0) {
         // Round 0 was posted by ring_prefetch, before the caller's
         // stencil work — adopt its handles.
@@ -73,16 +70,8 @@ void ring_visit(par::Comm& comm, const la::Matrix<cd>& my_slice,
     }
     visit(owner, current);
     if (last) break;
-    if (hr.valid()) {
-      comm.wait_into(hr, incoming);
-      hs.wait();
-    } else {
-      // Synchronous path: pass the current slice downstream, receive the
-      // upstream one.
-      comm.sendrecv_into(
-          next, std::span<const cd>(current.data(), current.size()), prev,
-          round, incoming);
-    }
+    comm.wait_into(hr, incoming);
+    hs.wait();
     owner = (owner + p - 1) % p;
     const std::size_t cols = incoming.size() / ngrid;
     current.resize(ngrid, cols);
@@ -95,7 +84,7 @@ void ring_visit(par::Comm& comm, const la::Matrix<cd>& my_slice,
 RingPrefetch ring_prefetch(par::Comm& comm, const la::Matrix<cd>& slice) {
   RingPrefetch pre;
   const int p = comm.size();
-  if (p <= 1 || par::default_comm_mode() != par::CommMode::kAsync) return pre;
+  if (p <= 1) return pre;
   const int next = (comm.rank() + 1) % p;
   const int prev = (comm.rank() + p - 1) % p;
   pre.send =

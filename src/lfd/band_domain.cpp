@@ -43,9 +43,9 @@ void BandParallelDomain::qd_step(const double a[3]) {
   kp.a[1] = a[1];
   kp.a[2] = a[2];
   // When the nonlocal correction fires at the end of this step, post the
-  // round-0 psi0 ring transfer now (--comm=async; psi0 is constant): the
-  // boundary-slice communication then overlaps the grid-local stencil
-  // work below instead of serializing after it.
+  // round-0 psi0 ring transfer now (psi0 is constant): the boundary-slice
+  // communication then overlaps the grid-local stencil work below instead
+  // of serializing after it.
   const bool nlp_due = opt_.nlp_every > 0 && (steps_ + 1) % opt_.nlp_every == 0;
   RingPrefetch pre;
   if (nlp_due) pre = ring_prefetch(comm_, psi0_slice_);

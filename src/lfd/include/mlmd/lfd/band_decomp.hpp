@@ -36,11 +36,11 @@ struct BandLayout {
                                                       std::size_t norb_total);
 };
 
-/// Pre-posted round-0 ring transfer (--comm=async overlap): the boundary
-/// slice exchange of a future ring circulation, posted early so grid-local
-/// stencil work can run while it flies. Obtain via ring_prefetch and hand
-/// to the matching distributed_overlap/distributed_nlp_prop call; at most
-/// one prefetch may be outstanding per communicator.
+/// Pre-posted round-0 ring transfer: the boundary slice exchange of a
+/// future ring circulation, posted early so grid-local stencil work can
+/// run while it flies. Obtain via ring_prefetch and hand to the matching
+/// distributed_overlap/distributed_nlp_prop call; at most one prefetch may
+/// be outstanding per communicator.
 struct RingPrefetch {
   par::CommHandle send, recv;
   bool active = false;
@@ -48,7 +48,7 @@ struct RingPrefetch {
 
 /// Post the round-0 transfer of a ring circulation over `slice` (send the
 /// slice downstream, receive the upstream one). No-op (inactive prefetch)
-/// when synchronous comm is selected or the ring is trivial (one rank).
+/// when the ring is trivial (one rank).
 RingPrefetch ring_prefetch(par::Comm& comm,
                            const la::Matrix<std::complex<double>>& slice);
 

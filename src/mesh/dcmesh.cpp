@@ -26,19 +26,10 @@ std::array<double, 3> DcMeshDomain::current(double a_value) const {
 }
 
 StepStats DcMeshDomain::md_step(const maxwell::Pulse* pulse) {
-  return md_step_impl(pulse, 0.0, false);
-}
-
-StepStats DcMeshDomain::md_step_with_a(double a_value) {
-  return md_step_impl(nullptr, a_value, true);
-}
-
-StepStats DcMeshDomain::md_step_impl(const maxwell::Pulse* pulse, double fixed_a,
-                                     bool use_fixed_a) {
   StepStats stats;
   obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
   begin_impl(stats);
-  finish_impl(stats, pulse, fixed_a, use_fixed_a);
+  finish_impl(stats, pulse, 0.0, false);
   return stats;
 }
 
@@ -59,7 +50,7 @@ StepStats DcMeshDomain::md_step_finish(PendingStep& pending, double a_value) {
 }
 
 // A-independent front of one MD step: ion forces + Verlet positions and
-// the delta_v_loc shadow exchange. Split out so the async step loop can
+// the delta_v_loc shadow exchange. Split out so the multi-domain loop can
 // overlap the Maxwell boundary communication (which produces A) with it.
 void DcMeshDomain::begin_impl(StepStats& stats) {
   ft::set_step(steps_); // publish the MD step clock to SimComm-level hooks

@@ -45,7 +45,7 @@ struct StepStats {
 };
 
 /// In-flight MD step between md_step_begin and md_step_finish
-/// (communication/computation overlap, --comm=async).
+/// (communication/computation overlap in the multi-domain loop).
 struct PendingStep {
   StepStats stats;
   bool open = false;
@@ -60,17 +60,13 @@ public:
   /// (pass nullptr for dark dynamics).
   StepStats md_step(const maxwell::Pulse* pulse);
 
-  /// One MD step with an externally supplied constant vector potential
-  /// (used by the multiscale Maxwell coupling, which owns A(X, t)).
-  StepStats md_step_with_a(double a_value);
-
-  // --- split-phase MD step (--comm=async overlap) ----------------------
-  // md_step_with_a(a) == md_step_finish(md_step_begin(), a), instruction
-  // for instruction: begin runs the A-independent front of the step (ion
-  // forces + Verlet positions, delta_v_loc exchange) so the caller can
-  // overlap boundary communication that produces A; finish consumes the
-  // vector potential (QD loop, second half-kick, surface hopping,
-  // delta_f). Exactly one finish per begin.
+  // --- split-phase MD step with an external vector potential ----------
+  // Used by the multiscale Maxwell coupling, which owns A(X, t). begin
+  // runs the A-independent front of the step (ion forces + Verlet
+  // positions, delta_v_loc exchange) so the caller can overlap boundary
+  // communication that produces A; finish consumes the constant vector
+  // potential (QD loop, second half-kick, surface hopping, delta_f).
+  // Exactly one finish per begin.
 
   /// A-independent front half of one MD step.
   PendingStep md_step_begin();
@@ -103,8 +99,6 @@ public:
   void restore_checkpoint(const ft::CheckpointReader& r);
 
 private:
-  StepStats md_step_impl(const maxwell::Pulse* pulse, double fixed_a,
-                         bool use_fixed_a);
   void begin_impl(StepStats& stats);
   void finish_impl(StepStats& stats, const maxwell::Pulse* pulse,
                    double fixed_a, bool use_fixed_a);

@@ -6,11 +6,13 @@
 //
 //   1. every rank computes its domain's macroscopic current J(X_alpha),
 //   2. allgather of the per-cell currents (small: one double per domain),
+//      posted before the A-independent front of the MD step so the
+//      collective overlaps it,
 //   3. every rank advances an identical replicated Maxwell1D (cheap,
 //      deterministic — avoids a dedicated Maxwell rank),
-//   4. every rank runs its domain's MD step with A(X_alpha, t),
-//   5. n_exc is gathered to rank 0 once per MD step — the single MPI
-//      gather of Sec. V.A.8.
+//   4. every rank finishes its domain's MD step with A(X_alpha, t),
+//   5. after the last step, n_exc is gathered to rank 0 once — the
+//      single MPI gather of Sec. V.A.8.
 
 #include <vector>
 
@@ -36,9 +38,8 @@ struct ParallelMeshResult {
   double total_n_exc = 0.0;
   par::TrafficStats traffic;
   /// Per-rank comm account (op calls/bytes, wait time), one entry per
-  /// rank, sampled by each rank itself just before the final packing
-  /// gather — the gather that ships the accounts is excluded from every
-  /// rank's numbers, so calls/bytes are identical across transports.
+  /// rank, as par::run returns it; calls/bytes are identical across
+  /// transports.
   std::vector<par::RankTraffic> rank_traffic;
   double wall_seconds = 0.0;
 };

@@ -1,8 +1,5 @@
 #include "mlmd/mesh/multidomain.hpp"
 
-#include <array>
-#include <bit>
-#include <cstdint>
 #include <mutex>
 
 #include "mlmd/common/timer.hpp"
@@ -10,48 +7,6 @@
 #include "mlmd/obs/trace.hpp"
 
 namespace mlmd::mesh {
-namespace {
-
-// Fixed op order for the packed per-rank traffic gather. Covers every op
-// Comm can account; packing a map through a collective needs a stable
-// wire layout.
-constexpr const char* kTrafficOps[] = {"barrier", "broadcast", "gather",
-                                       "allgatherv", "allreduce", "send",
-                                       "recv"};
-constexpr std::size_t kNumTrafficOps = 7;
-// 7 ops x {calls, bytes} + bit-cast wait_seconds + bit-cast
-// overlap_seconds + handles posted/completed.
-using PackedTraffic = std::array<std::uint64_t, 2 * kNumTrafficOps + 4>;
-
-PackedTraffic pack_traffic(const par::RankTraffic& rt) {
-  PackedTraffic p{};
-  for (std::size_t i = 0; i < kNumTrafficOps; ++i) {
-    if (auto it = rt.ops.find(kTrafficOps[i]); it != rt.ops.end()) {
-      p[2 * i] = it->second.calls;
-      p[2 * i + 1] = it->second.bytes;
-    }
-  }
-  p[2 * kNumTrafficOps] = std::bit_cast<std::uint64_t>(rt.wait_seconds);
-  p[2 * kNumTrafficOps + 1] = std::bit_cast<std::uint64_t>(rt.overlap_seconds);
-  p[2 * kNumTrafficOps + 2] = rt.handles_posted;
-  p[2 * kNumTrafficOps + 3] = rt.handles_completed;
-  return p;
-}
-
-par::RankTraffic unpack_traffic(const PackedTraffic& p) {
-  par::RankTraffic rt;
-  for (std::size_t i = 0; i < kNumTrafficOps; ++i) {
-    if (p[2 * i] == 0) continue; // untouched ops stay absent
-    rt.ops[kTrafficOps[i]] = par::RankOpStats{p[2 * i], p[2 * i + 1]};
-  }
-  rt.wait_seconds = std::bit_cast<double>(p[2 * kNumTrafficOps]);
-  rt.overlap_seconds = std::bit_cast<double>(p[2 * kNumTrafficOps + 1]);
-  rt.handles_posted = p[2 * kNumTrafficOps + 2];
-  rt.handles_completed = p[2 * kNumTrafficOps + 3];
-  return rt;
-}
-
-} // namespace
 
 ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt) {
   ParallelMeshResult result;
@@ -75,8 +30,8 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
         pad + static_cast<std::size_t>(rank) * opt.maxwell_cells_per_domain +
         opt.maxwell_cells_per_domain / 2;
 
-    // Per-domain microscopic system: a small ionic cluster, seeded
-    // deterministically but distinctly per rank.
+    // Per-domain microscopic system: the same small ionic cluster on every
+    // rank, so domains differ only through the field at their macro cell.
     grid::Grid3 g{opt.grid_n, opt.grid_n, opt.grid_n, 0.7, 0.7, 0.7};
     std::vector<lfd::Ion> ions = {
         lfd::Ion{0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.0, 1.6, 2.0}};
@@ -85,20 +40,7 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
     const double dt_md = dom.md_dt();
     const int em_substeps = std::max(1, static_cast<int>(dt_md / dt_em));
 
-    // (3) replicated Maxwell advance over one MD step (shared by both
-    // comm modes; consumes the gathered per-domain currents).
     std::vector<double> j_cells(ncells, 0.0);
-    const auto advance_em = [&](const std::vector<double>& j_all) {
-      for (int d = 0; d < nd; ++d) {
-        const std::size_t cell =
-            pad + static_cast<std::size_t>(d) * opt.maxwell_cells_per_domain +
-            opt.maxwell_cells_per_domain / 2;
-        j_cells[cell] = j_all[static_cast<std::size_t>(d)];
-      }
-      for (int s = 0; s < em_substeps; ++s) em.step(j_cells);
-    };
-
-    const bool overlap = par::default_comm_mode() == par::CommMode::kAsync;
     std::vector<double> j_all;
     for (int step = 0; step < opt.md_steps; ++step) {
       // (1) local macroscopic current at this domain's macro cell.
@@ -107,47 +49,38 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
       const double j_mine = j[static_cast<std::size_t>(
           opt.mesh.polarization_axis)];
 
-      if (overlap) {
-        // (2') post the current allgather, then run the A-independent
-        // front of the MD step (ion forces, Verlet positions, delta_v_loc
-        // exchange) while the collective flies; complete it, advance
-        // Maxwell, and finish the step with the fresh local A. Identical
-        // op order within each subsystem, so results are bit-identical to
-        // the synchronous path (asserted in test_mesh and benchsmoke).
-        auto h = comm.iallgather(j_mine);
-        obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
-        auto pending = dom.md_step_begin();
-        comm.wait_into(h, j_all);
-        advance_em(j_all);
-        dom.md_step_finish(pending, em.a_at(my_cell));
-      } else {
-        // (2) allgather of per-domain currents (one double per rank).
-        j_all = comm.allgather(j_mine);
-        advance_em(j_all);
-        // (4) domain MD step with the local vector potential.
-        dom.md_step_with_a(em.a_at(my_cell));
+      // (2) post the current allgather, then run the A-independent front
+      // of the MD step (ion forces, Verlet positions, delta_v_loc
+      // exchange) while the collective flies.
+      auto h = comm.iallgather(j_mine);
+      obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
+      auto pending = dom.md_step_begin();
+      comm.wait_into(h, j_all);
+
+      // (3) replicated Maxwell advance over one MD step.
+      for (int d = 0; d < nd; ++d) {
+        const std::size_t cell =
+            pad + static_cast<std::size_t>(d) * opt.maxwell_cells_per_domain +
+            opt.maxwell_cells_per_domain / 2;
+        j_cells[cell] = j_all[static_cast<std::size_t>(d)];
       }
+      for (int s = 0; s < em_substeps; ++s) em.step(j_cells);
+
+      // (4) finish the domain MD step with the fresh local A.
+      dom.md_step_finish(pending, em.a_at(my_cell));
     }
 
     // (5) single n_exc gather to rank 0 (Sec. V.A.8).
     auto gathered = comm.gather(dom.lfd().n_exc(), 0);
-
-    // (6) per-rank comm accounts: every rank samples its own counters
-    // first, then the packed accounts ride one extra gather (which is
-    // therefore excluded from all sampled numbers — deterministic and
-    // identical across the inproc and shm transports).
-    const PackedTraffic mine = pack_traffic(comm.rank_traffic());
-    auto packed = comm.gather(mine, 0);
     if (rank == 0) {
       std::lock_guard lk(result_mu);
       result.n_exc_per_domain = std::move(gathered);
       for (double v : result.n_exc_per_domain) result.total_n_exc += v;
-      result.rank_traffic.reserve(packed.size());
-      for (const auto& p : packed) result.rank_traffic.push_back(unpack_traffic(p));
     }
   });
 
   result.traffic = traffic;
+  result.rank_traffic = std::move(traffic.ranks);
   result.wall_seconds = wall.seconds();
   return result;
 }

@@ -166,7 +166,7 @@ private:
 /// Shared-memory transport entry point (shm_transport.cpp): forks one
 /// worker process per rank (the caller hosts rank 0) and runs `body`
 /// against the mmap'd transport. Same contract as the threaded run().
-TrafficStats run_shm(int nranks, const std::function<void(Comm&)>& body);
+RunStats run_shm(int nranks, const std::function<void(Comm&)>& body);
 
 /// Combine one remote contribution into the running reduction. NaN
 /// propagates through kMin/kMax as well as kSum: a plain `b < a ? b : a`
@@ -215,7 +215,7 @@ public:
       contrib = std::as_bytes(std::span<const T>(data));
     auto all = state_->exchange(rank_, contrib, -1, true, "broadcast");
     data.resize(all.size() / sizeof(T));
-    std::memcpy(data.data(), all.data(), all.size());
+    if (!all.empty()) std::memcpy(data.data(), all.data(), all.size());
   }
 
   /// Gather one value per rank to `root`; non-roots get an empty vector.
@@ -292,9 +292,9 @@ public:
     return recv<T>(src, tag);
   }
 
-  // --- nonblocking / reusable-buffer variants (--comm=async hot paths).
+  // --- nonblocking / reusable-buffer variants (overlapped hot paths).
   // Accounting parity: each accounts the identical op name and bytes as
-  // its blocking twin, so comm_bytes is bit-identical across --comm modes.
+  // its blocking twin, so comm_bytes does not depend on which one is used.
 
   /// Nonblocking tagged send; payload is in flight when this returns.
   template <class T>
@@ -374,7 +374,7 @@ private:
     if (bytes.size() % sizeof(T) != 0)
       throw std::runtime_error("SimComm: payload size mismatch");
     std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 
@@ -385,7 +385,7 @@ private:
     if (bytes.size() % sizeof(T) != 0)
       throw std::runtime_error("SimComm: payload size mismatch");
     out.resize(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
   }
 
   /// Reusable per-thread byte staging for recv_into (each logical rank is
@@ -401,12 +401,13 @@ private:
 
 /// Launch `nranks` logical ranks against the given transport backend and
 /// join them. Exceptions from any rank are rethrown on the caller.
-/// Returns the aggregate traffic stats of the run.
-TrafficStats run(int nranks, TransportKind kind,
-                 const std::function<void(Comm&)>& body);
+/// Returns the aggregate traffic stats of the run and every rank's
+/// account, complete after the join.
+RunStats run(int nranks, TransportKind kind,
+             const std::function<void(Comm&)>& body);
 
 /// Launch against the process-wide default transport (--transport /
 /// MLMD_TRANSPORT; in-process threads unless overridden).
-TrafficStats run(int nranks, const std::function<void(Comm&)>& body);
+RunStats run(int nranks, const std::function<void(Comm&)>& body);
 
 } // namespace mlmd::par

@@ -68,6 +68,12 @@ struct RankTraffic {
   std::uint64_t handles_completed = 0; ///< handles that reached wait()
 };
 
+/// What par::run returns: the group totals plus every rank's account,
+/// read once all ranks have joined.
+struct RunStats : TrafficStats {
+  std::vector<RankTraffic> ranks;
+};
+
 class Transport;
 
 /// Waitable completion handle for a nonblocking transport operation
@@ -139,11 +145,11 @@ public:
   virtual void recv_into(int dst, int src, int tag,
                          std::vector<std::byte>& out);
 
-  // --- nonblocking primitives (--comm=async consumers) -----------------
+  // --- nonblocking primitives (the overlapped stepping loops) ----------
   // Accounting parity contract: an async op accounts the identical op
   // name and byte count as its blocking twin, exactly once, so per-rank
-  // comm_bytes is bit-identical across --comm modes (and across
-  // transports, as before). Only wait/overlap seconds may differ.
+  // comm_bytes does not depend on which of the two a caller uses (nor on
+  // the transport). Only wait/overlap seconds may differ.
 
   /// Nonblocking tagged send. The payload is consumed (copied toward the
   /// receiver) at post time; the returned handle completes with an empty
@@ -168,6 +174,9 @@ public:
   virtual TrafficStats stats() const = 0;
   virtual RankTraffic rank_traffic(int rank) const = 0;
   virtual void reset_stats() = 0;
+
+  /// stats() plus rank_traffic() of every rank (what run() returns).
+  RunStats run_stats() const;
 
 protected:
   friend class CommHandle;
@@ -239,33 +248,6 @@ const char* transport_name(TransportKind kind);
 TransportKind default_transport();
 void set_default_transport(TransportKind kind);
 
-/// Communication/computation overlap mode of the stepping hot paths
-/// (--comm=sync|async). kSync keeps the historical fully-blocking
-/// structure; kAsync posts boundary exchanges early and computes interior
-/// work while they fly (mesh::multidomain, lfd band ring). Both modes are
-/// bit-identical in results and per-rank comm_bytes — only the measured
-/// wait/overlap seconds differ.
-enum class CommMode { kSync, kAsync };
-
-/// (name, value) table for Cli::choice — the accepted --comm spellings.
-inline constexpr std::pair<const char*, CommMode> kCommModeChoices[] = {
-    {"sync", CommMode::kSync},
-    {"async", CommMode::kAsync},
-};
-
-/// Parse a --comm value (kCommModeChoices spellings); throws
-/// std::invalid_argument on anything else. Used for the MLMD_COMM
-/// environment variable; command lines go through Cli::choice.
-CommMode parse_comm_mode(const std::string& name);
-const char* comm_mode_name(CommMode mode);
-
-/// Process-wide overlap mode consulted by the restructured consumers.
-/// Initialized from the MLMD_COMM environment variable on first use;
-/// async is the (tested) default. set_default_comm_mode (the --comm
-/// flag) overrides it.
-CommMode default_comm_mode();
-void set_default_comm_mode(CommMode mode);
-
 /// Process-wide transport progress timeout in SECONDS (DESIGN.md
 /// Sec. 15). When > 0, every blocking transport wait — barrier, exchange,
 /// recv, the shm park path, and CommHandle::wait (which runs the blocking
@@ -276,8 +258,8 @@ void set_default_comm_mode(CommMode mode);
 /// waitpid watchdog poisons the doorbell immediately); the timeout covers
 /// the live-but-wedged peer the watchdog cannot see. <= 0 (the default)
 /// preserves the historical block-forever behavior and costs nothing on
-/// the fast path. Initialized from MLMD_COMM_TIMEOUT_MS (milliseconds) on
-/// first use; set_progress_timeout (the --comm-timeout-ms flag) overrides
+/// the fast path. Initialized from the MLMD_COMM_TIMEOUT_MS environment
+/// variable (milliseconds) on first use; set_progress_timeout overrides
 /// it.
 double progress_timeout();
 void set_progress_timeout(double seconds);

@@ -889,7 +889,7 @@ private:
 
 } // namespace
 
-TrafficStats run_shm(int nranks, const std::function<void(Comm&)>& body) {
+RunStats run_shm(int nranks, const std::function<void(Comm&)>& body) {
   auto state = std::make_shared<ShmTransport>(nranks);
 
   // Flush before forking: buffered stdio would otherwise be duplicated
@@ -995,7 +995,7 @@ TrafficStats run_shm(int nranks, const std::function<void(Comm&)>& body) {
     }
     rethrow_tag(tag, what);
   }
-  return state->stats();
+  return state->run_stats();
 }
 
 } // namespace detail

@@ -347,8 +347,8 @@ void GroupState::reset_stats() {
 
 /// Threaded (in-process) run: the reference implementation the shm
 /// backend must be indistinguishable from.
-static TrafficStats run_inproc(int nranks,
-                               const std::function<void(Comm&)>& body) {
+static RunStats run_inproc(int nranks,
+                           const std::function<void(Comm&)>& body) {
   auto state = std::make_shared<detail::GroupState>(nranks);
 
   std::vector<std::thread> threads;
@@ -387,11 +387,11 @@ static TrafficStats run_inproc(int nranks,
   }
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
-  return state->stats();
+  return state->run_stats();
 }
 
-TrafficStats run(int nranks, TransportKind kind,
-                 const std::function<void(Comm&)>& body) {
+RunStats run(int nranks, TransportKind kind,
+             const std::function<void(Comm&)>& body) {
   switch (kind) {
     case TransportKind::kShm: return detail::run_shm(nranks, body);
     case TransportKind::kInproc: break;
@@ -399,7 +399,7 @@ TrafficStats run(int nranks, TransportKind kind,
   return run_inproc(nranks, body);
 }
 
-TrafficStats run(int nranks, const std::function<void(Comm&)>& body) {
+RunStats run(int nranks, const std::function<void(Comm&)>& body) {
   return run(nranks, default_transport(), body);
 }
 

@@ -147,6 +147,14 @@ void Transport::account_obs(const char* op, std::size_t bytes) {
   cell.bytes->add(bytes);
 }
 
+RunStats Transport::run_stats() const {
+  RunStats out;
+  static_cast<TrafficStats&>(out) = stats();
+  out.ranks.reserve(static_cast<std::size_t>(size()));
+  for (int r = 0; r < size(); ++r) out.ranks.push_back(rank_traffic(r));
+  return out;
+}
+
 void Transport::account_wait_obs(double seconds) {
   static auto& h = obs::Registry::global().histogram("simcomm.wait.seconds");
   h.observe(seconds);
@@ -183,36 +191,6 @@ TransportKind default_transport() { return default_transport_slot(); }
 void set_default_transport(TransportKind kind) {
   default_transport_slot() = kind;
 }
-
-CommMode parse_comm_mode(const std::string& name) {
-  for (const auto& [spelling, mode] : kCommModeChoices)
-    if (name == spelling) return mode;
-  throw std::invalid_argument("unknown comm mode '" + name +
-                              "' (expected sync|async)");
-}
-
-const char* comm_mode_name(CommMode mode) {
-  return mode == CommMode::kSync ? "sync" : "async";
-}
-
-namespace {
-
-CommMode env_default_comm_mode() {
-  if (const char* e = std::getenv("MLMD_COMM"); e && *e)
-    return parse_comm_mode(e);
-  return CommMode::kAsync;
-}
-
-CommMode& default_comm_mode_slot() {
-  static CommMode mode = env_default_comm_mode();
-  return mode;
-}
-
-} // namespace
-
-CommMode default_comm_mode() { return default_comm_mode_slot(); }
-
-void set_default_comm_mode(CommMode mode) { default_comm_mode_slot() = mode; }
 
 namespace {
 

@@ -130,11 +130,12 @@ TEST_P(BandSweep, DistributedNlpPropMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, BandSweep, ::testing::Values(1, 2, 3, 4));
 
-TEST(BandDecomp, AsyncRingBitIdenticalToSync) {
-  // --comm=async posts each ring round's slice transfer before the
-  // round's block GEMM (and ring_prefetch can post round 0 even earlier).
-  // Transfer order and payloads are unchanged, so the propagated slices
-  // must be bit-identical to the synchronous ring, not merely close.
+TEST(BandDecomp, PrefetchedRingBitIdenticalToUnprefetched) {
+  // ring_prefetch posts the round-0 slice transfer before the caller's
+  // stencil work, and distributed_nlp_prop adopts it as the ring's first
+  // round. Transfer order and payloads are the same as without the
+  // prefetch, so the propagated slices must be bit-identical, not merely
+  // close.
   const grid::Grid3 g{4, 4, 4, 0.6, 0.6, 0.6};
   const std::size_t norb = 6;
   constexpr int kRanks = 3;
@@ -147,26 +148,29 @@ TEST(BandDecomp, AsyncRingBitIdenticalToSync) {
   auto psi_t = wave.psi;
   const cd delta(0.0, -0.03);
 
-  auto run_mode = [&](par::CommMode mode) {
-    const par::CommMode saved = par::default_comm_mode();
-    par::set_default_comm_mode(mode);
+  auto run_ring = [&](bool prefetch) {
     std::vector<la::Matrix<cd>> out(kRanks);
     par::run(kRanks, [&](par::Comm& comm) {
       auto layout = BandLayout::split(comm, norb);
       auto my_psi = slice_cols(psi_t, layout.s0, layout.s1);
       auto my_psi0 = slice_cols(psi0, layout.s0, layout.s1);
-      auto pre = ring_prefetch(comm, my_psi0);
-      distributed_nlp_prop(comm, layout, g, my_psi, my_psi0, delta, &pre);
+      RingPrefetch pre;
+      if (prefetch) {
+        pre = ring_prefetch(comm, my_psi0);
+        EXPECT_TRUE(pre.active);
+      }
+      distributed_nlp_prop(comm, layout, g, my_psi, my_psi0, delta,
+                           prefetch ? &pre : nullptr);
+      EXPECT_FALSE(pre.active); // the ring consumed the prefetch
       out[static_cast<std::size_t>(comm.rank())] = std::move(my_psi);
     });
-    par::set_default_comm_mode(saved);
     return out;
   };
-  const auto sync = run_mode(par::CommMode::kSync);
-  const auto async = run_mode(par::CommMode::kAsync);
+  const auto plain = run_ring(false);
+  const auto prefetched = run_ring(true);
   for (int r = 0; r < kRanks; ++r) {
-    const auto& a = sync[static_cast<std::size_t>(r)];
-    const auto& b = async[static_cast<std::size_t>(r)];
+    const auto& a = plain[static_cast<std::size_t>(r)];
+    const auto& b = prefetched[static_cast<std::size_t>(r)];
     ASSERT_EQ(a.size(), b.size()) << "rank " << r;
     for (std::size_t i = 0; i < a.size(); ++i)
       EXPECT_EQ(a.data()[i], b.data()[i]) << "rank " << r << " elem " << i;

@@ -9,12 +9,12 @@
 #include <cstdio>
 
 #include "mlmd/common/flops.hpp"
+#include "mlmd/common/units.hpp"
 #include "mlmd/mesh/baseline.hpp"
 #include "mlmd/mesh/dcmesh.hpp"
 #include "mlmd/mesh/global_potential.hpp"
 #include "mlmd/mesh/multidomain.hpp"
 #include "mlmd/mesh/recorder.hpp"
-#include "mlmd/par/transport.hpp"
 
 namespace {
 
@@ -78,7 +78,8 @@ TEST(DcMesh, PulseExcitesMoreThanDark) {
 
 TEST(DcMesh, FixedVectorPotentialPath) {
   auto dom = make_domain();
-  auto stats = dom.md_step_with_a(0.3);
+  auto pending = dom.md_step_begin();
+  auto stats = dom.md_step_finish(pending, 0.3);
   EXPECT_GE(stats.n_exc, 0.0);
   auto j = dom.current(0.3);
   EXPECT_TRUE(std::isfinite(j[0]) && std::isfinite(j[1]) && std::isfinite(j[2]));
@@ -140,41 +141,69 @@ TEST(Multidomain, SingleRankWorks) {
   ASSERT_EQ(res.n_exc_per_domain.size(), 1u);
 }
 
-TEST(Multidomain, AsyncCommBitIdenticalToSync) {
-  // --comm=async posts the current allgather before the A-independent
-  // half of the MD step and splits the step around the wait; the op
-  // order, payloads, and arithmetic are unchanged, so every gathered
-  // observable — and the metered traffic — must be bit-identical to the
-  // synchronous loop, not merely close.
+TEST(Multidomain, OverlappedLoopBitIdenticalToSerialOracle) {
+  // run_parallel_mesh posts the current allgather before the A-independent
+  // half of each MD step and finishes the step after the Maxwell advance.
+  // The oracle steps the same domains and one Maxwell1D in a plain loop
+  // with no SimComm; every domain's n_exc must match bitwise. One macro
+  // cell per domain and 40 QD steps per MD step let the field launched at
+  // cell 2 reach the domains (cells 8-10) within three MD steps, so the
+  // domains see different A.
+  constexpr int kDomains = 3;
   ParallelMeshOptions opt;
-  opt.md_steps = 2;
+  opt.md_steps = 3;
   opt.grid_n = 8;
   opt.norb = 4;
   opt.nfilled = 2;
   opt.mesh = fast_options();
-  const par::CommMode saved = par::default_comm_mode();
-  par::set_default_comm_mode(par::CommMode::kSync);
-  auto s = run_parallel_mesh(3, opt);
-  par::set_default_comm_mode(par::CommMode::kAsync);
-  auto a = run_parallel_mesh(3, opt);
-  par::set_default_comm_mode(saved);
-  ASSERT_EQ(s.n_exc_per_domain.size(), a.n_exc_per_domain.size());
-  for (std::size_t i = 0; i < s.n_exc_per_domain.size(); ++i)
-    EXPECT_EQ(s.n_exc_per_domain[i], a.n_exc_per_domain[i]) << "domain " << i;
-  EXPECT_EQ(s.traffic.collective_bytes, a.traffic.collective_bytes);
-  ASSERT_EQ(s.rank_traffic.size(), a.rank_traffic.size());
-  for (std::size_t r = 0; r < s.rank_traffic.size(); ++r) {
-    unsigned long long sb = 0, ab = 0;
-    for (const auto& [op, st] : s.rank_traffic[r].ops) sb += st.bytes;
-    for (const auto& [op, st] : a.rank_traffic[r].ops) ab += st.bytes;
-    EXPECT_EQ(sb, ab) << "rank " << r;
+  opt.mesh.nqd_per_md = 40;
+  opt.maxwell_cells_per_domain = 1;
+  opt.pulse.e0 = 0.05;
+  const auto res = run_parallel_mesh(kDomains, opt);
+
+  // The geometry of run_parallel_mesh: 8 vacuum cells of 200 Bohr on each
+  // side, the source at cell 2, each domain at the centre of its span.
+  const std::size_t pad = 8;
+  const std::size_t ncells = 2 * pad + kDomains * opt.maxwell_cells_per_domain;
+  const double dx = 200.0;
+  const double dt_em = 0.5 * dx / units::c_light;
+  maxwell::Maxwell1D em(ncells, dx, dt_em);
+  em.set_source(2, opt.pulse);
+  const grid::Grid3 g{opt.grid_n, opt.grid_n, opt.grid_n, 0.7, 0.7, 0.7};
+  const std::vector<lfd::Ion> ions = {
+      {0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.0, 1.6, 2.0}};
+  std::vector<DcMeshDomain> doms;
+  std::vector<std::size_t> cells;
+  for (std::size_t d = 0; d < kDomains; ++d) {
+    doms.emplace_back(g, opt.norb, opt.nfilled, ions, opt.mesh);
+    cells.push_back(pad + d * opt.maxwell_cells_per_domain +
+                    opt.maxwell_cells_per_domain / 2);
   }
-  // The async loop really went through the nonblocking path.
-  for (const auto& rt : a.rank_traffic) {
+  const int em_substeps =
+      std::max(1, static_cast<int>(doms[0].md_dt() / dt_em));
+  const auto axis = static_cast<std::size_t>(opt.mesh.polarization_axis);
+  std::vector<double> j_cells(ncells, 0.0);
+  for (int step = 0; step < opt.md_steps; ++step) {
+    for (std::size_t d = 0; d < kDomains; ++d)
+      j_cells[cells[d]] = doms[d].current(em.a_at(cells[d]))[axis];
+    std::vector<PendingStep> pending;
+    for (auto& dom : doms) pending.push_back(dom.md_step_begin());
+    for (int s = 0; s < em_substeps; ++s) em.step(j_cells);
+    for (std::size_t d = 0; d < kDomains; ++d)
+      doms[d].md_step_finish(pending[d], em.a_at(cells[d]));
+  }
+
+  ASSERT_EQ(res.n_exc_per_domain.size(), doms.size());
+  for (std::size_t d = 0; d < kDomains; ++d)
+    EXPECT_EQ(res.n_exc_per_domain[d], doms[d].lfd().n_exc()) << "domain " << d;
+  // The coupling is live: the domains did not all see the same field.
+  EXPECT_NE(res.n_exc_per_domain[0], res.n_exc_per_domain[1]);
+  // Every rank went through the nonblocking allgather and completed it.
+  ASSERT_EQ(res.rank_traffic.size(), doms.size());
+  for (const auto& rt : res.rank_traffic) {
     EXPECT_GT(rt.handles_posted, 0u);
     EXPECT_EQ(rt.handles_posted, rt.handles_completed);
   }
-  for (const auto& rt : s.rank_traffic) EXPECT_EQ(rt.handles_posted, 0u);
 }
 
 TEST(Multidomain, DeterministicAcrossRuns) {

@@ -36,7 +36,7 @@ namespace ft = mlmd::ft;
 class TransportConformance : public ::testing::TestWithParam<TransportKind> {
 protected:
   TransportKind kind() const { return GetParam(); }
-  TrafficStats run_k(int nranks, const std::function<void(Comm&)>& body) {
+  RunStats run_k(int nranks, const std::function<void(Comm&)>& body) {
     return run(nranks, kind(), body);
   }
 };
@@ -220,7 +220,7 @@ TEST_P(TransportConformance, AbortPoisonsBlockedPeers) {
 }
 
 TEST_P(TransportConformance, TrafficStatsCountEveryOp) {
-  const TrafficStats st = run_k(2, [](Comm& c) {
+  const RunStats st = run_k(2, [](Comm& c) {
     c.barrier();
     auto a = c.allgather(1.0);
     if (c.rank() == 0) {
@@ -238,9 +238,17 @@ TEST_P(TransportConformance, TrafficStatsCountEveryOp) {
   // exchange, so it never counts as a collective op).
   EXPECT_EQ(st.collective_ops, 2u);
   EXPECT_EQ(st.collective_bytes, 16u); // two 8-byte allgather contributions
+  // run() also returns every rank's own account, read after the join.
+  ASSERT_EQ(st.ranks.size(), 2u);
+  for (int r = 0; r < 2; ++r) {
+    const auto& ops = st.ranks[static_cast<std::size_t>(r)].ops;
+    EXPECT_EQ(ops.at("barrier").calls, 1u) << "rank " << r;
+    EXPECT_EQ(ops.at("allgatherv").bytes, 8u) << "rank " << r;
+    EXPECT_EQ(ops.at(r == 0 ? "send" : "recv").bytes, 16u) << "rank " << r;
+  }
 }
 
-// --- nonblocking (--comm=async) conformance --------------------------------
+// --- nonblocking conformance -----------------------------------------------
 
 TEST_P(TransportConformance, NonblockingCompletesOutOfPostingOrder) {
   int failures = 0;
@@ -532,14 +540,6 @@ TEST(TransportSelect, ParseAcceptsAliasesAndRejectsGarbage) {
   EXPECT_THROW(parse_transport("mpi"), std::invalid_argument);
   EXPECT_STREQ(transport_name(TransportKind::kInproc), "inproc");
   EXPECT_STREQ(transport_name(TransportKind::kShm), "shm");
-}
-
-TEST(TransportSelect, CommModeParseAcceptsNamesAndRejectsGarbage) {
-  EXPECT_EQ(parse_comm_mode("sync"), CommMode::kSync);
-  EXPECT_EQ(parse_comm_mode("async"), CommMode::kAsync);
-  EXPECT_THROW(parse_comm_mode("lazy"), std::invalid_argument);
-  EXPECT_STREQ(comm_mode_name(CommMode::kSync), "sync");
-  EXPECT_STREQ(comm_mode_name(CommMode::kAsync), "async");
 }
 
 } // namespace
