@@ -11,7 +11,7 @@
 // processes and shared memory (DESIGN.md Sec. 11), which makes the
 // mini-run's communication points *measured* rather than modeled.
 //
-// --json=<path> emits benchjson schema v2 with one record per SimComm
+// --json=<path> emits benchjson schema v3 with one record per SimComm
 // rank of the mini-run (comm_bytes = that rank's exact contributed
 // bytes); the per-rank records must be identical between --transport
 // values for the same configuration (trace_check --compare-comm).
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   const auto recs = benchjson::rank_records("dcmesh_mini", res.wall_seconds,
                                            res.rank_traffic);
   if (!json_path.empty()) {
-    if (!benchjson::write(json_path, recs, nullptr, transport)) {
+    if (!benchjson::write(json_path, recs, transport)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   const auto recs =
       benchjson::rank_records("nnqmd_halo", wall_seconds, traffic.ranks);
   if (!json_path.empty()) {
-    if (!benchjson::write(json_path, recs, nullptr, transport)) {
+    if (!benchjson::write(json_path, recs, transport)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }

@@ -1,9 +1,10 @@
 #pragma once
 // Minimal perf-record emitter shared by the Table benches (--json=<path>).
 //
-// Schema v2 (see DESIGN.md Sec. 9): a top-level object
+// Schema v3 (see DESIGN.md Sec. 9): a top-level object
 //
-//   {"schema_version": 2, "records": [ {...}, ... ]}
+//   {"schema_version": 3, "machine": {...}, ["transport": "...",]
+//    "records": [ {...}, ... ], "registry": {...}}
 //
 // with one record per measured kernel carrying
 //   kernel       measured kernel/model name
@@ -28,54 +29,21 @@
 // volume, the wait seconds its latency/bandwidth term, and the overlap
 // seconds the fraction of it hidden by interior compute.
 //
-// When the measurement ran over a SimComm transport the object carries
-// an optional top-level "transport" string ("inproc" or "shm", DESIGN.md
-// Sec. 11) identifying the backend, so scaling points measured over real
-// process boundaries are distinguishable from threaded ones.
-//
-// Every file additionally carries an optional "machine" block
-//
-//   "machine": {"simd": "<scalar|avx2|avx512>", "cpu_flags": ["avx2", ...]}
-//
-// recording the resolved mlmd::simd dispatch target (DESIGN.md Sec. 12)
+// "machine": {"simd": "<scalar|avx2|avx512>", "cpu_flags": ["avx2", ...]}
+// records the resolved mlmd::simd dispatch target (DESIGN.md Sec. 12)
 // and the cpuid feature flags of the measuring host, so a recorded number
 // can always be traced back to the micro-kernel ISA that produced it.
 //
-// When the measured run exercised the fault-tolerance layer (DESIGN.md
-// Sec. 10) the object additionally carries an optional "ft" block
+// When the measurement ran over a SimComm transport the object carries
+// a "transport" string ("inproc" or "shm", DESIGN.md Sec. 11) identifying
+// the backend, so scaling points measured over real process boundaries
+// are distinguishable from threaded ones.
 //
-//   "ft": {"faults_injected": N, "faults_detected": N,
-//          "faults_recovered": N, "checkpoint_writes": N,
-//          "checkpoint_bytes": N, "checkpoint_seconds": S}
-//
-// sourced from the mlmd::obs registry; it is omitted entirely on
-// zero-fault runs so existing schema-v2 consumers are unaffected.
-//
-// Serving-load measurements (bench_serve_load, DESIGN.md Sec. 14) add an
-// optional "serve" block
-//
-//   "serve": {"mode": "closed", "tenants": N, "sessions": N,
-//             "offered_rps": R, "sustained_rps": R,
-//             "sustained_rps_batch1": R, "batch_speedup": X,
-//             "latency_p50_s": S, "latency_p95_s": S, "latency_p99_s": S,
-//             "batch_occupancy_mean": X, "completed": N, "rejected": N}
-//
-// recording offered vs. sustained scenario throughput, client-observed
-// latency percentiles, and the cross-request batching speedup (sustained
-// throughput vs. the same load served with batch size 1). Omitted unless
-// the bench actually served traffic.
-//
-// Runs that exercised the liveness layer (DESIGN.md Sec. 15) add an
-// optional "liveness" block
-//
-//   "liveness": {"deadline_hits": N, "sheds": N, "stall_detections": N,
-//                "drained": N, "drain_seconds": S}
-//
-// sourced from the serve.deadline.hits / serve.shed /
-// simcomm.stalls.detected / serve.drained / serve.drain.seconds
-// instruments; omitted entirely when no deadline fired, nothing was
-// shed, no stall was detected and no drain ran, so plain-throughput
-// files are byte-stable against pre-liveness consumers.
+// "registry" is obs::Registry::report_json(): every counter, gauge and
+// histogram of the process (ft.*, serve.*, simcomm.*, ...), histograms
+// with their p50/p95/p99. trace_check checks how those instruments relate
+// (its invariant table), so a bench publishes a number by updating an
+// instrument, not by adding a field here.
 
 #include <cstdio>
 #include <string>
@@ -87,7 +55,7 @@
 
 namespace mlmd::benchjson {
 
-inline constexpr int kSchemaVersion = 2;
+inline constexpr int kSchemaVersion = 3;
 
 struct Record {
   std::string kernel;
@@ -100,54 +68,6 @@ struct Record {
   unsigned long long handles_posted = 0;
   unsigned long long handles_completed = 0;
   unsigned long long span_count = 0;
-};
-
-/// Fault-tolerance totals for the optional "ft" block.
-struct FtStats {
-  unsigned long long faults_injected = 0;
-  unsigned long long faults_detected = 0;
-  unsigned long long faults_recovered = 0;
-  unsigned long long checkpoint_writes = 0;
-  unsigned long long checkpoint_bytes = 0;
-  double checkpoint_seconds = 0.0;
-
-  bool any() const {
-    return faults_injected || faults_detected || faults_recovered ||
-           checkpoint_writes || checkpoint_bytes || checkpoint_seconds > 0.0;
-  }
-};
-
-/// Serving-load totals for the optional "serve" block.
-struct ServeStats {
-  std::string mode = "closed"; ///< "closed" | "open"
-  unsigned long long tenants = 0;
-  unsigned long long sessions = 0;
-  double offered_rps = 0.0;
-  double sustained_rps = 0.0;
-  double sustained_rps_batch1 = 0.0;
-  double batch_speedup = 0.0;
-  double latency_p50_s = 0.0;
-  double latency_p95_s = 0.0;
-  double latency_p99_s = 0.0;
-  double batch_occupancy_mean = 0.0;
-  unsigned long long completed = 0;
-  unsigned long long rejected = 0;
-
-  bool any() const { return sessions != 0; }
-};
-
-/// Liveness totals for the optional "liveness" block (DESIGN.md Sec. 15).
-struct LivenessStats {
-  unsigned long long deadline_hits = 0;
-  unsigned long long sheds = 0;
-  unsigned long long stall_detections = 0;
-  unsigned long long drained = 0;
-  double drain_seconds = 0.0;
-
-  bool any() const {
-    return deadline_hits || sheds || stall_detections || drained ||
-           drain_seconds > 0.0;
-  }
 };
 
 /// One record per SimComm rank of a measured mini-run, named
@@ -183,39 +103,8 @@ inline std::vector<Record> rank_records(
   return recs;
 }
 
-/// Snapshot the process-global ft.* instruments. counter()/histogram()
-/// get-or-register, so this is safe even when the ft layer never ran.
-inline FtStats ft_stats_from_registry() {
-  auto& reg = obs::Registry::global();
-  FtStats s;
-  s.faults_injected = reg.counter("ft.faults.injected").value();
-  s.faults_detected = reg.counter("ft.faults.detected").value();
-  s.faults_recovered = reg.counter("ft.faults.recovered").value();
-  s.checkpoint_writes = reg.counter("ft.checkpoint.writes").value();
-  s.checkpoint_bytes = reg.counter("ft.checkpoint.bytes").value();
-  s.checkpoint_seconds = reg.histogram("ft.checkpoint.seconds").sum();
-  return s;
-}
-
-/// Snapshot the process-global liveness instruments (DESIGN.md Sec. 15).
-/// Like ft_stats_from_registry, get-or-register makes this safe when the
-/// serve/transport liveness machinery never fired.
-inline LivenessStats liveness_stats_from_registry() {
-  auto& reg = obs::Registry::global();
-  LivenessStats s;
-  s.deadline_hits = reg.counter("serve.deadline.hits").value();
-  s.sheds = reg.counter("serve.shed").value();
-  s.stall_detections = reg.counter("simcomm.stalls.detected").value();
-  s.drained = reg.counter("serve.drained").value();
-  s.drain_seconds = reg.histogram("serve.drain.seconds").sum();
-  return s;
-}
-
 inline bool write(const std::string& path, const std::vector<Record>& recs,
-                  const FtStats* ft = nullptr,
-                  const std::string& transport = "",
-                  const ServeStats* serve = nullptr,
-                  const LivenessStats* liveness = nullptr) {
+                  const std::string& transport = "") {
   std::FILE* fp = std::fopen(path.c_str(), "w");
   if (!fp) return false;
   std::fprintf(fp, "{\"schema_version\": %d, ", kSchemaVersion);
@@ -240,43 +129,8 @@ inline bool write(const std::string& path, const std::vector<Record>& recs,
         r.comm_seconds, r.comm_overlap_seconds, r.handles_posted,
         r.handles_completed, r.span_count, i + 1 < recs.size() ? "," : "");
   }
-  std::fprintf(fp, "]");
-  if (ft && ft->any()) {
-    std::fprintf(fp,
-                 ",\n\"ft\": {\"faults_injected\": %llu, "
-                 "\"faults_detected\": %llu, \"faults_recovered\": %llu, "
-                 "\"checkpoint_writes\": %llu, \"checkpoint_bytes\": %llu, "
-                 "\"checkpoint_seconds\": %.6g}",
-                 ft->faults_injected, ft->faults_detected, ft->faults_recovered,
-                 ft->checkpoint_writes, ft->checkpoint_bytes,
-                 ft->checkpoint_seconds);
-  }
-  if (serve && serve->any()) {
-    std::fprintf(
-        fp,
-        ",\n\"serve\": {\"mode\": \"%s\", \"tenants\": %llu, "
-        "\"sessions\": %llu, \"offered_rps\": %.6g, "
-        "\"sustained_rps\": %.6g, \"sustained_rps_batch1\": %.6g, "
-        "\"batch_speedup\": %.6g, \"latency_p50_s\": %.6g, "
-        "\"latency_p95_s\": %.6g, \"latency_p99_s\": %.6g, "
-        "\"batch_occupancy_mean\": %.6g, \"completed\": %llu, "
-        "\"rejected\": %llu}",
-        serve->mode.c_str(), serve->tenants, serve->sessions,
-        serve->offered_rps, serve->sustained_rps, serve->sustained_rps_batch1,
-        serve->batch_speedup, serve->latency_p50_s, serve->latency_p95_s,
-        serve->latency_p99_s, serve->batch_occupancy_mean, serve->completed,
-        serve->rejected);
-  }
-  if (liveness && liveness->any()) {
-    std::fprintf(fp,
-                 ",\n\"liveness\": {\"deadline_hits\": %llu, \"sheds\": %llu, "
-                 "\"stall_detections\": %llu, \"drained\": %llu, "
-                 "\"drain_seconds\": %.6g}",
-                 liveness->deadline_hits, liveness->sheds,
-                 liveness->stall_detections, liveness->drained,
-                 liveness->drain_seconds);
-  }
-  std::fprintf(fp, "}\n");
+  std::fprintf(fp, "],\n\"registry\": %s}\n",
+               obs::Registry::global().report_json().c_str());
   std::fclose(fp);
   return true;
 }

@@ -7,19 +7,23 @@
 // with the micro-batcher on, so the batching speedup on sustained
 // scenario throughput is a measured, regression-tested number.
 //
-// Open loop (--mode=open --rps=R): scenarios are offered at a fixed rate
-// regardless of completion; admission control sheds the excess
-// (rejected counts in the "serve" block show the backpressure working).
+// Open loop (--mode=open --rps=R): scenarios are offered at R per second
+// in total, whatever the completions; admission control sheds the excess
+// (serve.load.rejected and the serve.rejected.* counters show the
+// backpressure working).
 //
-// Emits benchjson schema v2 with the optional "serve" block
-// (offered/sustained throughput, p50/p95/p99 latency from the per-tenant
-// obs histogram lanes, batch occupancy); validated by trace_check.
+// --json=PATH emits benchjson schema v3, validated by trace_check. Its
+// registry section holds the measured (batched) phase's serve.*
+// instruments — latency p50/p95/p99 with per-tenant lanes, batch
+// occupancy, completions, deadline hits, sheds, drains — and the
+// serve.load.{tenants, sessions, offered_rps, sustained_rps,
+// sustained_rps_batch1, rejected} gauges this bench sets. The batching
+// speedup, a ratio of two of those gauges, is printed only.
 //
 // Liveness knobs (DESIGN.md Sec. 15): --deadline-ms stamps every offered
 // scenario with a per-request deadline and --shed-watermark-ms arms
-// p95-queue-wait load shedding; when either mechanism fires during the
-// measured (batched) phase the JSON gains the optional "liveness" block
-// (deadline hits, sheds, stall detections, drain totals).
+// p95-queue-wait load shedding; serve.deadline.hits, serve.shed and
+// simcomm.stalls.detected count what fired.
 //
 //   bench_serve_load [--tenants=4] [--per-tenant=3] [--lattice=16]
 //                    [--xs-steps=30] [--inflight=8] [--batch-max=8]
@@ -179,59 +183,48 @@ int main(int argc, char** argv) {
     const auto base = run_phase(shape, batch1, models, mode, rps);
 
     // Phase 2: micro-batcher on. run_phase resets the registry, so the
-    // liveness snapshot below describes exactly this measured phase.
+    // serve.* instruments describe exactly this measured phase.
     const auto batched = run_phase(shape, sopt, models, mode, rps);
 
-    const auto liveness = benchjson::liveness_stats_from_registry();
     auto& reg = obs::Registry::global();
+    const auto per_s = [](const PhaseResult& p) {
+      return p.elapsed_s > 0 ? static_cast<double>(p.completed) / p.elapsed_s
+                             : 0.0;
+    };
+    const double sustained = per_s(batched);
+    const double sustained_batch1 = per_s(base);
+    const double speedup =
+        sustained_batch1 > 0 ? sustained / sustained_batch1 : 0.0;
+    const std::pair<const char*, double> load[] = {
+        {"tenants", shape.tenants},
+        {"sessions", static_cast<double>(total)},
+        // The open-loop generator sleeps 1/rps after every submission, so
+        // it offers rps in total; a closed loop offers what it sustains.
+        {"offered_rps", mode == "open" ? rps : sustained},
+        {"sustained_rps", sustained},
+        {"sustained_rps_batch1", sustained_batch1},
+        {"rejected", static_cast<double>(batched.rejected)}};
+    for (const auto& [name, v] : load)
+      reg.gauge(std::string("serve.load.") + name).set(v);
+
     const auto& lat = reg.histogram("serve.latency_seconds");
-    const auto& occ = reg.histogram("serve.batch.occupancy");
-
-    benchjson::ServeStats serve_stats;
-    serve_stats.mode = mode;
-    serve_stats.tenants = static_cast<unsigned long long>(shape.tenants);
-    serve_stats.sessions = static_cast<unsigned long long>(total);
-    serve_stats.sustained_rps =
-        batched.elapsed_s > 0
-            ? static_cast<double>(batched.completed) / batched.elapsed_s
-            : 0.0;
-    serve_stats.sustained_rps_batch1 =
-        base.elapsed_s > 0
-            ? static_cast<double>(base.completed) / base.elapsed_s
-            : 0.0;
-    serve_stats.offered_rps =
-        mode == "open"
-            ? rps * shape.tenants
-            : serve_stats.sustained_rps; // closed loop: offered = sustained
-    serve_stats.batch_speedup =
-        serve_stats.sustained_rps_batch1 > 0
-            ? serve_stats.sustained_rps / serve_stats.sustained_rps_batch1
-            : 0.0;
-    serve_stats.latency_p50_s = lat.quantile(0.50);
-    serve_stats.latency_p95_s = lat.quantile(0.95);
-    serve_stats.latency_p99_s = lat.quantile(0.99);
-    serve_stats.batch_occupancy_mean = occ.mean();
-    serve_stats.completed = static_cast<unsigned long long>(batched.completed);
-    serve_stats.rejected = static_cast<unsigned long long>(batched.rejected);
-
+    const auto count = [&](const char* name) {
+      return static_cast<unsigned long long>(reg.counter(name).value());
+    };
     std::printf("%-22s %10s %12s %10s\n", "phase", "elapsed", "sustained",
                 "completed");
     std::printf("%-22s %9.3fs %9.3f/s %10ld\n", "closed.batch1",
-                base.elapsed_s, serve_stats.sustained_rps_batch1,
-                base.completed);
+                base.elapsed_s, sustained_batch1, base.completed);
     std::printf("%-22s %9.3fs %9.3f/s %10ld\n", "closed.batchN",
-                batched.elapsed_s, serve_stats.sustained_rps,
-                batched.completed);
-    std::printf("batch speedup: %.2fx (occupancy mean %.2f)\n",
-                serve_stats.batch_speedup, serve_stats.batch_occupancy_mean);
+                batched.elapsed_s, sustained, batched.completed);
+    std::printf("batch speedup: %.2fx (occupancy mean %.2f)\n", speedup,
+                reg.histogram("serve.batch.occupancy").mean());
     std::printf("latency p50/p95/p99: %.3f / %.3f / %.3f s\n",
-                serve_stats.latency_p50_s, serve_stats.latency_p95_s,
-                serve_stats.latency_p99_s);
-    if (liveness.any())
-      std::printf("liveness: %llu deadline hits, %llu sheds, %llu stalls "
-                  "detected, %llu drained\n",
-                  liveness.deadline_hits, liveness.sheds,
-                  liveness.stall_detections, liveness.drained);
+                lat.quantile(0.50), lat.quantile(0.95), lat.quantile(0.99));
+    std::printf("liveness: %llu deadline hits, %llu sheds, %llu stalls "
+                "detected, %llu drained\n",
+                count("serve.deadline.hits"), count("serve.shed"),
+                count("simcomm.stalls.detected"), count("serve.drained"));
 
     if (cli.has("json")) {
       std::vector<benchjson::Record> recs(2);
@@ -239,8 +232,7 @@ int main(int argc, char** argv) {
       recs[0].seconds = base.elapsed_s;
       recs[1].kernel = "serve." + mode + ".batchN";
       recs[1].seconds = batched.elapsed_s;
-      if (!benchjson::write(cli.str("json"), recs, nullptr, "", &serve_stats,
-                            &liveness)) {
+      if (!benchjson::write(cli.str("json"), recs)) {
         std::fprintf(stderr, "error: cannot write %s\n",
                      cli.str("json").c_str());
         return 1;

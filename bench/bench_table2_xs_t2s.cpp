@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   // Optional deterministic fault injection (DESIGN.md Sec. 10): same
   // SPEC syntax as mlmd_run; injections land in the forces hook above
-  // and in the emitted benchjson "ft" block.
+  // and in the ft.* instruments of the --json registry section.
   std::string fault_spec = cli.str("faults", "");
   if (fault_spec.empty())
     if (const char* env = std::getenv("MLMD_FAULTS")) fault_spec = env;
@@ -160,8 +160,7 @@ int main(int argc, char** argv) {
     const std::vector<benchjson::Record> recs{rec("table2_small_net", m_small),
                                               rec("table2_big_net", m_big)};
     const std::string path = cli.str("json");
-    const auto ft_stats = benchjson::ft_stats_from_registry();
-    if (!benchjson::write(path, recs, &ft_stats))
+    if (!benchjson::write(path, recs))
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
   }
 

@@ -7,20 +7,25 @@
 //   top-level ARRAY of complete events: every element an object with a
 //   string "name", "ph" == "X", numeric "ts"/"dur"/"pid"/"tid". That is
 //   exactly the shape chrome://tracing and Perfetto accept.
-// * A bench --json file (benchjson schema v2) must be an OBJECT with an
-//   integer "schema_version" and a "records" array whose elements carry
-//   kernel/gflops/bytes_alloc/seconds/comm_bytes/comm_seconds/
-//   comm_overlap_seconds/handles_posted/handles_completed/span_count.
-//   Per record, handles_completed must equal handles_posted (no leaked
-//   nonblocking CommHandles) and comm_overlap_seconds must be >= 0, and
-//   exactly 0 when handles_posted is 0.
-//   An optional "ft" object (fault-tolerance totals, DESIGN.md Sec. 10)
-//   must, when present, carry numeric faults_injected/faults_detected/
-//   faults_recovered/checkpoint_writes/checkpoint_bytes/
-//   checkpoint_seconds with detected >= recovered and non-negative
-//   values. An optional "liveness" object (DESIGN.md Sec. 15) must carry
-//   numeric deadline_hits/sheds/stall_detections/drained/drain_seconds,
-//   all non-negative, with drain_seconds > 0 implying drained > 0.
+// * A bench --json file (benchjson schema v3, bench/bench_json.hpp) must
+//   be an OBJECT with "schema_version" 3, a "records" array and a
+//   "registry" object (obs::Registry::report_json()).
+//   - Every record carries kernel/gflops/bytes_alloc/seconds/comm_bytes/
+//     comm_seconds/comm_overlap_seconds/handles_posted/handles_completed/
+//     span_count; handles_completed must equal handles_posted (no leaked
+//     nonblocking CommHandles) and comm_overlap_seconds must be >= 0, and
+//     exactly 0 when handles_posted is 0.
+//   - Every registry counter is a non-negative integer and every gauge a
+//     number. Every histogram has count and sum and, once it has samples,
+//     min <= p50 <= p95 <= p99 <= max; a quantile whose rank
+//     max(1, ceil(q * count)) is the last sample must equal max (a smaller
+//     value means bucket counts were lost on the way).
+//   - Every lane family "X.t<k>" sums to its base "X": counter values, or
+//     histogram counts.
+//   - The rows of kInvariants (below) hold.
+//   - In a transport-tagged file, which holds one record per rank of one
+//     mini-run, the records' handles_posted and comm_bytes sum to the
+//     registry's simcomm.handles.posted and simcomm.*.bytes.
 //
 // The file kind is detected from the top-level value. Exit 0 on a valid
 // file (a one-line summary is printed), 1 on any structural violation.
@@ -28,11 +33,16 @@
 // third-party dependency, which is the point: it proves the emitters
 // produce well-formed JSON without trusting the emitters' own printf.
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,26 +233,32 @@ const Value* field(const Value& obj, const char* key, Value::Kind kind) {
   return it->second.get();
 }
 
+// Prints "trace_check: <message>" to stderr; returns the failing exit code.
+[[gnu::format(printf, 1, 2)]] int fail(const char* fmt, ...) {
+  std::va_list ap;
+  va_start(ap, fmt);
+  std::fputs("trace_check: ", stderr);
+  std::vfprintf(stderr, fmt, ap);
+  std::fputc('\n', stderr);
+  va_end(ap);
+  return 1;
+}
+
 int check_trace(const Value& root) {
   double total_us = 0.0;
   for (std::size_t i = 0; i < root.arr.size(); ++i) {
     const Value& ev = *root.arr[i];
-    if (ev.kind != Value::Kind::kObject) {
-      std::fprintf(stderr, "trace_check: event %zu is not an object\n", i);
-      return 1;
-    }
+    if (ev.kind != Value::Kind::kObject)
+      return fail("event %zu is not an object", i);
     const Value* ph = field(ev, "ph", Value::Kind::kString);
     if (!field(ev, "name", Value::Kind::kString) || !ph || ph->str != "X" ||
         !field(ev, "ts", Value::Kind::kNumber) ||
         !field(ev, "dur", Value::Kind::kNumber) ||
         !field(ev, "pid", Value::Kind::kNumber) ||
-        !field(ev, "tid", Value::Kind::kNumber)) {
-      std::fprintf(stderr,
-                   "trace_check: event %zu lacks a complete-event shape "
-                   "(name/ph=X/ts/dur/pid/tid)\n",
-                   i);
-      return 1;
-    }
+        !field(ev, "tid", Value::Kind::kNumber))
+      return fail("event %zu lacks a complete-event shape "
+                  "(name/ph=X/ts/dur/pid/tid)",
+                  i);
     total_us += field(ev, "dur", Value::Kind::kNumber)->num;
   }
   std::printf("trace_check: OK, %zu complete events, %.3f ms total span time\n",
@@ -250,36 +266,148 @@ int check_trace(const Value& root) {
   return 0;
 }
 
+// How the registry's instruments relate. An operand is a counter or gauge
+// name, or "<histogram>:count" / "<histogram>:sum". A row whose operands
+// are both absent is skipped; a single absent operand reads 0.
+struct Invariant {
+  const char* lhs;
+  const char* rel; // "<=", "==", or "=>" (lhs > 0 implies rhs > 0)
+  const char* rhs;
+};
+constexpr Invariant kInvariants[] = {
+    {"ft.faults.recovered", "<=", "ft.faults.detected"}, // DESIGN.md Sec. 10
+    {"simcomm.handles.completed", "==", "simcomm.handles.posted"},
+    {"serve.completed", "<=", "serve.requests.accepted"},
+    {"serve.drain.seconds:sum", "=>", "serve.drained"},
+    {"serve.load.sustained_rps", "<=", "serve.load.offered_rps"},
+};
+
+std::optional<double> operand(const Value& reg, const std::string& name) {
+  const auto find = [&](const char* group,
+                        const std::string& key) -> const Value* {
+    const auto& m = field(reg, group, Value::Kind::kObject)->obj;
+    const auto it = m.find(key);
+    return it == m.end() ? nullptr : it->second.get();
+  };
+  const auto colon = name.find(':');
+  if (colon == std::string::npos) {
+    const Value* v = find("counters", name);
+    if (!v) v = find("gauges", name);
+    return v ? std::optional(v->num) : std::nullopt;
+  }
+  const Value* h = find("histograms", name.substr(0, colon));
+  if (!h) return std::nullopt;
+  return field(*h, name.substr(colon + 1).c_str(), Value::Kind::kNumber)->num;
+}
+
+bool is_count(const Value* v) {
+  return v && v->kind == Value::Kind::kNumber && v->num >= 0.0 &&
+         v->num == std::floor(v->num);
+}
+
+// "X.t<k>" -> "X", else empty.
+std::string lane_base(const std::string& name) {
+  const auto dot = name.rfind(".t");
+  if (dot == std::string::npos || dot + 2 == name.size()) return {};
+  for (std::size_t i = dot + 2; i < name.size(); ++i)
+    if (!std::isdigit(static_cast<unsigned char>(name[i]))) return {};
+  return name.substr(0, dot);
+}
+
+int check_histogram(const std::string& name, const Value& h) {
+  const Value* count = field(h, "count", Value::Kind::kNumber);
+  if (!is_count(count) || !field(h, "sum", Value::Kind::kNumber))
+    return fail("histogram %s lacks count/sum", name.c_str());
+  if (count->num == 0.0) return 0;
+  static const char* keys[] = {"min", "p50", "p95", "p99", "max"};
+  double v[5];
+  for (int i = 0; i < 5; ++i) {
+    const Value* x = field(h, keys[i], Value::Kind::kNumber);
+    if (!x) return fail("histogram %s lacks numeric %s", name.c_str(), keys[i]);
+    v[i] = x->num;
+  }
+  if (!std::is_sorted(v, v + 5))
+    return fail("histogram %s quantiles out of order (min %g, p50 %g, "
+                "p95 %g, p99 %g, max %g)",
+                name.c_str(), v[0], v[1], v[2], v[3], v[4]);
+  // Top-rank exactness: at the rank Histogram::quantile() computes for
+  // the last sample, it clamps the bucket edge to max.
+  const auto n = static_cast<std::uint64_t>(count->num);
+  const double qs[] = {0.50, 0.95, 0.99};
+  for (int j = 0; j < 3; ++j) {
+    const std::uint64_t rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(qs[j] * static_cast<double>(n))));
+    if (rank == n && v[1 + j] != v[4])
+      return fail("histogram %s %s %g is below max %g at the top rank "
+                  "(count %llu): bucket counts were lost",
+                  name.c_str(), keys[1 + j], v[1 + j], v[4],
+                  static_cast<unsigned long long>(n));
+  }
+  return 0;
+}
+
+int check_registry(const Value& reg) {
+  const Value* counters = field(reg, "counters", Value::Kind::kObject);
+  const Value* gauges = field(reg, "gauges", Value::Kind::kObject);
+  const Value* hists = field(reg, "histograms", Value::Kind::kObject);
+  if (!counters || !gauges || !hists)
+    return fail("registry lacks counters/gauges/histograms objects");
+  std::map<std::string, double> lanes; // base operand -> summed lanes
+  for (const auto& [name, v] : counters->obj) {
+    if (!is_count(v.get()))
+      return fail("counter %s is not a non-negative integer", name.c_str());
+    if (const auto base = lane_base(name); !base.empty()) lanes[base] += v->num;
+  }
+  for (const auto& [name, v] : gauges->obj)
+    if (v->kind != Value::Kind::kNumber)
+      return fail("gauge %s is not a number", name.c_str());
+  for (const auto& [name, v] : hists->obj) {
+    if (check_histogram(name, *v) != 0) return 1;
+    if (const auto base = lane_base(name); !base.empty())
+      lanes[base + ":count"] += field(*v, "count", Value::Kind::kNumber)->num;
+  }
+  for (const auto& [base, sum] : lanes)
+    if (sum != operand(reg, base).value_or(0.0))
+      return fail("lanes of %s sum to %g, the base reads %g", base.c_str(),
+                  sum, operand(reg, base).value_or(0.0));
+  for (const Invariant& row : kInvariants) {
+    const auto lhs = operand(reg, row.lhs);
+    const auto rhs = operand(reg, row.rhs);
+    if (!lhs && !rhs) continue;
+    const double l = lhs.value_or(0.0), r = rhs.value_or(0.0);
+    const std::string rel = row.rel;
+    const bool ok = rel == "<=" ? l <= r
+                    : rel == "==" ? l == r
+                                  : !(l > 0.0) || r > 0.0;
+    if (!ok)
+      return fail("invariant %s %s %s fails (%g vs %g)", row.lhs, row.rel,
+                  row.rhs, l, r);
+  }
+  return 0;
+}
+
 int check_bench(const Value& root) {
   const Value* ver = field(root, "schema_version", Value::Kind::kNumber);
   const Value* recs = field(root, "records", Value::Kind::kArray);
-  if (!ver || !recs) {
-    std::fprintf(stderr,
-                 "trace_check: bench JSON lacks schema_version/records\n");
-    return 1;
-  }
-  static const char* num_keys[] = {"gflops",
-                                   "bytes_alloc",
-                                   "seconds",
-                                   "comm_bytes",
-                                   "comm_seconds",
-                                   "comm_overlap_seconds",
-                                   "handles_posted",
-                                   "handles_completed",
-                                   "span_count"};
+  const Value* reg = field(root, "registry", Value::Kind::kObject);
+  if (!ver || !recs) return fail("bench JSON lacks schema_version/records");
+  if (ver->num != 3)
+    return fail("bench schema_version %g, expected 3", ver->num);
+  if (!reg) return fail("bench JSON lacks a registry object");
+  static const char* num_keys[] = {
+      "gflops",         "bytes_alloc",       "seconds",
+      "comm_bytes",     "comm_seconds",      "comm_overlap_seconds",
+      "handles_posted", "handles_completed", "span_count"};
+  double posted_sum = 0.0, bytes_sum = 0.0;
   for (std::size_t i = 0; i < recs->arr.size(); ++i) {
     const Value& r = *recs->arr[i];
     if (r.kind != Value::Kind::kObject ||
-        !field(r, "kernel", Value::Kind::kString)) {
-      std::fprintf(stderr, "trace_check: record %zu lacks kernel name\n", i);
-      return 1;
-    }
+        !field(r, "kernel", Value::Kind::kString))
+      return fail("record %zu lacks kernel name", i);
     for (const char* k : num_keys)
-      if (!field(r, k, Value::Kind::kNumber)) {
-        std::fprintf(stderr, "trace_check: record %zu lacks numeric %s\n", i,
-                     k);
-        return 1;
-      }
+      if (!field(r, k, Value::Kind::kNumber))
+        return fail("record %zu lacks numeric %s", i, k);
     // Handle-leak invariant: every nonblocking handle a rank posted must
     // have been completed by the time the record was sampled (a dropped
     // CommHandle silently discards its payload), and the overlap account
@@ -288,32 +416,22 @@ int check_bench(const Value& root) {
                                 Value::Kind::kNumber)->num;
     const double completed = field(r, "handles_completed",
                                    Value::Kind::kNumber)->num;
-    if (posted != completed) {
-      std::fprintf(stderr,
-                   "trace_check: record %zu leaks comm handles: %g posted, "
-                   "%g completed\n",
-                   i, posted, completed);
-      return 1;
-    }
+    if (posted != completed)
+      return fail("record %zu leaks comm handles: %g posted, %g completed", i,
+                  posted, completed);
     const double overlap =
         field(r, "comm_overlap_seconds", Value::Kind::kNumber)->num;
-    if (overlap < 0.0) {
-      std::fprintf(stderr,
-                   "trace_check: record %zu has negative "
-                   "comm_overlap_seconds\n",
-                   i);
-      return 1;
-    }
+    if (overlap < 0.0)
+      return fail("record %zu has negative comm_overlap_seconds", i);
     // Overlap is time spent computing while a nonblocking handle was in
     // flight, so a record that posted none has none; a nonzero value there
     // means the emitter filled the wrong field.
-    if (posted == 0.0 && overlap != 0.0) {
-      std::fprintf(stderr,
-                   "trace_check: record %zu reports %g s comm_overlap_seconds "
-                   "with no handles posted\n",
-                   i, overlap);
-      return 1;
-    }
+    if (posted == 0.0 && overlap != 0.0)
+      return fail("record %zu reports %g s comm_overlap_seconds with no "
+                  "handles posted",
+                  i, overlap);
+    posted_sum += posted;
+    bytes_sum += field(r, "comm_bytes", Value::Kind::kNumber)->num;
   }
 
   // Optional machine block (DESIGN.md Sec. 12): when present it must name
@@ -323,30 +441,15 @@ int check_bench(const Value& root) {
   std::string simd_target;
   if (root.obj.count("machine")) {
     const Value* m = field(root, "machine", Value::Kind::kObject);
-    if (!m) {
-      std::fprintf(stderr, "trace_check: \"machine\" is not an object\n");
-      return 1;
-    }
+    if (!m) return fail("\"machine\" is not an object");
     const Value* s = field(*m, "simd", Value::Kind::kString);
-    if (!s || (s->str != "scalar" && s->str != "avx2" && s->str != "avx512")) {
-      std::fprintf(stderr,
-                   "trace_check: machine.simd must be \"scalar\", \"avx2\" "
-                   "or \"avx512\"\n");
-      return 1;
-    }
+    if (!s || (s->str != "scalar" && s->str != "avx2" && s->str != "avx512"))
+      return fail("machine.simd must be \"scalar\", \"avx2\" or \"avx512\"");
     const Value* fl = field(*m, "cpu_flags", Value::Kind::kArray);
-    if (!fl) {
-      std::fprintf(stderr,
-                   "trace_check: machine block lacks cpu_flags array\n");
-      return 1;
-    }
+    if (!fl) return fail("machine block lacks cpu_flags array");
     for (std::size_t i = 0; i < fl->arr.size(); ++i)
-      if (fl->arr[i]->kind != Value::Kind::kString) {
-        std::fprintf(stderr,
-                     "trace_check: machine.cpu_flags[%zu] is not a string\n",
-                     i);
-        return 1;
-      }
+      if (fl->arr[i]->kind != Value::Kind::kString)
+        return fail("machine.cpu_flags[%zu] is not a string", i);
     simd_target = s->str;
   }
 
@@ -356,157 +459,39 @@ int check_bench(const Value& root) {
   std::string transport;
   if (root.obj.count("transport")) {
     const Value* t = field(root, "transport", Value::Kind::kString);
-    if (!t || (t->str != "inproc" && t->str != "shm")) {
-      std::fprintf(stderr,
-                   "trace_check: \"transport\" must be \"inproc\" or "
-                   "\"shm\"\n");
-      return 1;
-    }
+    if (!t || (t->str != "inproc" && t->str != "shm"))
+      return fail("\"transport\" must be \"inproc\" or \"shm\"");
     transport = t->str;
   }
 
-  // Optional fault-tolerance block: validated only when the emitter
-  // decided the run exercised the ft layer.
-  bool have_ft = false;
-  if (root.obj.count("ft")) {
-    const Value* ft = field(root, "ft", Value::Kind::kObject);
-    if (!ft) {
-      std::fprintf(stderr, "trace_check: \"ft\" is not an object\n");
-      return 1;
-    }
-    static const char* ft_keys[] = {"faults_injected",   "faults_detected",
-                                    "faults_recovered",  "checkpoint_writes",
-                                    "checkpoint_bytes",  "checkpoint_seconds"};
-    for (const char* k : ft_keys) {
-      const Value* v = field(*ft, k, Value::Kind::kNumber);
-      if (!v) {
-        std::fprintf(stderr, "trace_check: ft block lacks numeric %s\n", k);
-        return 1;
-      }
-      if (v->num < 0.0) {
-        std::fprintf(stderr, "trace_check: ft.%s is negative\n", k);
-        return 1;
-      }
-    }
-    const double detected = field(*ft, "faults_detected",
-                                  Value::Kind::kNumber)->num;
-    const double recovered = field(*ft, "faults_recovered",
-                                   Value::Kind::kNumber)->num;
-    if (recovered > detected) {
-      std::fprintf(stderr,
-                   "trace_check: ft.faults_recovered (%g) exceeds "
-                   "ft.faults_detected (%g)\n",
-                   recovered, detected);
-      return 1;
-    }
-    have_ft = true;
+  if (check_registry(*reg) != 0) return 1;
+
+  // Records vs registry: a transport-tagged file holds one record per rank
+  // of one mini-run, so the records account for every SimComm byte and
+  // handle the registry counted.
+  if (!transport.empty()) {
+    double reg_bytes = 0.0;
+    for (const auto& [name, v] :
+         field(*reg, "counters", Value::Kind::kObject)->obj)
+      if (name.rfind("simcomm.", 0) == 0 && name.size() > 6 &&
+          name.compare(name.size() - 6, 6, ".bytes") == 0)
+        reg_bytes += v->num;
+    const double reg_posted =
+        operand(*reg, "simcomm.handles.posted").value_or(0.0);
+    if (posted_sum != reg_posted || bytes_sum != reg_bytes)
+      return fail("records sum to %g handles_posted and %g comm_bytes, the "
+                  "registry to %g simcomm.handles.posted and %g "
+                  "simcomm.*.bytes",
+                  posted_sum, bytes_sum, reg_posted, reg_bytes);
   }
 
-  // Optional serving-load block (DESIGN.md Sec. 14): numeric throughput /
-  // latency / occupancy fields, a known mode tag, and ordered latency
-  // percentiles (p50 <= p95 <= p99 — a broken quantile estimator or a
-  // mislabeled lane fails loudly here).
-  bool have_serve = false;
-  if (root.obj.count("serve")) {
-    const Value* sv = field(root, "serve", Value::Kind::kObject);
-    if (!sv) {
-      std::fprintf(stderr, "trace_check: \"serve\" is not an object\n");
-      return 1;
-    }
-    const Value* mode = field(*sv, "mode", Value::Kind::kString);
-    if (!mode || (mode->str != "closed" && mode->str != "open")) {
-      std::fprintf(stderr,
-                   "trace_check: serve.mode must be \"closed\" or \"open\"\n");
-      return 1;
-    }
-    static const char* serve_keys[] = {
-        "tenants",        "sessions",     "offered_rps",
-        "sustained_rps",  "sustained_rps_batch1",
-        "batch_speedup",  "latency_p50_s", "latency_p95_s",
-        "latency_p99_s",  "batch_occupancy_mean",
-        "completed",      "rejected"};
-    for (const char* k : serve_keys) {
-      const Value* v = field(*sv, k, Value::Kind::kNumber);
-      if (!v) {
-        std::fprintf(stderr, "trace_check: serve block lacks numeric %s\n", k);
-        return 1;
-      }
-      if (v->num < 0.0) {
-        std::fprintf(stderr, "trace_check: serve.%s is negative\n", k);
-        return 1;
-      }
-    }
-    const double p50 = field(*sv, "latency_p50_s", Value::Kind::kNumber)->num;
-    const double p95 = field(*sv, "latency_p95_s", Value::Kind::kNumber)->num;
-    const double p99 = field(*sv, "latency_p99_s", Value::Kind::kNumber)->num;
-    if (p50 > p95 || p95 > p99) {
-      std::fprintf(stderr,
-                   "trace_check: serve latency percentiles out of order "
-                   "(p50 %g, p95 %g, p99 %g)\n",
-                   p50, p95, p99);
-      return 1;
-    }
-    const double sessions = field(*sv, "sessions", Value::Kind::kNumber)->num;
-    const double completed = field(*sv, "completed",
-                                   Value::Kind::kNumber)->num;
-    if (completed > sessions) {
-      std::fprintf(stderr,
-                   "trace_check: serve.completed (%g) exceeds "
-                   "serve.sessions (%g)\n",
-                   completed, sessions);
-      return 1;
-    }
-    have_serve = true;
-  }
-
-  // Optional liveness block (DESIGN.md Sec. 15): deadline hits, sheds,
-  // stall detections and drain totals must all be numeric and
-  // non-negative; emitters omit the block entirely on fully-live runs.
-  bool have_liveness = false;
-  if (root.obj.count("liveness")) {
-    const Value* lv = field(root, "liveness", Value::Kind::kObject);
-    if (!lv) {
-      std::fprintf(stderr, "trace_check: \"liveness\" is not an object\n");
-      return 1;
-    }
-    static const char* lv_keys[] = {"deadline_hits", "sheds",
-                                    "stall_detections", "drained",
-                                    "drain_seconds"};
-    for (const char* k : lv_keys) {
-      const Value* v = field(*lv, k, Value::Kind::kNumber);
-      if (!v) {
-        std::fprintf(stderr, "trace_check: liveness block lacks numeric %s\n",
-                     k);
-        return 1;
-      }
-      if (v->num < 0.0) {
-        std::fprintf(stderr, "trace_check: liveness.%s is negative\n", k);
-        return 1;
-      }
-    }
-    // A drain that took time must have drained at least one session —
-    // nonzero drain_seconds with drained == 0 means a mislabeled lane.
-    const double drained = field(*lv, "drained", Value::Kind::kNumber)->num;
-    const double drain_s = field(*lv, "drain_seconds",
-                                 Value::Kind::kNumber)->num;
-    if (drain_s > 0.0 && drained == 0.0) {
-      std::fprintf(stderr,
-                   "trace_check: liveness.drain_seconds (%g) nonzero with "
-                   "zero drained sessions\n",
-                   drain_s);
-      return 1;
-    }
-    have_liveness = true;
-  }
-
-  std::printf(
-      "trace_check: OK, bench schema v%d, %zu records%s%s%s%s%s%s%s\n",
-      static_cast<int>(ver->num), recs->arr.size(),
-      simd_target.empty() ? "" : ", simd ", simd_target.c_str(),
-      transport.empty() ? "" : ", transport ", transport.c_str(),
-      have_ft ? ", ft block present" : "",
-      have_serve ? ", serve block present" : "",
-      have_liveness ? ", liveness block present" : "");
+  std::size_t instruments = 0;
+  for (const auto& [kind, group] : reg->obj) instruments += group->obj.size();
+  std::printf("trace_check: OK, bench schema v3, %zu records, %zu "
+              "instruments%s%s%s%s\n",
+              recs->arr.size(), instruments,
+              simd_target.empty() ? "" : ", simd ", simd_target.c_str(),
+              transport.empty() ? "" : ", transport ", transport.c_str());
   return 0;
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 // mlmd::obs metrics registry (DESIGN.md Sec. 9): named counters, gauges
-// and histograms with per-rank / per-thread aggregation, always on.
+// and histograms, always on.
 //
 // Instruments are registered once by name in the process-global Registry
 // (mutex-protected map; registration is the only locking path) and the
@@ -11,18 +11,15 @@
 //   c.add(n);
 //
 // and pay one relaxed atomic RMW per update — safe from any thread,
-// including ThreadPool workers and SimComm rank threads.
-//
-// Per-rank aggregation: counter(name, rank) registers "name.r<rank>"
-// lanes; merged reporting sums lanes back into the base name. Per-thread
-// aggregation is the instruments' atomics themselves (threads share one
-// cell; the tracer, not the registry, carries per-thread attribution).
+// including ThreadPool workers and SimComm rank threads. Threads share one
+// cell; the tracer, not the registry, carries per-thread attribution.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,17 +80,21 @@ public:
   /// of the bucket holding the q-th ranked sample, clamped to the observed
   /// [min, max] (so the relative error is bounded by the ≤ 19% bucket
   /// width, and exact at the extremes). Returns 0 with no samples.
-  /// Computed over locally observe()d samples only — merge() does not
-  /// carry buckets, so cross-process merged quantiles reflect in-process
-  /// samples.
   double quantile(double q) const;
 
-  /// Fold another histogram's (count, sum, min, max) into this one —
-  /// the join-side half of per-process registry merging (shm transport):
-  /// counts and sums add, extremes combine. A merge with count 0 still
-  /// folds min/max only if they are real observations (min <= max).
-  /// Buckets are not merged: quantile() keeps reporting local samples.
-  void merge(std::uint64_t count, double sum, double min, double max) {
+  /// `count` more samples in bucket `index` (a sparse bucket delta).
+  struct BucketDelta {
+    std::uint64_t index;
+    std::uint64_t count;
+  };
+  /// Fold another histogram's (count, sum, min, max) and bucket deltas
+  /// into this one — the join-side half of per-process registry merging
+  /// (shm transport): counts, sums and buckets add, extremes combine, so
+  /// quantile() sees the other process's samples too. A merge with
+  /// count 0 still folds min/max only if they are real observations
+  /// (min <= max).
+  void merge(std::uint64_t count, double sum, double min, double max,
+             std::span<const BucketDelta> buckets = {}) {
     if (count) {
       count_.fetch_add(count, std::memory_order_relaxed);
       add_double(sum_, sum);
@@ -102,10 +103,14 @@ public:
       update_min(min);
       update_max(max);
     }
+    for (const BucketDelta& b : buckets)
+      if (b.index < static_cast<std::uint64_t>(kBuckets))
+        buckets_[b.index].fetch_add(b.count, std::memory_order_relaxed);
   }
   void reset();
 
 private:
+  friend class Registry; // histograms_snapshot() copies the buckets
   static void add_double(std::atomic<double>& a, double x) {
     double cur = a.load(std::memory_order_relaxed);
     while (!a.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
@@ -145,22 +150,14 @@ public:
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Per-rank lane: instrument named "<name>.r<rank>".
-  Counter& counter(std::string_view name, int rank);
-  Histogram& histogram(std::string_view name, int rank);
-
-  /// Sum of every counter lane whose name is `name` or "<name>.r<k>" —
-  /// the merged per-rank view.
-  std::uint64_t merged_counter(std::string_view name) const;
-
   /// Zero every instrument (registrations survive).
   void reset();
 
-  /// Human-readable table: one "name kind value..." line per instrument,
-  /// sorted by name.
-  std::string report_text() const;
-  /// Single JSON object {"counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count,sum,min,max}, ...}}.
+  /// The whole registry as one JSON object {"counters": {...},
+  /// "gauges": {...}, "histograms": {name: {count, sum[, min, p50, p95,
+  /// p99, max]}, ...}}, names sorted; the quantiles and extremes appear
+  /// once a histogram has samples. This is the "registry" section of
+  /// every bench --json artifact (DESIGN.md Sec. 9).
   std::string report_json() const;
 
   struct CounterSample {
@@ -173,6 +170,7 @@ public:
     std::string name;
     std::uint64_t count;
     double sum, min, max;
+    std::vector<std::uint64_t> buckets; ///< kBuckets per-bucket counts
   };
   /// Histograms whose name starts with `prefix` (all if empty), sorted by
   /// name — the enumeration path for per-kernel breakdown tables.

@@ -8,13 +8,6 @@
 namespace mlmd::obs {
 namespace {
 
-std::string ranked_name(std::string_view name, int rank) {
-  std::string s(name);
-  s += ".r";
-  s += std::to_string(rank);
-  return s;
-}
-
 void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -108,28 +101,6 @@ Gauge& Registry::gauge(std::string_view name) {
 Histogram& Registry::histogram(std::string_view name) {
   return *cell(name, Kind::kHistogram).h;
 }
-Counter& Registry::counter(std::string_view name, int rank) {
-  return counter(ranked_name(name, rank));
-}
-Histogram& Registry::histogram(std::string_view name, int rank) {
-  return histogram(ranked_name(name, rank));
-}
-
-std::uint64_t Registry::merged_counter(std::string_view name) const {
-  std::uint64_t total = 0;
-  std::lock_guard lk(mu_);
-  for (const auto& [n, c] : cells_) {
-    if (c.kind != Kind::kCounter) continue;
-    if (n == name) {
-      total += c.c->value();
-    } else if (n.size() > name.size() + 2 &&
-               n.compare(0, name.size(), name) == 0 &&
-               n.compare(name.size(), 2, ".r") == 0) {
-      total += c.c->value();
-    }
-  }
-  return total;
-}
 
 void Registry::reset() {
   std::lock_guard lk(mu_);
@@ -140,38 +111,6 @@ void Registry::reset() {
       case Kind::kHistogram: c.h->reset(); break;
     }
   }
-}
-
-std::string Registry::report_text() const {
-  std::string out;
-  std::lock_guard lk(mu_);
-  for (const auto& [n, c] : cells_) {
-    out += n;
-    switch (c.kind) {
-      case Kind::kCounter:
-        out += " counter ";
-        out += std::to_string(c.c->value());
-        break;
-      case Kind::kGauge:
-        out += " gauge ";
-        append_double(out, c.g->value());
-        break;
-      case Kind::kHistogram:
-        out += " hist count=";
-        out += std::to_string(c.h->count());
-        out += " sum=";
-        append_double(out, c.h->sum());
-        if (c.h->count() > 0) {
-          out += " min=";
-          append_double(out, c.h->min());
-          out += " max=";
-          append_double(out, c.h->max());
-        }
-        break;
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 std::string Registry::report_json() const {
@@ -195,10 +134,16 @@ std::string Registry::report_json() const {
                  ", \"sum\": ";
           append_double(his, c.h->sum());
           if (c.h->count() > 0) {
-            his += ", \"min\": ";
-            append_double(his, c.h->min());
-            his += ", \"max\": ";
-            append_double(his, c.h->max());
+            const std::pair<const char*, double> stats[] = {
+                {"min", c.h->min()},          {"p50", c.h->quantile(0.50)},
+                {"p95", c.h->quantile(0.95)}, {"p99", c.h->quantile(0.99)},
+                {"max", c.h->max()}};
+            for (const auto& [key, v] : stats) {
+              his += ", \"";
+              his += key;
+              his += "\": ";
+              append_double(his, v);
+            }
           }
           his += "}";
           break;
@@ -227,7 +172,11 @@ std::vector<Registry::HistogramSample> Registry::histograms_snapshot(
     if (!prefix.empty() &&
         (n.size() < prefix.size() || n.compare(0, prefix.size(), prefix) != 0))
       continue;
-    out.push_back({n, c.h->count(), c.h->sum(), c.h->min(), c.h->max()});
+    std::vector<std::uint64_t> buckets(Histogram::kBuckets);
+    for (int i = 0; i < Histogram::kBuckets; ++i)
+      buckets[i] = c.h->buckets_[i].load(std::memory_order_relaxed);
+    out.push_back({n, c.h->count(), c.h->sum(), c.h->min(), c.h->max(),
+                   std::move(buckets)});
   }
   return out;
 }

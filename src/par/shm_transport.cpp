@@ -50,6 +50,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -185,7 +186,10 @@ struct ObsHistRec {
   char name[56];
   std::uint64_t count;
   double sum, minv, maxv;
+  std::uint64_t n_buckets; // BucketDelta pairs that follow the record
 };
+static_assert(sizeof(ObsHistRec) % 8 == 0 &&
+              sizeof(obs::Histogram::BucketDelta) % 8 == 0);
 
 struct ObsBaseline {
   std::map<std::string, std::uint64_t> counters;
@@ -550,9 +554,10 @@ public:
 
   /// Child side: publish this process's registry deltas (vs. the
   /// post-fork baseline) into this rank's export area. Counters export
-  /// value deltas; histograms export count/sum deltas plus current
-  /// extremes (the inherited pre-fork extremes are idempotent under
-  /// merge). Gauges are last-write-wins and are deliberately not merged.
+  /// value deltas; histograms export count/sum deltas, current extremes
+  /// (the inherited pre-fork extremes are idempotent under merge) and
+  /// the non-zero bucket deltas as (index, delta) pairs after the record.
+  /// Gauges are last-write-wins and are deliberately not merged.
   void export_obs(int rank, const ObsBaseline& base) {
     unsigned char* area = obs_area(rank);
     auto* hd = reinterpret_cast<ObsHeader*>(area);
@@ -579,7 +584,15 @@ public:
         before = it->second;
       if (h.count == before.count || h.name.size() >= sizeof(ObsHistRec{}.name))
         continue;
-      if (used + sizeof(ObsHistRec) > kObsCap) break;
+      std::vector<obs::Histogram::BucketDelta> deltas;
+      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+        const std::uint64_t d =
+            h.buckets[i] - (before.buckets.empty() ? 0 : before.buckets[i]);
+        if (d) deltas.push_back({i, d});
+      }
+      const std::size_t bytes =
+          sizeof(ObsHistRec) + deltas.size() * sizeof(deltas[0]);
+      if (used + bytes > kObsCap) break;
       auto* rec = reinterpret_cast<ObsHistRec*>(area + used);
       std::memset(rec->name, 0, sizeof(rec->name));
       std::memcpy(rec->name, h.name.data(), h.name.size());
@@ -587,7 +600,9 @@ public:
       rec->sum = h.sum - before.sum;
       rec->minv = h.min;
       rec->maxv = h.max;
-      used += sizeof(ObsHistRec);
+      rec->n_buckets = deltas.size();
+      std::memcpy(rec + 1, deltas.data(), deltas.size() * sizeof(deltas[0]));
+      used += bytes;
       hd->n_hists += 1;
     }
   }
@@ -608,9 +623,12 @@ public:
       }
       for (std::uint32_t i = 0; i < hd->n_hists; ++i) {
         const auto* rec = reinterpret_cast<const ObsHistRec*>(area + used);
+        const std::span buckets(
+            reinterpret_cast<const obs::Histogram::BucketDelta*>(rec + 1),
+            rec->n_buckets);
         reg.histogram(rec->name).merge(rec->count, rec->sum, rec->minv,
-                                       rec->maxv);
-        used += sizeof(ObsHistRec);
+                                       rec->maxv, buckets);
+        used += sizeof(ObsHistRec) + buckets.size_bytes();
       }
     }
   }

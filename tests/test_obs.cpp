@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -223,27 +224,28 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
   EXPECT_THROW(reg.gauge("test.counter"), std::logic_error);
 }
 
-TEST(Metrics, PerRankLanesMergeAndSnapshots) {
+TEST(Metrics, SnapshotsListInstrumentsByPrefix) {
   auto& reg = mlmd::obs::Registry::global();
-  reg.counter("test.lane").reset();
-  for (int r = 0; r < 4; ++r) {
-    auto& lane = reg.counter("test.lane", r);
-    lane.reset();
-    lane.add(static_cast<std::uint64_t>(r + 1));
-  }
-  reg.counter("test.lane").add(100);
-  EXPECT_EQ(reg.merged_counter("test.lane"), 100u + 1 + 2 + 3 + 4);
-
+  auto& c = reg.counter("test.snap.count");
+  c.reset();
+  c.add(3);
   bool found = false;
   for (const auto& s : reg.counters_snapshot())
-    if (s.name == "test.lane.r2" && s.value == 3u) found = true;
+    if (s.name == "test.snap.count" && s.value == 3u) found = true;
   EXPECT_TRUE(found);
 
-  reg.histogram("test.lane_hist", 1).observe(0.5);
-  const auto hs = reg.histograms_snapshot("test.lane_hist");
-  ASSERT_FALSE(hs.empty());
-  EXPECT_EQ(hs[0].name, "test.lane_hist.r1");
+  for (const char* name : {"test.snap.b", "test.snap.a", "test.snapx"}) {
+    reg.histogram(name).reset();
+    reg.histogram(name).observe(0.5);
+  }
+  const auto hs = reg.histograms_snapshot("test.snap.");
+  ASSERT_EQ(hs.size(), 2u);
+  EXPECT_EQ(hs[0].name, "test.snap.a");
+  EXPECT_EQ(hs[1].name, "test.snap.b");
   EXPECT_EQ(hs[0].count, 1u);
+  EXPECT_EQ(std::accumulate(hs[0].buckets.begin(), hs[0].buckets.end(),
+                            std::uint64_t{0}),
+            1u);
 }
 
 TEST(Metrics, ConcurrentCounterUpdatesAreLossless) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mlmd/ft/fault.hpp"
+#include "mlmd/obs/metrics.hpp"
 #include "mlmd/par/simcomm.hpp"
 #include "mlmd/par/transport.hpp"
 
@@ -369,6 +370,24 @@ TEST_P(TransportConformance, HandleAccountsBalanceAndMatchBlockingOps) {
     count_rank_failures(c, ok, &failures, &mu);
   });
   EXPECT_EQ(failures, 0);
+}
+
+TEST_P(TransportConformance, WorkerRankHistogramQuantilesReachTheParent) {
+  // Only rank 1 observes. Under shm it is a forked child, so its samples
+  // reach the parent's registry only through the obs export, which must
+  // carry the histogram buckets for the parent's quantiles to see them.
+  constexpr double kSamples[] = {1.0, 2.0, 4.0, 8.0};
+  auto& h = mlmd::obs::Registry::global().histogram("test.transport.rank1");
+  h.reset();
+  run_k(2, [&](Comm& c) {
+    if (c.rank() == 1)
+      for (const double x : kSamples) h.observe(x);
+  });
+  mlmd::obs::Histogram local;
+  for (const double x : kSamples) local.observe(x);
+  EXPECT_EQ(h.count(), 4u);
+  for (const double q : {0.5, 0.95, 0.99})
+    EXPECT_EQ(h.quantile(q), local.quantile(q)) << "q=" << q;
 }
 
 TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
