@@ -83,9 +83,8 @@ public:
   /// (analytic: |u|^2 = (K - A)/(2B) for the z-polarized minimum).
   double well_amplitude() const;
 
-  /// Mean |u_z| and mean |u| over the lattice.
+  /// Mean |u_z| over the lattice.
   double mean_uz() const;
-  double mean_norm() const;
 
   const std::vector<Vec3>& velocity() const { return v_; }
   std::vector<Vec3>& velocity() { return v_; }

@@ -204,10 +204,4 @@ double FerroLattice::mean_uz() const {
   return s / static_cast<double>(ncells());
 }
 
-double FerroLattice::mean_norm() const {
-  double s = 0.0;
-  for (const auto& ui : u_) s += std::sqrt(norm2(ui));
-  return s / static_cast<double>(ncells());
-}
-
 } // namespace mlmd::ferro

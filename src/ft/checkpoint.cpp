@@ -150,10 +150,6 @@ CheckpointReader::CheckpointReader(const std::string& path) : path_(path) {
                              path);
 }
 
-bool CheckpointReader::has(const std::string& name) const {
-  return sections_.count(name) != 0;
-}
-
 std::vector<std::string> CheckpointReader::names() const {
   std::vector<std::string> out;
   out.reserve(sections_.size());

@@ -107,20 +107,6 @@ FaultSpec parse_entry(const std::string& entry) {
 
 } // namespace
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kRankCrash: return "rank_crash";
-    case FaultKind::kExchangeFail: return "exchange_fail";
-    case FaultKind::kBitFlip: return "bitflip";
-    case FaultKind::kNanForce: return "nan_force";
-    case FaultKind::kInfField: return "inf_field";
-    case FaultKind::kStall: return "stall";
-    case FaultKind::kSlowRank: return "slow_rank";
-    case FaultKind::kDropDoorbell: return "drop_doorbell";
-  }
-  return "?";
-}
-
 FaultPlan parse_faults(const std::string& spec) {
   std::vector<FaultSpec> specs;
   std::size_t pos = 0;

@@ -28,15 +28,6 @@ Policy parse_policy(const std::string& s) {
       "parse_policy: '" + s + "' (want abort | rollback | degrade)");
 }
 
-const char* policy_name(Policy p) {
-  switch (p) {
-    case Policy::kAbort: return "abort";
-    case Policy::kRollback: return "rollback";
-    case Policy::kDegrade: return "degrade";
-  }
-  return "?";
-}
-
 StepSentinel::StepSentinel(GuardOptions opt) : opt_(opt) {}
 
 void StepSentinel::record_trip(const char* what, const std::string& detail) {

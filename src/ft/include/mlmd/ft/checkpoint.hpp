@@ -77,7 +77,6 @@ class CheckpointReader {
   /// mismatch, truncation, or CRC failure.
   explicit CheckpointReader(const std::string& path);
 
-  bool has(const std::string& name) const;
   /// Names of all sections (sorted).
   std::vector<std::string> names() const;
 

@@ -88,8 +88,6 @@ enum class FaultKind {
   kDropDoorbell, ///< shm sender skips its condvar doorbell broadcast
 };
 
-const char* fault_kind_name(FaultKind k);
-
 /// One parsed fault entry. `step` < 0 means "any step"; `rank` < 0 means
 /// "any rank"; `p` is the per-opportunity firing probability (seeded);
 /// `count` bounds total firings.

@@ -38,7 +38,6 @@ enum class Policy {
 
 /// Parse "abort" | "rollback" | "degrade"; throws std::invalid_argument.
 Policy parse_policy(const std::string& s);
-const char* policy_name(Policy p);
 
 /// Raised by the kAbort policy (and by kRollback when no checkpoint
 /// exists or the rollback budget is exhausted).

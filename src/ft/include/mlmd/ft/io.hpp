@@ -1,6 +1,6 @@
 #pragma once
 // Durable-file primitives for the mlmd::ft fault-tolerance subsystem
-// (DESIGN.md Sec. 10), shared with the lfd::io / ferro::io savers:
+// (DESIGN.md Sec. 10), used by ft::Checkpoint and mlmd_serve's result files:
 //
 //   AtomicFile  write-to-temp + fsync-free rename so a crash mid-write
 //               never leaves a torn file under the final name. A reader

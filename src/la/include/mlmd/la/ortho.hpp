@@ -3,8 +3,7 @@
 //
 // Orbitals live in the columns-of-interest of a row-major N_grid x N_orb
 // matrix (the SoA wavefunction layout). Modified Gram-Schmidt runs over
-// orbital columns; Lowdin (symmetric) orthonormalization is provided for
-// the SCF path where preserving subspace character matters.
+// orbital columns.
 
 #include <complex>
 
@@ -16,9 +15,6 @@ namespace mlmd::la {
 /// products weighted by the grid volume element `dv` (so normalization
 /// means integral |psi|^2 dv = 1).
 void mgs_orthonormalize(Matrix<std::complex<double>>& psi, double dv);
-
-/// Lowdin orthonormalization: psi <- psi S^{-1/2}, S = psi^H psi * dv.
-void lowdin_orthonormalize(Matrix<std::complex<double>>& psi, double dv);
 
 /// Max |S_ij - delta_ij| for S = psi^H psi * dv (orthonormality residual).
 double orthonormality_error(const Matrix<std::complex<double>>& psi, double dv);

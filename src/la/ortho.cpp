@@ -1,9 +1,9 @@
 #include "mlmd/la/ortho.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "mlmd/common/flops.hpp"
-#include "mlmd/la/eig.hpp"
 #include "mlmd/la/gemm.hpp"
 
 namespace mlmd::la {
@@ -27,27 +27,6 @@ void mgs_orthonormalize(Matrix<cd>& psi, double dv) {
     const double inv = 1.0 / std::sqrt(norm2);
     for (std::size_t g = 0; g < ng; ++g) psi(g, j) *= inv;
   }
-}
-
-void lowdin_orthonormalize(Matrix<cd>& psi, double dv) {
-  const std::size_t no = psi.cols();
-  // S = psi^H psi * dv
-  Matrix<cd> s(no, no);
-  gemm(Trans::kC, Trans::kN, cd(dv, 0.0), psi, psi, cd{}, s);
-  // S^{-1/2} via eigen-decomposition.
-  auto es = eigh(s);
-  Matrix<cd> shalf(no, no);
-  for (std::size_t i = 0; i < no; ++i)
-    for (std::size_t j = 0; j < no; ++j) {
-      cd acc{};
-      for (std::size_t q = 0; q < no; ++q)
-        acc += es.vectors(i, q) * std::conj(es.vectors(j, q)) /
-               std::sqrt(std::max(es.values[q], 1e-300));
-      shalf(i, j) = acc;
-    }
-  Matrix<cd> out(psi.rows(), psi.cols());
-  gemm(Trans::kN, Trans::kN, cd(1.0, 0.0), psi, shalf, cd{}, out);
-  psi = std::move(out);
 }
 
 double orthonormality_error(const Matrix<cd>& psi, double dv) {

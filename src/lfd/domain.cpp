@@ -219,44 +219,6 @@ double LfdDomain<Real>::n_exc() const {
   return leakage + excitation_number(f0_, f_);
 }
 
-template <class Real>
-typename LfdDomain<Real>::State LfdDomain<Real>::state() const {
-  State s;
-  s.psi.assign(wave_.psi.data(), wave_.psi.data() + wave_.psi.size());
-  s.psi0.assign(psi0_.data(), psi0_.data() + psi0_.size());
-  s.psi0_rows = psi0_.rows();
-  s.psi0_cols = psi0_.cols();
-  s.f = f_;
-  s.f0 = f0_;
-  s.f_reported = f_reported_;
-  s.vloc = vloc_;
-  s.vion = vion_;
-  s.hartree_phi = hartree_.potential();
-  s.hartree_phi_dot = hartree_.potential_dot();
-  s.steps = steps_;
-  return s;
-}
-
-template <class Real>
-void LfdDomain<Real>::set_state(const State& s) {
-  if (s.psi.size() != wave_.psi.size() ||
-      s.psi0.size() != s.psi0_rows * s.psi0_cols ||
-      s.f.size() != wave_.norb || s.f0.size() != wave_.norb ||
-      s.f_reported.size() != wave_.norb || s.vloc.size() != vloc_.size() ||
-      s.vion.size() != vion_.size())
-    throw std::invalid_argument("LfdDomain::set_state: size mismatch");
-  std::copy(s.psi.begin(), s.psi.end(), wave_.psi.data());
-  psi0_.resize(s.psi0_rows, s.psi0_cols);
-  std::copy(s.psi0.begin(), s.psi0.end(), psi0_.data());
-  f_ = s.f;
-  f0_ = s.f0;
-  f_reported_ = s.f_reported;
-  vloc_ = s.vloc;
-  vion_ = s.vion;
-  hartree_.set_state(s.hartree_phi, s.hartree_phi_dot);
-  steps_ = s.steps;
-}
-
 template class LfdDomain<float>;
 template class LfdDomain<double>;
 

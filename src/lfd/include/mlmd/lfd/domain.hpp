@@ -98,27 +98,6 @@ public:
   const LfdOptions& options() const { return opt_; }
   int steps_taken() const { return steps_; }
 
-  // --- checkpoint state (ft::Checkpoint, DESIGN.md Sec. 10) ---
-  /// Everything qd_step() evolves. The ionic configuration is NOT here:
-  /// the restart path reconstructs the domain (constructor + initialize)
-  /// from checkpointed ion positions first, then overwrites the evolved
-  /// arrays with set_state(). vion is included anyway so the snapshot is
-  /// self-consistent even if initialize() used perturbed ions.
-  struct State {
-    std::vector<std::complex<Real>> psi;
-    std::vector<std::complex<Real>> psi0;
-    std::size_t psi0_rows = 0, psi0_cols = 0;
-    std::vector<double> f, f0, f_reported;
-    std::vector<double> vloc, vion;
-    std::vector<double> hartree_phi, hartree_phi_dot;
-    int steps = 0;
-  };
-
-  State state() const;
-  /// Throws std::invalid_argument when any array disagrees with the
-  /// domain's grid/orbital shape.
-  void set_state(const State& s);
-
 private:
   void refresh_potential();
 

@@ -12,7 +12,6 @@
 // scalable" multigrid.
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "mlmd/grid/grid3.hpp"
@@ -39,17 +38,9 @@ public:
 
   const std::vector<double>& potential() const { return phi_; }
 
-  /// Velocity of the dynamical Hartree field (checkpoint state: the DSA
-  /// updater is second-order in time, so restart needs phi AND phi_dot).
+  /// Velocity of the dynamical Hartree field (the DSA updater is
+  /// second-order in time: its state is phi AND phi_dot).
   const std::vector<double>& potential_dot() const { return phi_dot_; }
-
-  /// Restore the dynamical field pair (ft::Checkpoint restart path).
-  void set_state(std::vector<double> phi, std::vector<double> phi_dot) {
-    if (phi.size() != phi_.size() || phi_dot.size() != phi_dot_.size())
-      throw std::invalid_argument("DsaHartree::set_state: size mismatch");
-    phi_ = std::move(phi);
-    phi_dot_ = std::move(phi_dot);
-  }
 
   /// ||lap(phi) + 4 pi rho|| / ||4 pi rho||.
   double relative_residual(const std::vector<double>& rho) const;

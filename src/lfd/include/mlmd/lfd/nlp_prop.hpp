@@ -5,13 +5,11 @@
 // GEMMs:
 //   CGEMM(1):  S = Psi(0)^H Psi(t) * dv          (N_orb x N_orb overlap)
 //   CGEMM(2):  Psi(t) += delta * Psi(0) * S      (rank-N_orb update)
-// which is the real-time scissor correction of [44]. A separable
-// Kleinman-Bylander-style projector pseudopotential is provided through
-// the same GEMM machinery. Because the correction is perturbative
-// (|delta| << 1), it tolerates low-precision GEMM: the ComputeMode
-// parameter selects FP-native or BF16{,x2,x3} arithmetic (Sec. VI.C).
+// which is the real-time scissor correction of [44]. Because the
+// correction is perturbative (|delta| << 1), it tolerates low-precision
+// GEMM: the ComputeMode parameter selects FP-native or BF16{,x2,x3}
+// arithmetic (Sec. VI.C).
 
-#include <array>
 #include <complex>
 
 #include "mlmd/la/gemm.hpp"
@@ -33,36 +31,6 @@ extern template void nlp_prop<float>(SoAWave<float>&,
 extern template void nlp_prop<double>(SoAWave<double>&,
                                       const la::Matrix<std::complex<double>>&,
                                       std::complex<double>, la::ComputeMode);
-
-/// Separable nonlocal pseudopotential: V_nl = sum_p |beta_p> d_p <beta_p|.
-template <class Real>
-struct Projectors {
-  la::Matrix<std::complex<Real>> beta; ///< N_grid x N_proj projector functions
-  std::vector<double> d;               ///< channel strengths [Ha]
-};
-
-/// Build Gaussian-shell projectors centred on `centers` (fractions of the
-/// box), one channel each with strength `d0`.
-template <class Real>
-Projectors<Real> gaussian_projectors(const grid::Grid3& g,
-                                     const std::vector<std::array<double, 3>>& centers,
-                                     double sigma, double d0);
-
-/// First-order projector propagation psi -= i*dt * V_nl psi via two GEMMs,
-/// then per-orbital renormalization (unitarity restored to O(dt^2)).
-template <class Real>
-void apply_projectors(SoAWave<Real>& w, const Projectors<Real>& proj, double dt,
-                      la::ComputeMode mode = la::ComputeMode::kNative);
-
-extern template Projectors<float> gaussian_projectors<float>(
-    const grid::Grid3&, const std::vector<std::array<double, 3>>&, double, double);
-extern template Projectors<double> gaussian_projectors<double>(
-    const grid::Grid3&, const std::vector<std::array<double, 3>>&, double, double);
-extern template void apply_projectors<float>(SoAWave<float>&, const Projectors<float>&,
-                                             double, la::ComputeMode);
-extern template void apply_projectors<double>(SoAWave<double>&,
-                                              const Projectors<double>&, double,
-                                              la::ComputeMode);
 
 /// Renormalize every orbital to unit L2 norm (dv-weighted).
 template <class Real>

@@ -11,13 +11,12 @@
 //   S4(dt) = S2(g1 dt) S2(g2 dt) S2(g1 dt),  g1 = 1/(2 - 2^(1/3)),
 //                                            g2 = 1 - 2 g1  (negative)
 //
-// trades 3x the work for two orders in accuracy. A predictor-corrector
-// midpoint handles the self-consistent nonlinearity: the step is taken
-// with the potential at t + dt/2 estimated from a predictor density
-// (Sec. V.A.5 "the time-propagation operator itself depends on the wave
-// functions being propagated").
+// trades 3x the work for two orders in accuracy. The self-consistent
+// nonlinearity (Sec. V.A.5 "the time-propagation operator itself depends
+// on the wave functions being propagated") is handled by the caller:
+// LfdDomain::qd_step refreshes the potential from the DSA Hartree field
+// between fixed-potential steps.
 
-#include <functional>
 #include <vector>
 
 #include "mlmd/lfd/kin_prop.hpp"
@@ -37,24 +36,5 @@ extern template void split_step<float>(SoAWave<float>&, const std::vector<double
                                        const KinParams&, PropOrder, KinVariant);
 extern template void split_step<double>(SoAWave<double>&, const std::vector<double>&,
                                         const KinParams&, PropOrder, KinVariant);
-
-/// Self-consistent step: callback maps the current density to the local
-/// potential; the step is driven by the midpoint potential obtained from
-/// a half-step predictor (time-reversible to O(dt^3) in the
-/// self-consistency, exactly unitary regardless).
-template <class Real>
-void split_step_scf(SoAWave<Real>& w, const std::vector<double>& f,
-                    const std::function<std::vector<double>(
-                        const std::vector<double>& rho)>& potential_of_density,
-                    const KinParams& kin, PropOrder order = PropOrder::kSecond);
-
-extern template void split_step_scf<float>(
-    SoAWave<float>&, const std::vector<double>&,
-    const std::function<std::vector<double>(const std::vector<double>&)>&,
-    const KinParams&, PropOrder);
-extern template void split_step_scf<double>(
-    SoAWave<double>&, const std::vector<double>&,
-    const std::function<std::vector<double>(const std::vector<double>&)>&,
-    const KinParams&, PropOrder);
 
 } // namespace mlmd::lfd

@@ -49,64 +49,6 @@ void nlp_prop(SoAWave<Real>& w, const la::Matrix<std::complex<Real>>& psi0,
 }
 
 template <class Real>
-Projectors<Real> gaussian_projectors(const grid::Grid3& g,
-                                     const std::vector<std::array<double, 3>>& centers,
-                                     double sigma, double d0) {
-  Projectors<Real> p;
-  p.beta.resize(g.size(), centers.size());
-  p.d.assign(centers.size(), d0);
-  auto mic = [](double d, double l) { return d - l * std::round(d / l); };
-  for (std::size_t c = 0; c < centers.size(); ++c) {
-    const double x0 = centers[c][0] * g.lx();
-    const double y0 = centers[c][1] * g.ly();
-    const double z0 = centers[c][2] * g.lz();
-    double norm2 = 0.0;
-    for (std::size_t x = 0; x < g.nx; ++x)
-      for (std::size_t y = 0; y < g.ny; ++y)
-        for (std::size_t z = 0; z < g.nz; ++z) {
-          const double dx = mic(x * g.hx - x0, g.lx());
-          const double dy = mic(y * g.hy - y0, g.ly());
-          const double dz = mic(z * g.hz - z0, g.lz());
-          const double amp =
-              std::exp(-(dx * dx + dy * dy + dz * dz) / (2.0 * sigma * sigma));
-          p.beta(g.index(x, y, z), c) = static_cast<Real>(amp);
-          norm2 += amp * amp;
-        }
-    norm2 *= g.dv();
-    const Real inv = static_cast<Real>(1.0 / std::sqrt(norm2));
-    for (std::size_t gp = 0; gp < g.size(); ++gp) p.beta(gp, c) *= inv;
-  }
-  return p;
-}
-
-template <class Real>
-void apply_projectors(SoAWave<Real>& w, const Projectors<Real>& proj, double dt,
-                      la::ComputeMode mode) {
-  const std::size_t np = proj.beta.cols();
-  if (np == 0) return;
-  const Real dv = static_cast<Real>(w.grid.dv());
-
-  // P = beta^H Psi * dv  (N_proj x N_orb).
-  la::Matrix<std::complex<Real>> pmat(np, w.norb);
-  gemm_dispatch<Real>(mode, la::Trans::kC, la::Trans::kN,
-                      std::complex<Real>(dv, Real(0)), proj.beta, w.psi,
-                      std::complex<Real>{}, pmat);
-
-  // Scale rows by -i * dt * d_p.
-  for (std::size_t p = 0; p < np; ++p) {
-    const std::complex<Real> coef(Real(0), static_cast<Real>(-dt * proj.d[p]));
-    for (std::size_t s = 0; s < w.norb; ++s) pmat(p, s) *= coef;
-  }
-
-  // Psi += beta * P'.
-  gemm_dispatch<Real>(mode, la::Trans::kN, la::Trans::kN,
-                      std::complex<Real>(Real(1), Real(0)), proj.beta, pmat,
-                      std::complex<Real>(Real(1), Real(0)), w.psi);
-
-  renormalize(w);
-}
-
-template <class Real>
 void renormalize(SoAWave<Real>& w) {
   std::vector<double> n2(w.norb, 0.0);
   for (std::size_t g = 0; g < w.grid.size(); ++g) {
@@ -134,14 +76,6 @@ template void nlp_prop<float>(SoAWave<float>&, const la::Matrix<std::complex<flo
 template void nlp_prop<double>(SoAWave<double>&,
                                const la::Matrix<std::complex<double>>&,
                                std::complex<double>, la::ComputeMode);
-template Projectors<float> gaussian_projectors<float>(
-    const grid::Grid3&, const std::vector<std::array<double, 3>>&, double, double);
-template Projectors<double> gaussian_projectors<double>(
-    const grid::Grid3&, const std::vector<std::array<double, 3>>&, double, double);
-template void apply_projectors<float>(SoAWave<float>&, const Projectors<float>&,
-                                      double, la::ComputeMode);
-template void apply_projectors<double>(SoAWave<double>&, const Projectors<double>&,
-                                       double, la::ComputeMode);
 template void renormalize<float>(SoAWave<float>&);
 template void renormalize<double>(SoAWave<double>&);
 

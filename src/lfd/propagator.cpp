@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "mlmd/lfd/density.hpp"
 #include "mlmd/lfd/vloc.hpp"
 
 namespace mlmd::lfd {
@@ -37,34 +36,9 @@ void split_step(SoAWave<Real>& w, const std::vector<double>& vloc,
   s2(w, vloc, kin, g1 * kin.dt, variant);
 }
 
-template <class Real>
-void split_step_scf(SoAWave<Real>& w, const std::vector<double>& f,
-                    const std::function<std::vector<double>(
-                        const std::vector<double>& rho)>& potential_of_density,
-                    const KinParams& kin, PropOrder order) {
-  // Predictor: half-step with the potential at t.
-  auto v_t = potential_of_density(density(w, f));
-  SoAWave<Real> predictor = w;
-  KinParams half = kin;
-  half.dt = 0.5 * kin.dt;
-  s2(predictor, v_t, half, half.dt, KinVariant::kParallel);
-
-  // Corrector: full step with the midpoint potential.
-  auto v_mid = potential_of_density(density(predictor, f));
-  split_step(w, v_mid, kin, order);
-}
-
 template void split_step<float>(SoAWave<float>&, const std::vector<double>&,
                                 const KinParams&, PropOrder, KinVariant);
 template void split_step<double>(SoAWave<double>&, const std::vector<double>&,
                                  const KinParams&, PropOrder, KinVariant);
-template void split_step_scf<float>(
-    SoAWave<float>&, const std::vector<double>&,
-    const std::function<std::vector<double>(const std::vector<double>&)>&,
-    const KinParams&, PropOrder);
-template void split_step_scf<double>(
-    SoAWave<double>&, const std::vector<double>&,
-    const std::function<std::vector<double>(const std::vector<double>&)>&,
-    const KinParams&, PropOrder);
 
 } // namespace mlmd::lfd

@@ -12,7 +12,6 @@
 // boundaries, and a soft source injecting the incident pulse.
 
 #include <cstddef>
-#include <stdexcept>
 #include <vector>
 
 #include "mlmd/maxwell/pulse.hpp"
@@ -41,34 +40,8 @@ public:
   double a_at(std::size_t cell) const { return a_.at(cell); }
   const std::vector<double>& a() const { return a_; }
 
-  /// Transverse electric field E_y = -(1/c) dA/dt at a cell.
-  double e_at(std::size_t cell) const;
-
   /// Field energy density integral (E^2 + B^2)/(8 pi) dx.
   double field_energy() const;
-
-  /// Everything the leapfrog carries across steps (ft::Checkpoint). The
-  /// source attachment is configuration, not state — it is re-applied by
-  /// the restart path before set_state().
-  struct State {
-    double t = 0.0;
-    std::vector<double> a, a_prev;
-    double left_neighbor_prev = 0.0, right_neighbor_prev = 0.0;
-  };
-
-  State state() const {
-    return {t_, a_, a_prev_, left_neighbor_prev_, right_neighbor_prev_};
-  }
-
-  void set_state(const State& s) {
-    if (s.a.size() != a_.size() || s.a_prev.size() != a_prev_.size())
-      throw std::invalid_argument("Maxwell1D::set_state: size mismatch");
-    t_ = s.t;
-    a_ = s.a;
-    a_prev_ = s.a_prev;
-    left_neighbor_prev_ = s.left_neighbor_prev;
-    right_neighbor_prev_ = s.right_neighbor_prev;
-  }
 
 private:
   double dx_, dt_, t_ = 0.0;

@@ -53,10 +53,6 @@ void Maxwell1D::step(const std::vector<double>& jy) {
   t_ += dt_;
 }
 
-double Maxwell1D::e_at(std::size_t cell) const {
-  return -(a_.at(cell) - a_prev_.at(cell)) / (units::c_light * dt_);
-}
-
 double Maxwell1D::field_energy() const {
   const double c = units::c_light;
   double e = 0.0;

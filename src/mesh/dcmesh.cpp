@@ -179,91 +179,4 @@ void DcMeshDomain::finish_impl(StepStats& stats, const maxwell::Pulse* pulse,
   ++steps_;
 }
 
-void DcMeshDomain::save_checkpoint(ft::CheckpointWriter& w) const {
-  w.add_pod("mesh.t", t_);
-  w.add_pod("mesh.steps", steps_);
-  w.add_vec("mesh.ions", ions_);
-  w.add_vec("mesh.ions0", ions0_);
-  w.add_vec("mesh.ion_vel", ion_vel_);
-  w.add_vec("mesh.ion_force_prev", ion_force_prev_);
-  w.add_vec("mesh.v_last", v_last_);
-
-  const auto lfd_state = lfd_.state();
-  w.add_vec("mesh.lfd.psi", lfd_state.psi);
-  w.add_vec("mesh.lfd.psi0", lfd_state.psi0);
-  w.add_pod("mesh.lfd.psi0_rows", lfd_state.psi0_rows);
-  w.add_pod("mesh.lfd.psi0_cols", lfd_state.psi0_cols);
-  w.add_vec("mesh.lfd.f", lfd_state.f);
-  w.add_vec("mesh.lfd.f0", lfd_state.f0);
-  w.add_vec("mesh.lfd.f_reported", lfd_state.f_reported);
-  w.add_vec("mesh.lfd.vloc", lfd_state.vloc);
-  w.add_vec("mesh.lfd.vion", lfd_state.vion);
-  w.add_vec("mesh.lfd.hartree_phi", lfd_state.hartree_phi);
-  w.add_vec("mesh.lfd.hartree_phi_dot", lfd_state.hartree_phi_dot);
-  w.add_pod("mesh.lfd.steps", lfd_state.steps);
-
-  const auto sh = sh_.state();
-  w.add_pod("mesh.sh.have_prev", static_cast<std::uint8_t>(sh.have_prev));
-  w.add_pod("mesh.sh.dim", sh.dim);
-  w.add_vec("mesh.sh.prev_values", sh.prev_values);
-  w.add_vec("mesh.sh.prev_vectors", sh.prev_vectors);
-  w.add_pod("mesh.sh.prev_sweeps", sh.prev_sweeps);
-  w.add_pod("mesh.sh.rng_state", sh.rng_state);
-}
-
-void DcMeshDomain::restore_checkpoint(const ft::CheckpointReader& r) {
-  // Stage everything into locals first; only commit once every section
-  // parsed and shape-checked, so a bad checkpoint leaves the domain
-  // untouched.
-  const auto t = r.pod<double>("mesh.t");
-  const auto steps = r.pod<long>("mesh.steps");
-  auto ions = r.vec<lfd::Ion>("mesh.ions");
-  auto ions0 = r.vec<lfd::Ion>("mesh.ions0");
-  auto ion_vel = r.vec<std::array<double, 3>>("mesh.ion_vel");
-  auto ion_force_prev = r.vec<std::array<double, 3>>("mesh.ion_force_prev");
-  auto v_last = r.vec<double>("mesh.v_last");
-  if (ions.size() != ions_.size() || ions0.size() != ions_.size() ||
-      ion_vel.size() != ions_.size() || ion_force_prev.size() != ions_.size())
-    throw std::invalid_argument(
-        "DcMeshDomain::restore_checkpoint: ion count mismatch");
-
-  lfd::LfdDomain<float>::State ls;
-  ls.psi = r.vec<std::complex<float>>("mesh.lfd.psi");
-  ls.psi0 = r.vec<std::complex<float>>("mesh.lfd.psi0");
-  ls.psi0_rows = r.pod<std::size_t>("mesh.lfd.psi0_rows");
-  ls.psi0_cols = r.pod<std::size_t>("mesh.lfd.psi0_cols");
-  ls.f = r.vec<double>("mesh.lfd.f");
-  ls.f0 = r.vec<double>("mesh.lfd.f0");
-  ls.f_reported = r.vec<double>("mesh.lfd.f_reported");
-  ls.vloc = r.vec<double>("mesh.lfd.vloc");
-  ls.vion = r.vec<double>("mesh.lfd.vion");
-  ls.hartree_phi = r.vec<double>("mesh.lfd.hartree_phi");
-  ls.hartree_phi_dot = r.vec<double>("mesh.lfd.hartree_phi_dot");
-  ls.steps = r.pod<int>("mesh.lfd.steps");
-
-  qxmd::SurfaceHopping::State ss;
-  ss.have_prev = r.pod<std::uint8_t>("mesh.sh.have_prev") != 0;
-  ss.dim = r.pod<std::size_t>("mesh.sh.dim");
-  ss.prev_values = r.vec<double>("mesh.sh.prev_values");
-  ss.prev_vectors = r.vec<std::complex<double>>("mesh.sh.prev_vectors");
-  ss.prev_sweeps = r.pod<int>("mesh.sh.prev_sweeps");
-  ss.rng_state = r.pod<std::array<std::uint64_t, 4>>("mesh.sh.rng_state");
-  // Pre-validate the SH shapes so the commit below is all-or-nothing
-  // (sh_.set_state would otherwise throw after lfd_ was already mutated).
-  if (ss.prev_vectors.size() != ss.dim * ss.dim ||
-      (ss.have_prev && ss.prev_values.size() != ss.dim))
-    throw std::invalid_argument(
-        "DcMeshDomain::restore_checkpoint: surface-hopping size mismatch");
-
-  lfd_.set_state(ls); // throws on grid/orbital mismatch before we commit
-  sh_.set_state(ss);
-  t_ = t;
-  steps_ = steps;
-  ions_ = std::move(ions);
-  ions0_ = std::move(ions0);
-  ion_vel_ = std::move(ion_vel);
-  ion_force_prev_ = std::move(ion_force_prev);
-  v_last_ = std::move(v_last);
-}
-
 } // namespace mlmd::mesh

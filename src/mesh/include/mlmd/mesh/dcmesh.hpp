@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "mlmd/ft/checkpoint.hpp"
 #include "mlmd/lfd/domain.hpp"
 #include "mlmd/maxwell/pulse.hpp"
 #include "mlmd/qxmd/surface_hopping.hpp"
@@ -86,17 +85,6 @@ public:
 
   /// MD steps taken since construction (the fault-injection step clock).
   long steps_taken() const { return steps_; }
-
-  // --- checkpoint/restart (ft::Checkpoint, DESIGN.md Sec. 10) ----------
-  /// Serialize the full domain state (ions, velocities, wavefunctions,
-  /// occupations, Hartree field, SH eigenbasis + RNG, clocks) into `w` as
-  /// "mesh.*" sections. Composes: the caller adds its own sections (e.g.
-  /// Maxwell fields) to the same container.
-  void save_checkpoint(ft::CheckpointWriter& w) const;
-  /// Inverse of save_checkpoint. The domain must be constructed with the
-  /// same grid/norb/ion-count; throws std::runtime_error /
-  /// std::invalid_argument on shape mismatch or missing sections.
-  void restore_checkpoint(const ft::CheckpointReader& r);
 
 private:
   void begin_impl(StepStats& stats);

@@ -8,10 +8,11 @@
 // wire.
 //
 // The communicator API deliberately mirrors the MPI subset MLMD uses:
-// barrier, broadcast, reduce/allreduce, gather/allgather, alltoall,
-// blocking send/recv, and sendrecv (halo exchange). Rank count is bounded
-// by thread limits (hundreds); the paper-scale sweeps (P up to 120,000)
-// use mlmd::perf's calibrated machine model instead.
+// barrier, broadcast, allreduce, gather/allgather(v), blocking send/recv,
+// and nonblocking isend/irecv/iallgatherv (halo exchange and overlapped
+// collectives). Rank count is bounded by thread limits (hundreds); the
+// paper-scale sweeps (P up to 120,000) use mlmd::perf's calibrated
+// machine model instead.
 
 #include <algorithm>
 #include <chrono>
@@ -251,6 +252,15 @@ public:
     auto all = unpack<T>(
         state_->exchange(rank_, std::as_bytes(v), -1, true, "allreduce"));
     const std::size_t n = v.size();
+    // Every rank sees the same gathered total, so when span lengths
+    // differ at least one rank throws here (and run() rethrows it)
+    // before any rank folds past the end of `all`.
+    if (all.size() != n * static_cast<std::size_t>(size()))
+      throw std::invalid_argument(
+          "Comm::allreduce: span lengths differ across ranks (this rank " +
+          std::to_string(n) + " elements, gathered " +
+          std::to_string(all.size()) + " over " + std::to_string(size()) +
+          " ranks)");
     // Fold rank-ordered blocks starting from rank 0's so every rank
     // computes the identical result.
     std::vector<T> out(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
@@ -282,14 +292,6 @@ public:
     obs::ObsScope span("comm.recv", obs::Cat::kComm);
     auto bytes = state_->recv(rank_, src, tag);
     return unpack<T>(bytes);
-  }
-
-  /// Paired exchange (halo pattern): send to `dst`, receive from `src`.
-  template <class T>
-  std::vector<T> sendrecv(int dst, std::span<const T> payload, int src, int tag) {
-    obs::ObsScope span("comm.sendrecv", obs::Cat::kComm);
-    send(dst, tag, payload);
-    return recv<T>(src, tag);
   }
 
   // --- nonblocking / reusable-buffer variants (overlapped hot paths).
@@ -351,15 +353,6 @@ public:
     auto& scratch = recv_scratch();
     state_->recv_into(rank_, src, tag, scratch);
     unpack_into(scratch, out);
-  }
-
-  /// Paired exchange (halo pattern) into a reusable buffer.
-  template <class T>
-  void sendrecv_into(int dst, std::span<const T> payload, int src, int tag,
-                     std::vector<T>& out) {
-    obs::ObsScope span("comm.sendrecv", obs::Cat::kComm);
-    send(dst, tag, payload);
-    recv_into(src, tag, out);
   }
 
   TrafficStats stats() const { return state_->stats(); }

@@ -56,8 +56,8 @@ struct RankOpStats {
 /// Sec. 9): every collective entry, point-to-point message, and the wall
 /// time this rank spent blocked waiting on peers. Op keys are the Comm
 /// method names: "barrier", "broadcast", "gather", "allgatherv",
-/// "allreduce", "send", "recv" (allgather and sendrecv account under the
-/// primitives they are built from).
+/// "allreduce", "send", "recv" (allgather accounts under the allgatherv
+/// primitive it is built from).
 struct RankTraffic {
   std::map<std::string, RankOpStats> ops;
   double wait_seconds = 0.0; ///< total time blocked in barrier/exchange/recv
@@ -138,12 +138,12 @@ public:
                     std::span<const std::byte> payload) = 0;
   virtual std::vector<std::byte> recv(int dst, int src, int tag) = 0;
   /// Blocking receive into a caller-owned reusable buffer: `out` is
-  /// resized to the payload and its capacity is reused across calls, so
-  /// the steady-state comm loop performs zero heap allocations (asserted
-  /// in test_obs). Default forwards to recv(); backends override to
-  /// recycle their internal message buffers too.
+  /// resized to the payload and its capacity is reused across calls, and
+  /// the backend recycles its internal message buffers, so the
+  /// steady-state comm loop performs zero heap allocations (asserted in
+  /// test_obs).
   virtual void recv_into(int dst, int src, int tag,
-                         std::vector<std::byte>& out);
+                         std::vector<std::byte>& out) = 0;
 
   // --- nonblocking primitives (the overlapped stepping loops) ----------
   // Accounting parity contract: an async op accounts the identical op

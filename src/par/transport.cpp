@@ -73,12 +73,6 @@ CommHandle Transport::make_deferred(
   return CommHandle(std::move(st));
 }
 
-void Transport::recv_into(int dst, int src, int tag,
-                          std::vector<std::byte>& out) {
-  auto payload = recv(dst, src, tag);
-  out.assign(payload.begin(), payload.end());
-}
-
 CommHandle Transport::isend(int src, int dst, int tag,
                             std::span<const std::byte> payload) {
   // Both backends buffer sends (mailbox / ring), so posting eagerly is

@@ -12,11 +12,7 @@
 // (deterministic, reproducible) or by stochastic hops (per-trajectory).
 // Both conserve total occupation and keep every f in [0, f_max].
 
-#include <algorithm>
-#include <array>
 #include <complex>
-#include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "mlmd/common/rng.hpp"
@@ -50,43 +46,6 @@ public:
   const la::Matrix<double>& last_rates() const { return rates_; }
 
   void reset() { have_prev_ = false; }
-
-  /// Snapshot of everything step() carries across MD steps: the reference
-  /// eigenbasis and the hop RNG. Plain vectors so ft::Checkpoint can
-  /// serialize it section-by-section.
-  struct State {
-    bool have_prev = false;
-    std::size_t dim = 0; ///< eigenbasis dimension (vectors is dim x dim)
-    std::vector<double> prev_values;
-    std::vector<std::complex<double>> prev_vectors;
-    int prev_sweeps = 0;
-    std::array<std::uint64_t, 4> rng_state{};
-  };
-
-  State state() const {
-    State s;
-    s.have_prev = have_prev_;
-    s.dim = prev_.vectors.rows();
-    s.prev_values = prev_.values;
-    s.prev_vectors.assign(prev_.vectors.data(),
-                          prev_.vectors.data() + prev_.vectors.size());
-    s.prev_sweeps = prev_.sweeps;
-    s.rng_state = rng_.state();
-    return s;
-  }
-
-  void set_state(const State& s) {
-    if (s.prev_vectors.size() != s.dim * s.dim ||
-        (s.have_prev && s.prev_values.size() != s.dim))
-      throw std::invalid_argument("SurfaceHopping::set_state: size mismatch");
-    have_prev_ = s.have_prev;
-    prev_.values = s.prev_values;
-    prev_.vectors.resize(s.dim, s.dim);
-    std::copy(s.prev_vectors.begin(), s.prev_vectors.end(),
-              prev_.vectors.data());
-    prev_.sweeps = s.prev_sweeps;
-    rng_.set_state(s.rng_state);
-  }
 
 private:
   ShOptions opt_;

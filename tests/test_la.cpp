@@ -581,27 +581,6 @@ TEST(Ortho, MgsProducesOrthonormalSet) {
   EXPECT_LT(orthonormality_error(psi, dv), 1e-10);
 }
 
-TEST(Ortho, LowdinProducesOrthonormalSet) {
-  mlmd::Rng rng(38);
-  const double dv = 0.2;
-  Matrix<cd> psi(150, 5);
-  fill_random(psi, rng);
-  lowdin_orthonormalize(psi, dv);
-  EXPECT_LT(orthonormality_error(psi, dv), 1e-8);
-}
-
-TEST(Ortho, LowdinPreservesOrthonormalInput) {
-  mlmd::Rng rng(39);
-  const double dv = 0.1;
-  Matrix<cd> psi(100, 4);
-  fill_random(psi, rng);
-  mgs_orthonormalize(psi, dv);
-  Matrix<cd> before = psi;
-  lowdin_orthonormalize(psi, dv);
-  // Lowdin is the identity on already-orthonormal sets.
-  EXPECT_LT(max_abs_diff(psi, before), 1e-7);
-}
-
 TEST(Matrix, FroNormKnownValue) {
   la::Matrix<double> m(2, 2);
   m(0, 0) = 3.0;

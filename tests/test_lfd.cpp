@@ -400,20 +400,6 @@ TEST(NlpProp, DoubleRejectsBf16) {
                std::invalid_argument);
 }
 
-TEST(Projectors, NormalizedAndApplied) {
-  auto g = small_grid();
-  auto proj = gaussian_projectors<double>(g, {{0.5, 0.5, 0.5}}, 1.0, 0.3);
-  double n2 = 0;
-  for (std::size_t i = 0; i < g.size(); ++i) n2 += std::norm(proj.beta(i, 0));
-  EXPECT_NEAR(n2 * g.dv(), 1.0, 1e-9);
-
-  SoAWave<double> w(g, 3);
-  init_plane_waves(w);
-  apply_projectors(w, proj, 0.05);
-  auto n = w.norms2();
-  for (double v : n) EXPECT_NEAR(v, 1.0, 1e-9);
-}
-
 // --- hamiltonian ------------------------------------------------------------
 
 TEST(Hamiltonian, OrbitalMatrixHermitian) {

@@ -1,7 +1,6 @@
 // Tests for DC-MESH: the shadow-dynamics contract, photoexcitation vs
 // dark dynamics, the Table I baseline runners, the SimComm multi-domain
-// driver with Maxwell coupling, global-potential DC-MESH, and the
-// observables recorder.
+// driver with Maxwell coupling, and the observables recorder.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "mlmd/common/units.hpp"
 #include "mlmd/mesh/baseline.hpp"
 #include "mlmd/mesh/dcmesh.hpp"
-#include "mlmd/mesh/global_potential.hpp"
 #include "mlmd/mesh/multidomain.hpp"
 #include "mlmd/mesh/recorder.hpp"
 
@@ -212,68 +210,6 @@ TEST(Multidomain, DeterministicAcrossRuns) {
   opt.mesh = fast_options();
   auto a = run_parallel_mesh(2, opt);
   auto b = run_parallel_mesh(2, opt);
-  ASSERT_EQ(a.n_exc_per_domain.size(), b.n_exc_per_domain.size());
-  for (std::size_t i = 0; i < a.n_exc_per_domain.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.n_exc_per_domain[i], b.n_exc_per_domain[i]);
-}
-
-// --- global-potential DC-MESH ----------------------------------------------
-
-mesh::GlobalMeshOptions small_global_options() {
-  mesh::GlobalMeshOptions opt;
-  opt.global = grid::Grid3{12, 12, 12, 0.7, 0.7, 0.7};
-  opt.domains_per_axis = 2;
-  opt.buffer = 2;
-  opt.norb = 2;
-  opt.nfilled = 1;
-  opt.md_steps = 2;
-  opt.nqd_per_md = 6;
-  opt.lfd.dt_qd = 0.06;
-  opt.lfd.init_relax_steps = 10;
-  opt.pulse.e0 = 0.1;
-  opt.pulse.omega = 0.15;
-  opt.pulse.fwhm = 20.0;
-  opt.pulse.t0 = 6.0 * 0.06;
-  return opt;
-}
-
-TEST(GlobalMesh, ConservesElectronCountWithoutBuffers) {
-  // With zero buffer the cores tile the local grids exactly, so the
-  // recombined density carries every electron.
-  auto opt = small_global_options();
-  opt.use_pulse = false;
-  opt.buffer = 0;
-  auto res = mesh::run_global_mesh(opt);
-  ASSERT_EQ(res.n_exc_per_domain.size(), 8u);
-  EXPECT_NEAR(res.total_electrons, 16.0, 0.5);
-  for (double v : res.n_exc_per_domain) EXPECT_GE(v, 0.0);
-}
-
-TEST(GlobalMesh, BufferedRunKeepsCoreResidentFraction) {
-  // With overlap, each domain contributes only its orbitals' core-
-  // resident weight: the recombined count is bounded by 16 and well
-  // above zero (DC-DFT's overlap accounting, paper Sec. VII.A.1).
-  auto opt = small_global_options();
-  opt.use_pulse = false;
-  auto res = mesh::run_global_mesh(opt);
-  EXPECT_LE(res.total_electrons, 16.0 + 1e-6);
-  EXPECT_GT(res.total_electrons, 2.0);
-}
-
-TEST(GlobalMesh, DensityAllreducePerStep) {
-  auto opt = small_global_options();
-  auto res = mesh::run_global_mesh(opt);
-  // Each rank performs >= md_steps density allreduces (an allreduce is
-  // one allgather collective per rank in SimComm) plus the final gather.
-  EXPECT_GE(res.traffic.collective_ops, 8u * (2u + 1u));
-  // The density payload dominates: grid doubles per rank per step.
-  EXPECT_GT(res.traffic.collective_bytes,
-            8u * 2u * 12u * 12u * 12u * sizeof(double));
-}
-
-TEST(GlobalMesh, Deterministic) {
-  auto a = mesh::run_global_mesh(small_global_options());
-  auto b = mesh::run_global_mesh(small_global_options());
   ASSERT_EQ(a.n_exc_per_domain.size(), b.n_exc_per_domain.size());
   for (std::size_t i = 0; i < a.n_exc_per_domain.size(); ++i)
     EXPECT_DOUBLE_EQ(a.n_exc_per_domain[i], b.n_exc_per_domain[i]);

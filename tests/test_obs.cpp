@@ -405,9 +405,10 @@ TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
     const int peer = 1 - comm.rank();
     std::vector<double> halo(64, static_cast<double>(comm.rank()));
     std::vector<double> got;
-    for (int i = 0; i < 8; ++i) // warm pool, scratch, mailbox, counters
-      comm.sendrecv_into(peer, std::span<const double>(halo), peer,
-                         /*tag=*/0, got);
+    for (int i = 0; i < 8; ++i) { // warm pool, scratch, mailbox, counters
+      comm.send(peer, /*tag=*/0, std::span<const double>(halo));
+      comm.recv_into(peer, /*tag=*/0, got);
+    }
     // The free-running loop below is not lockstep: a rank can run one
     // iteration ahead of its peer, so a mailbox queue briefly holds two
     // messages and up to five pool buffers are outside the pool at once
@@ -435,9 +436,10 @@ TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
     comm.barrier();
     comm.barrier();
     const std::uint64_t before = g_heap_allocs.load();
-    for (int i = 0; i < 256; ++i)
-      comm.sendrecv_into(peer, std::span<const double>(halo), peer,
-                         /*tag=*/0, got);
+    for (int i = 0; i < 256; ++i) {
+      comm.send(peer, /*tag=*/0, std::span<const double>(halo));
+      comm.recv_into(peer, /*tag=*/0, got);
+    }
     rank_allocs[static_cast<std::size_t>(comm.rank())] =
         g_heap_allocs.load() - before;
   });

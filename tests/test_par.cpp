@@ -105,7 +105,8 @@ TEST(SimComm, SendRecvRing) {
     const int next = (c.rank() + 1) % c.size();
     const int prev = (c.rank() + c.size() - 1) % c.size();
     std::vector<int> payload = {c.rank(), c.rank() * 2};
-    auto got = c.sendrecv(next, std::span<const int>(payload), prev, 0);
+    c.send(next, /*tag=*/0, std::span<const int>(payload));
+    auto got = c.recv<int>(prev, /*tag=*/0);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0], prev);
     EXPECT_EQ(got[1], prev * 2);

@@ -1,6 +1,5 @@
 // Tests for the composite split-operator propagators: unitarity, exact
-// time reversibility, convergence-order separation between S2 and S4, and
-// the self-consistent predictor-corrector step.
+// time reversibility and convergence-order separation between S2 and S4.
 
 #include <gtest/gtest.h>
 
@@ -93,39 +92,6 @@ TEST(Propagator, FourthOrderMoreAccurate) {
   const double e4_half = run(PropOrder::kFourth, 16);
   EXPECT_GT(e2 / e2_half, 2.5);
   EXPECT_GT(e4 / e4_half, 8.0);
-}
-
-TEST(Propagator, ScfStepUnitaryAndTracksPotential) {
-  SoAWave<double> w(small_grid(), 3);
-  init_plane_waves(w);
-  std::vector<double> f = {2.0, 2.0, 0.0};
-  auto vion = test_potential(w.grid);
-
-  int calls = 0;
-  auto vfun = [&](const std::vector<double>& rho) {
-    ++calls;
-    auto v = vion;
-    add_xc_potential(rho, v);
-    return v;
-  };
-
-  KinParams kin;
-  kin.dt = 0.05;
-  for (int i = 0; i < 5; ++i) split_step_scf(w, f, vfun, kin, PropOrder::kSecond);
-  EXPECT_LT(max_norm_dev(w), 1e-10);
-  EXPECT_EQ(calls, 10); // predictor + corrector potential per step
-}
-
-TEST(Propagator, ScfFourthOrderRuns) {
-  SoAWave<double> w(small_grid(), 2);
-  init_plane_waves(w);
-  std::vector<double> f = {2.0, 0.0};
-  auto vion = test_potential(w.grid);
-  auto vfun = [&](const std::vector<double>&) { return vion; };
-  KinParams kin;
-  kin.dt = 0.05;
-  split_step_scf(w, f, vfun, kin, PropOrder::kFourth);
-  EXPECT_LT(max_norm_dev(w), 1e-10);
 }
 
 } // namespace

@@ -391,6 +391,8 @@ TEST_P(TransportConformance, WorkerRankHistogramQuantilesReachTheParent) {
 }
 
 TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
+  // A send/recv_into halo exchange delivers the peer's payload and lands
+  // it in the caller's typed buffer without reallocating it.
   int failures = 0;
   std::mutex mu;
   run_k(2, [&](Comm& c) {
@@ -402,7 +404,8 @@ TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
     for (int s = 0; s < 4; ++s) {
       std::array<double, 8> halo{};
       halo.fill(static_cast<double>(c.rank() * 10 + s));
-      c.sendrecv_into(peer, std::span<const double>(halo), peer, s, out);
+      c.send(peer, s, std::span<const double>(halo));
+      c.recv_into(peer, s, out);
       ok = ok && out.size() == 8 &&
            out.front() == static_cast<double>(peer * 10 + s);
       // The typed destination buffer must keep its storage once warm.
@@ -411,6 +414,20 @@ TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
     count_rank_failures(c, ok, &failures, &mu);
   });
   EXPECT_EQ(failures, 0);
+}
+
+TEST_P(TransportConformance, AllreduceRejectsMismatchedLengths) {
+  // Rank 0 contributes 3 elements and rank 1 one: the gathered total (4)
+  // is not n x size() on either rank, so both reject the call instead of
+  // folding past the end of the gathered buffer.
+  EXPECT_THROW(run_k(2,
+                     [](Comm& c) {
+                       std::vector<double> v(c.rank() == 0 ? 3 : 1, 1.0);
+                       auto r = c.allreduce(std::span<const double>(v),
+                                            ReduceOp::kSum);
+                       (void)r;
+                     }),
+               std::invalid_argument);
 }
 
 // --- peer death (SIGKILL) --------------------------------------------------
