@@ -201,8 +201,7 @@ void usage() {
       "                chrome://tracing or Perfetto\n"
       "pipeline robustness options (DESIGN.md Sec. 10):\n"
       "  --faults=SPEC           inject deterministic faults, e.g.\n"
-      "                          'nan_force@step=25;exchange_fail@step=10,\n"
-      "                          p=0.5,seed=7' (or set MLMD_FAULTS)\n"
+      "                          'inf_field@step=25' (or set MLMD_FAULTS)\n"
       "  --guard=POLICY          per-step sentinel: abort|rollback|degrade\n"
       "  --checkpoint=PATH       checkpoint file (default\n"
       "                          mlmd_pipeline.ckpt)\n"

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   vopt.thermostat = qxmd::Thermostat::kLangevin;
   vopt.target_kt = kt;
   vopt.gamma = 2e-3;
-  qxmd::VelocityVerlet ref(lj_forces, vopt);
+  qxmd::VelocityVerlet ref(lj_forces, atoms_ref, vopt);
   std::vector<std::vector<double>> frames_ref;
 
   double t_nn = 0, t_ref = 0;

@@ -78,6 +78,9 @@ public:
   void step(const std::vector<Vec3>& f);
   /// Langevin step at temperature kT.
   void step_langevin(double kT, Rng& rng);
+  /// The same Langevin step driven by externally supplied forces `f`
+  /// (one per cell, e.g. a LatticeModel's) instead of forces().
+  void step_langevin(double kT, Rng& rng, const std::vector<Vec3>& f);
 
   /// Equilibrium well depth |u| for the current GS parameters
   /// (analytic: |u|^2 = (K - A)/(2B) for the z-polarized minimum).

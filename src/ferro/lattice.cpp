@@ -181,6 +181,14 @@ void FerroLattice::advance(const Vec3* f_ext) {
 void FerroLattice::step_langevin(double kT, Rng& rng) {
   std::vector<Vec3> f;
   forces(f);
+  step_langevin(kT, rng, f);
+}
+
+void FerroLattice::step_langevin(double kT, Rng& rng,
+                                 const std::vector<Vec3>& f) {
+  if (f.size() != ncells())
+    throw std::invalid_argument(
+        "FerroLattice::step_langevin: force array size");
   const double dt = p_.dt;
   const double c1 = std::exp(-p_.gamma * dt);
   const double c2 = std::sqrt((1.0 - c1 * c1) * kT / p_.mass);

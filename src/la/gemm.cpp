@@ -496,97 +496,4 @@ void gemm_mixed(ComputeMode mode, Trans ta, Trans tb, std::complex<float> alpha,
                   c.cols());
 }
 
-template <class T>
-void gemv(Trans ta, T alpha, const Matrix<T>& a, const T* x, T beta, T* y) {
-  using R = typename scalar_of<T>::type;
-  obs::ObsScope span("gemv", obs::Cat::kKernel);
-  const std::size_t m = op_rows(a, ta);
-  const std::size_t k = op_cols(a, ta);
-  // Analytic count: one multiply-add per op(A) element — 2 real FLOPs for
-  // real data, 8 for complex (4 mul + 4 add) — identical for kN and the
-  // packed kT/kC path. Verified by a unit check in test_la.
-  flops::add((is_cplx_v<T> ? 8ull : 2ull) * m * k);
-  if (m == 0) return;
-
-  if (ta == Trans::kN) {
-    // Row-major dot products; rows are independent.
-    par::parallel_for(0, m, 32, [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        const T* row = a.row(i);
-        if constexpr (std::is_arithmetic_v<T>) {
-          T acc{};
-#pragma omp simd reduction(+ : acc)
-          for (std::size_t p = 0; p < k; ++p) acc += row[p] * x[p];
-          y[i] = beta == T{} ? alpha * acc : alpha * acc + beta * y[i];
-        } else {
-          const R* rr = reinterpret_cast<const R*>(row);
-          const R* xr = reinterpret_cast<const R*>(x);
-          R sr{}, si{};
-#pragma omp simd reduction(+ : sr, si)
-          for (std::size_t p = 0; p < k; ++p) {
-            const R ar = rr[2 * p], ai = rr[2 * p + 1];
-            const R vr = xr[2 * p], vi = xr[2 * p + 1];
-            sr += ar * vr - ai * vi;
-            si += ar * vi + ai * vr;
-          }
-          const T acc(sr, si);
-          y[i] = beta == T{} ? alpha * acc : alpha * acc + beta * y[i];
-        }
-      }
-    });
-    return;
-  }
-
-  // kT / kC: op(A)(i, p) = conj?(A(p, i)) — walking op rows would stride
-  // down columns of A. Instead stream A row by row (cache order) into a
-  // packed accumulator slab for a chunk of outputs: acc[j] accumulates
-  // column j in ascending p order, so the summation order per output is
-  // fixed and thread-count independent (chunks own disjoint outputs).
-  const bool conj = ta == Trans::kC;
-  par::parallel_for(0, m, 256, [&](std::size_t j0, std::size_t j1) {
-    const std::size_t w = j1 - j0;
-    common::Workspace& ws = common::Workspace::local();
-    common::Workspace::Frame f(ws);
-    if constexpr (std::is_arithmetic_v<T>) {
-      T* acc = ws.get<T>(w);
-      for (std::size_t j = 0; j < w; ++j) acc[j] = T{};
-      for (std::size_t p = 0; p < k; ++p) {
-        const T* row = a.row(p) + j0;
-        const T xv = x[p];
-#pragma omp simd
-        for (std::size_t j = 0; j < w; ++j) acc[j] += row[j] * xv;
-      }
-      for (std::size_t j = 0; j < w; ++j)
-        y[j0 + j] = beta == T{} ? alpha * acc[j] : alpha * acc[j] + beta * y[j0 + j];
-    } else {
-      R* accr = ws.get<R>(w);
-      R* acci = ws.get<R>(w);
-      for (std::size_t j = 0; j < w; ++j) accr[j] = acci[j] = R{};
-      const R sign = conj ? R{-1} : R{1};
-      const R* xr = reinterpret_cast<const R*>(x);
-      for (std::size_t p = 0; p < k; ++p) {
-        const R* row = reinterpret_cast<const R*>(a.row(p) + j0);
-        const R vr = xr[2 * p], vi = xr[2 * p + 1];
-#pragma omp simd
-        for (std::size_t j = 0; j < w; ++j) {
-          const R ar = row[2 * j], ai = sign * row[2 * j + 1];
-          accr[j] += ar * vr - ai * vi;
-          acci[j] += ar * vi + ai * vr;
-        }
-      }
-      for (std::size_t j = 0; j < w; ++j) {
-        const T acc(accr[j], acci[j]);
-        y[j0 + j] = beta == T{} ? alpha * acc : alpha * acc + beta * y[j0 + j];
-      }
-    }
-  });
-}
-
-template void gemv<double>(Trans, double, const Matrix<double>&, const double*, double,
-                           double*);
-template void gemv<std::complex<double>>(Trans, std::complex<double>,
-                                         const Matrix<std::complex<double>>&,
-                                         const std::complex<double>*,
-                                         std::complex<double>, std::complex<double>*);
-
 } // namespace mlmd::la

@@ -112,16 +112,4 @@ void gemm_mixed(ComputeMode mode, Trans ta, Trans tb, std::complex<float> alpha,
                 const Matrix<std::complex<float>>& b, std::complex<float> beta,
                 Matrix<std::complex<float>>& c);
 
-/// y <- alpha * op(A) * x + beta * y (matrix-vector; used by SCF).
-template <class T>
-void gemv(Trans ta, T alpha, const Matrix<T>& a, const T* x, T beta, T* y);
-
-extern template void gemv<double>(Trans, double, const Matrix<double>&, const double*,
-                                  double, double*);
-extern template void gemv<std::complex<double>>(Trans, std::complex<double>,
-                                                const Matrix<std::complex<double>>&,
-                                                const std::complex<double>*,
-                                                std::complex<double>,
-                                                std::complex<double>*);
-
 } // namespace mlmd::la

@@ -82,7 +82,8 @@ struct PipelineOptions {
   std::string checkpoint_path; ///< file for --checkpoint-every writes
   std::string restore_path;    ///< non-empty: skip stages 1-2, resume
                                ///< stage 3 from this checkpoint
-  ft::GuardOptions guard;      ///< stage-3 step sentinel + recovery policy
+  ft::GuardOptions guard;      ///< stage-2 probe check + stage-3 step
+                               ///< sentinel and recovery policy
 };
 
 struct PipelineResult {

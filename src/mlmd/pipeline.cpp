@@ -131,6 +131,11 @@ void Session::prepare() {
       pulse.t0 = 0.5 * opt_.mesh_md_steps * dom.md_dt();
       for (int s = 0; s < opt_.mesh_md_steps; ++s) dom.md_step(&pulse);
       res_.n_exc = dom.lfd().n_exc();
+      // excitation_weight would clamp a NaN probe to w = 0, so check it
+      // here. Stage 2 has no snapshot to roll back to and no baseline
+      // probe to degrade to: a trip aborts under every policy.
+      if (!sentinel_.check_values("pipeline.n_exc", {&res_.n_exc, 1}))
+        throw ft::GuardTripped("pipeline stage 2: " + sentinel_.last_what());
     }
     res_.w = nnq::excitation_weight(res_.n_exc, opt_.n_sat);
   }

@@ -303,14 +303,6 @@ std::vector<ferro::Vec3> LatticeModel::forces(const ferro::FerroLattice& lat) co
   return f;
 }
 
-std::vector<std::vector<ferro::Vec3>> forces_multi(
-    const LatticeModel& model,
-    const std::vector<const ferro::FerroLattice*>& lats) {
-  std::vector<std::vector<ferro::Vec3>> f(lats.size());
-  lattice_forces(model.net(), nullptr, lats, nullptr, f.data());
-  return f;
-}
-
 double excitation_weight(double n_exc, double n_sat) {
   if (n_sat <= 0) return 0.0;
   return std::min(1.0, std::max(0.0, n_exc / n_sat));

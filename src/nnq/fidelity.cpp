@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "mlmd/common/rng.hpp"
-#include "mlmd/obs/metrics.hpp"
 
 namespace mlmd::nnq {
 
@@ -22,7 +21,6 @@ long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
   // suppresses. A sharper model (larger grad-input sensitivity) amplifies
   // the same weight noise into larger force outliers.
   LatticeModel noisy = model;
-  const double dt = params.dt;
 
   for (long step = 0; step < opt.max_steps; ++step) {
     const LatticeModel* use = &model;
@@ -35,97 +33,9 @@ long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
     for (const auto& fi : f)
       for (double c : fi)
         if (!std::isfinite(c) || std::abs(c) > opt.force_threshold) return step;
-    // Langevin update with the NN forces.
-    const double c1 = std::exp(-params.gamma * dt);
-    const double c2 = std::sqrt((1.0 - c1 * c1) * opt.kT / params.mass);
-    auto& u = lat.field();
-    auto& v = lat.velocity();
-    for (std::size_t i = 0; i < u.size(); ++i)
-      for (int k = 0; k < 3; ++k) {
-        v[i][static_cast<std::size_t>(k)] +=
-            dt * f[i][static_cast<std::size_t>(k)] / params.mass;
-        v[i][static_cast<std::size_t>(k)] =
-            c1 * v[i][static_cast<std::size_t>(k)] + c2 * rng.normal();
-        u[i][static_cast<std::size_t>(k)] += dt * v[i][static_cast<std::size_t>(k)];
-      }
+    lat.step_langevin(opt.kT, rng, f);
   }
   return opt.max_steps;
-}
-
-DegradeStats run_with_degradation(const LatticeModel& model, std::size_t lx,
-                                  std::size_t ly,
-                                  const ferro::FerroParams& params,
-                                  FailureOptions opt) {
-  // Same initial state and noise schedule as time_to_failure: identical
-  // seeds consume the RNG identically until the trip step.
-  ferro::FerroLattice lat(lx, ly, params);
-  Rng rng(opt.seed);
-  const double amp = std::max(lat.well_amplitude(), 0.3);
-  for (auto& u : lat.field())
-    u = {0.1 * amp * rng.normal(), 0.1 * amp * rng.normal(),
-         amp + 0.1 * amp * rng.normal()};
-
-  LatticeModel noisy = model;
-  const double dt = params.dt;
-  DegradeStats stats;
-  bool degraded = false;
-  std::vector<ferro::Vec3> f;
-
-  auto has_outlier = [&](const std::vector<ferro::Vec3>& g) {
-    for (const auto& gi : g)
-      for (double c : gi)
-        if (!std::isfinite(c) || std::abs(c) > opt.force_threshold) return true;
-    return false;
-  };
-
-  for (long step = 0; step < opt.max_steps; ++step) {
-    if (!degraded) {
-      const LatticeModel* use = &model;
-      if (opt.weight_noise > 0.0) {
-        noisy.net().params() = model.net().params();
-        for (auto& w : noisy.net().params())
-          w += opt.weight_noise * rng.normal();
-        use = &noisy;
-      }
-      f = use->forces(lat);
-      if (has_outlier(f)) {
-        // Trip: the NN forces this step are compromised; re-derive them
-        // from the baseline below and stay degraded for good.
-        degraded = true;
-        stats.trip_step = step;
-        auto& reg = obs::Registry::global();
-        static auto& detected = reg.counter("ft.faults.detected");
-        static auto& trips = reg.counter("ft.degrade.trips");
-        static auto& recovered = reg.counter("ft.faults.recovered");
-        detected.add(1);
-        trips.add(1);
-        recovered.add(1);
-      }
-    }
-    if (degraded) {
-      // Baseline: the exact lattice forces (always finite and bounded).
-      lat.forces(f);
-      ++stats.degraded_steps;
-    }
-    const double c1 = std::exp(-params.gamma * dt);
-    const double c2 = std::sqrt((1.0 - c1 * c1) * opt.kT / params.mass);
-    auto& u = lat.field();
-    auto& v = lat.velocity();
-    for (std::size_t i = 0; i < u.size(); ++i)
-      for (int k = 0; k < 3; ++k) {
-        v[i][static_cast<std::size_t>(k)] +=
-            dt * f[i][static_cast<std::size_t>(k)] / params.mass;
-        v[i][static_cast<std::size_t>(k)] =
-            c1 * v[i][static_cast<std::size_t>(k)] + c2 * rng.normal();
-        u[i][static_cast<std::size_t>(k)] +=
-            dt * v[i][static_cast<std::size_t>(k)];
-      }
-  }
-
-  for (const auto& ui : lat.field())
-    for (double c : ui)
-      if (!std::isfinite(c)) stats.finite = false;
-  return stats;
 }
 
 double powerlaw_exponent(const std::vector<double>& n, const std::vector<double>& t) {

@@ -113,15 +113,9 @@ std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
 // bitwise-identical per row to the scalar pass (mlp.hpp contract,
 // asserted in test_nnq), the per-cell gradients — and therefore the
 // scattered forces — do not depend on which lattices share a call or on
-// the thread count: forces_multi(model, {&a, &b})[0] is byte-identical
-// to model.forces(a). Asserted in test_serve and, against a serial
-// reference, in test_thread_pool.
-
-/// Per-lattice forces for every lattice, evaluated through shared
-/// inference batches. Bitwise-identical to model.forces(*lats[i]) per i.
-std::vector<std::vector<ferro::Vec3>> forces_multi(
-    const LatticeModel& model,
-    const std::vector<const ferro::FerroLattice*>& lats);
+// the thread count: xs_mixed_forces_multi(gs, xs, {&a, &b}, ...)[0] is
+// byte-identical to xs_mixed_forces(gs, xs, a, ...). Asserted in
+// test_serve and, against a serial reference, in test_thread_pool.
 
 /// Batched Eq. (4) across scenarios: element i mixes with the weight
 /// derived from (n_exc[i], n_sat[i]). Bitwise-identical per element to

@@ -28,24 +28,6 @@ struct FailureOptions {
 long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
                      const ferro::FerroParams& params, FailureOptions opt = {});
 
-/// Outcome of a degradation-enabled run (see run_with_degradation).
-struct DegradeStats {
-  long trip_step = -1;     ///< step of the first force outlier (-1: none)
-  long degraded_steps = 0; ///< steps completed on the exact baseline
-  bool finite = true;      ///< polarization field finite at the end
-};
-
-/// Graceful-degradation counterpart of time_to_failure (DESIGN.md
-/// Sec. 10): instead of declaring failure at the first NN force outlier,
-/// the run swaps the surrogate for the exact FerroLattice forces and
-/// keeps going to max_steps. The same seed/noise schedule as
-/// time_to_failure is used, so a run that fails there degrades here at
-/// the same step — but finishes with a finite trajectory.
-DegradeStats run_with_degradation(const LatticeModel& model, std::size_t lx,
-                                  std::size_t ly,
-                                  const ferro::FerroParams& params,
-                                  FailureOptions opt = {});
-
 /// Fit log(t) = c + alpha * log(N); returns alpha (least squares).
 double powerlaw_exponent(const std::vector<double>& n,
                          const std::vector<double>& t);

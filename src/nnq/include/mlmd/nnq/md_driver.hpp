@@ -1,8 +1,9 @@
 #pragma once
-// Atomistic XS-NNQMD molecular dynamics driver: velocity-Verlet MD with
-// NN forces (GS model, or GS/XS mixing per Eq. 4), periodic neighbor-list
-// rebuilds, optional Langevin thermostat, and velocity-frame capture for
-// the spectroscopy pipeline (VACF -> vibrational DOS, Sec. V.A.6 / [47]).
+// Atomistic XS-NNQMD molecular dynamics driver: NN forces (GS model, or
+// GS/XS mixing per Eq. 4) on periodic neighbor-list rebuilds, stepped by
+// qxmd::VelocityVerlet with its optional Langevin thermostat, and
+// velocity-frame capture for the spectroscopy pipeline (VACF ->
+// vibrational DOS, Sec. V.A.6 / [47]).
 //
 // Also hosts the dataset factory that turns reference-potential (LJ)
 // configurations into descriptor-space training data, closing the loop:
@@ -11,12 +12,11 @@
 #include <optional>
 #include <vector>
 
-#include "mlmd/ft/checkpoint.hpp"
-#include "mlmd/ft/guard.hpp"
 #include "mlmd/nnq/allegro.hpp"
 #include "mlmd/nnq/train.hpp"
 #include "mlmd/qxmd/atoms.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
+#include "mlmd/qxmd/verlet.hpp"
 
 namespace mlmd::nnq {
 
@@ -33,15 +33,6 @@ struct MdOptions {
   double langevin_gamma = 2e-3;
   double n_sat = 1.0;          ///< Eq. (4) saturation scale
   unsigned long long seed = 17;
-  /// Graceful degradation (DESIGN.md Sec. 10): when set, NN forces are
-  /// guarded each step; a non-finite or out-of-bound force permanently
-  /// swaps the surrogate for this baseline pair potential (Allegro-Legato
-  /// style fidelity floor). The pointed-to params must outlive the
-  /// driver, and fallback->rc must not exceed the neighbor-list cutoff
-  /// (basis rc + skin) or fallback forces would miss pairs.
-  const qxmd::LjParams* fallback = nullptr;
-  double guard_max_force = 1e6; ///< |f| bound for the guard (<= 0: only
-                                ///< finiteness is checked)
 };
 
 class NnqmdDriver {
@@ -49,6 +40,9 @@ public:
   /// GS-only dynamics when `xs` is null; Eq. (4) mixing otherwise.
   NnqmdDriver(const AtomModel& gs, const AtomModel* xs, qxmd::Atoms atoms,
               MdOptions opt = {});
+  // The integrator's force provider points at this driver.
+  NnqmdDriver(const NnqmdDriver&) = delete;
+  NnqmdDriver& operator=(const NnqmdDriver&) = delete;
 
   /// One MD step with excitation count n_exc (0 = ground state). Returns
   /// the NN potential energy.
@@ -56,47 +50,33 @@ public:
 
   const qxmd::Atoms& atoms() const { return atoms_; }
   qxmd::Atoms& atoms() { return atoms_; }
-  long steps() const { return steps_; }
-  const std::vector<double>& forces() const { return f_; }
+  long steps() const { return vv_.steps(); }
+  const std::vector<double>& forces() const { return vv_.forces(); }
 
   /// Total energy (NN potential + kinetic) at the last step.
-  double total_energy() const { return epot_ + atoms_.kinetic_energy(); }
+  double total_energy() const {
+    return vv_.potential_energy() + atoms_.kinetic_energy();
+  }
 
   /// Capture velocities each step into `frames` (for VACF analysis).
   void record_velocities(std::vector<std::vector<double>>* frames) {
     frames_ = frames;
   }
 
-  /// True once the force guard tripped and the driver switched to the
-  /// baseline pair potential (MdOptions::fallback).
-  bool degraded() const { return degraded_; }
-
-  // --- checkpoint/restart (ft::Checkpoint, DESIGN.md Sec. 10) ----------
-  /// Serialize everything step() evolves (atoms, forces, energy, step
-  /// count, thermostat RNG, degradation flag) as "nnq.*" sections.
-  void save_checkpoint(ft::CheckpointWriter& w) const;
-  /// Inverse of save_checkpoint: restores the dynamic state and rebuilds
-  /// the neighbor list from the restored positions. Restoring at a step
-  /// that is a multiple of rebuild_every makes the continued trajectory
-  /// bitwise identical to the uninterrupted one (the list is freshly
-  /// rebuilt at exactly those steps anyway).
-  void restore_checkpoint(const ft::CheckpointReader& r);
-
 private:
-  double compute_forces(double n_exc);
+  /// vv_'s force provider: refreshes the neighbor list on schedule, then
+  /// writes the GS forces, or the Eq. (4) mix at n_exc_, into `f`.
+  double compute_forces(const qxmd::Atoms& atoms, std::vector<double>& f);
 
   const AtomModel& gs_;
   const AtomModel* xs_;
   qxmd::Atoms atoms_;
   MdOptions opt_;
   std::optional<qxmd::NeighborList> nl_;
-  std::vector<double> f_, f_xs_;
-  double epot_ = 0.0;
-  long steps_ = 0;
-  Rng rng_;
+  std::vector<double> f_xs_;
+  double n_exc_ = 0.0; ///< excitation count of the step in flight
   std::vector<std::vector<double>>* frames_ = nullptr;
-  ft::StepSentinel sentinel_;
-  bool degraded_ = false;
+  qxmd::VelocityVerlet vv_; ///< last: its constructor calls compute_forces
 };
 
 /// Build a training dataset from randomized copies of `base`: each sample

@@ -1,6 +1,6 @@
 #include "mlmd/nnq/md_driver.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "mlmd/obs/trace.hpp"
 #include "mlmd/nnq/optimizer.hpp"
@@ -9,146 +9,56 @@ namespace mlmd::nnq {
 
 namespace {
 
-ft::GuardOptions force_guard(const MdOptions& opt) {
-  ft::GuardOptions go;
-  go.enabled = opt.fallback != nullptr;
-  go.policy = ft::Policy::kDegrade;
-  go.max_abs = opt.guard_max_force;
-  return go;
+qxmd::VerletOptions verlet_options(const MdOptions& opt) {
+  qxmd::VerletOptions v;
+  v.dt = opt.dt;
+  v.thermostat = opt.langevin_kt < 0.0 ? qxmd::Thermostat::kNone
+                                       : qxmd::Thermostat::kLangevin;
+  v.target_kt = opt.langevin_kt;
+  v.gamma = opt.langevin_gamma;
+  v.seed = opt.seed;
+  return v;
 }
 
 } // namespace
 
 NnqmdDriver::NnqmdDriver(const AtomModel& gs, const AtomModel* xs,
                          qxmd::Atoms atoms, MdOptions opt)
-    : gs_(gs), xs_(xs), atoms_(std::move(atoms)), opt_(opt), rng_(opt.seed),
-      sentinel_(force_guard(opt)) {
-  nl_.emplace(atoms_, gs_.basis().rc + opt_.skin);
-  epot_ = compute_forces(0.0);
-}
+    : gs_(gs), xs_(xs), atoms_(std::move(atoms)), opt_(opt),
+      vv_([this](const qxmd::Atoms& a,
+                 std::vector<double>& f) { return compute_forces(a, f); },
+          atoms_, verlet_options(opt_)) {}
 
-double NnqmdDriver::compute_forces(double n_exc) {
+double NnqmdDriver::compute_forces(const qxmd::Atoms& atoms,
+                                   std::vector<double>& f) {
+  // The first call comes from vv_'s constructor and builds the list.
+  // Later calls come from vv_.step(), which counts its step only once it
+  // ends, so the step in flight is vv_.steps() + 1.
+  if (!nl_ || (opt_.rebuild_every > 0 &&
+               (vv_.steps() + 1) % opt_.rebuild_every == 0))
+    nl_.emplace(atoms, gs_.basis().rc + opt_.skin);
+
   obs::ObsScope phase("nnq.forces", obs::Cat::kPhase);
-  if (!degraded_) {
-    double e = gs_.energy_forces(atoms_, *nl_, f_, opt_.block_size);
-    if (xs_) {
-      const double w = excitation_weight(n_exc, opt_.n_sat);
-      if (w > 0.0) {
-        const double e_xs =
-            xs_->energy_forces(atoms_, *nl_, f_xs_, opt_.block_size);
-        for (std::size_t i = 0; i < f_.size(); ++i)
-          f_[i] = (1.0 - w) * f_[i] + w * f_xs_[i];
-        e = (1.0 - w) * e + w * e_xs;
-      }
+  double e = gs_.energy_forces(atoms, *nl_, f, opt_.block_size);
+  if (xs_) {
+    const double w = excitation_weight(n_exc_, opt_.n_sat);
+    if (w > 0.0) {
+      const double e_xs =
+          xs_->energy_forces(atoms, *nl_, f_xs_, opt_.block_size);
+      for (std::size_t i = 0; i < f.size(); ++i)
+        f[i] = (1.0 - w) * f[i] + w * f_xs_[i];
+      e = (1.0 - w) * e + w * e_xs;
     }
-    // Fault-injection point: a nan_force entry corrupts the NN forces
-    // here, where the guard below must catch it.
-    ft::hook_forces(steps_, f_.data(), f_.size());
-    if (sentinel_.check_values("nnq.forces", f_)) return e;
-    // Guard tripped: graceful degradation. Permanently swap the surrogate
-    // for the baseline pair potential and recompute this step's forces
-    // from it (the NN values are compromised).
-    degraded_ = true;
-    static auto& degr = obs::Registry::global().counter("ft.degrade.trips");
-    static auto& recov = obs::Registry::global().counter("ft.faults.recovered");
-    degr.add(1);
-    recov.add(1);
   }
-  // The neighbor list is built with rc = basis.rc + skin; MdOptions
-  // documents that fallback->rc must not exceed it.
-  return qxmd::lj_energy_forces(atoms_, *nl_, *opt_.fallback, f_);
+  return e;
 }
 
 double NnqmdDriver::step(double n_exc) {
   obs::ObsScope step_span("nnq.md_step", obs::Cat::kStep);
-  ft::set_step(steps_); // publish the MD step clock to fault hooks
-  const std::size_t n = atoms_.n();
-  const double dt = opt_.dt;
-
-  // Half kick + drift with the forces from the previous step.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = 0.5 * dt / atoms_.mass[i];
-    for (int k = 0; k < 3; ++k) {
-      atoms_.vel(i)[k] += c * f_[3 * i + static_cast<std::size_t>(k)];
-      atoms_.pos(i)[k] += dt * atoms_.vel(i)[k];
-    }
-    atoms_.box.wrap(atoms_.pos(i));
-  }
-
-  ++steps_;
-  if (opt_.rebuild_every > 0 && steps_ % opt_.rebuild_every == 0)
-    nl_.emplace(atoms_, gs_.basis().rc + opt_.skin);
-
-  epot_ = compute_forces(n_exc);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = 0.5 * dt / atoms_.mass[i];
-    for (int k = 0; k < 3; ++k)
-      atoms_.vel(i)[k] += c * f_[3 * i + static_cast<std::size_t>(k)];
-  }
-
-  if (opt_.langevin_kt >= 0.0) {
-    const double c1 = std::exp(-opt_.langevin_gamma * dt);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double c2 =
-          std::sqrt((1.0 - c1 * c1) * opt_.langevin_kt / atoms_.mass[i]);
-      for (int k = 0; k < 3; ++k)
-        atoms_.vel(i)[k] = c1 * atoms_.vel(i)[k] + c2 * rng_.normal();
-    }
-  }
-
+  n_exc_ = n_exc;
+  const double epot = vv_.step(atoms_);
   if (frames_) frames_->push_back(atoms_.v);
-  return epot_;
-}
-
-void NnqmdDriver::save_checkpoint(ft::CheckpointWriter& w) const {
-  w.add_pod("nnq.box", atoms_.box);
-  w.add_vec("nnq.r", atoms_.r);
-  w.add_vec("nnq.v", atoms_.v);
-  w.add_vec("nnq.mass", atoms_.mass);
-  w.add_vec("nnq.type", atoms_.type);
-  w.add_vec("nnq.f", f_);
-  w.add_pod("nnq.epot", epot_);
-  w.add_pod("nnq.steps", steps_);
-  w.add_pod("nnq.rng_state", rng_.state());
-  w.add_pod("nnq.degraded", static_cast<std::uint8_t>(degraded_));
-}
-
-void NnqmdDriver::restore_checkpoint(const ft::CheckpointReader& r) {
-  auto box = r.pod<qxmd::Box>("nnq.box");
-  auto pos = r.vec<double>("nnq.r");
-  auto vel = r.vec<double>("nnq.v");
-  auto mass = r.vec<double>("nnq.mass");
-  auto type = r.vec<int>("nnq.type");
-  auto forces = r.vec<double>("nnq.f");
-  const auto epot = r.pod<double>("nnq.epot");
-  const auto steps = r.pod<long>("nnq.steps");
-  const auto rng_state = r.pod<std::array<std::uint64_t, 4>>("nnq.rng_state");
-  const bool degraded = r.pod<std::uint8_t>("nnq.degraded") != 0;
-
-  const std::size_t natoms = mass.size();
-  if (natoms != atoms_.n() || pos.size() != 3 * natoms ||
-      vel.size() != 3 * natoms || type.size() != natoms ||
-      forces.size() != 3 * natoms)
-    throw std::invalid_argument(
-        "NnqmdDriver::restore_checkpoint: atom count mismatch");
-  if (degraded && !opt_.fallback)
-    throw std::invalid_argument(
-        "NnqmdDriver::restore_checkpoint: checkpoint is degraded but no "
-        "fallback potential is configured");
-
-  atoms_.box = box;
-  atoms_.r = std::move(pos);
-  atoms_.v = std::move(vel);
-  atoms_.mass = std::move(mass);
-  atoms_.type = std::move(type);
-  f_ = std::move(forces);
-  epot_ = epot;
-  steps_ = steps;
-  rng_.set_state(rng_state);
-  degraded_ = degraded;
-  // Forces were restored bit-exactly, so only the list (consulted by the
-  // NEXT compute_forces call) must be rebuilt from the restored positions.
-  nl_.emplace(atoms_, gs_.basis().rc + opt_.skin);
+  return epot;
 }
 
 Dataset make_lj_dataset(const qxmd::Atoms& base, const RadialBasis& basis,

@@ -4,7 +4,7 @@
 // cations (type 0) on cell corners, the B cation (type 1) at the body
 // centre, oxygens (type 2) on the three face centres — 5 atoms per cell.
 // The ferroelectric distortion displaces the B sublattice against the
-// oxygen cage; polarize_perovskite applies that soft-mode pattern.
+// oxygen cage (examples/perovskite_domains imprints it as stripe domains).
 
 #include "mlmd/qxmd/atoms.hpp"
 
@@ -20,11 +20,6 @@ struct PerovskiteSpec {
 /// nx x ny x nz cubic perovskite supercell (5 atoms per cell).
 Atoms make_perovskite(std::size_t nx, std::size_t ny, std::size_t nz,
                       const PerovskiteSpec& spec = {});
-
-/// Apply the polar soft-mode distortion: B cations shift by +uz along z,
-/// oxygens by -uz/2 (net dipole per cell). Sign flips make 180-degree
-/// domains.
-void polarize_perovskite(Atoms& atoms, double uz);
 
 /// Count atoms of a given type.
 std::size_t count_type(const Atoms& atoms, int type);

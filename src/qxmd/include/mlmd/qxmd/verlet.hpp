@@ -1,7 +1,8 @@
 #pragma once
 // Velocity-Verlet time integration of Eq. (1) with an optional Langevin
 // thermostat. The force provider is a callback so the same integrator
-// drives LJ, Ehrenfest (DC-MESH), and NNQMD forces.
+// drives LJ reference MD (examples/nnqmd_md) and the NN forces of
+// nnq::NnqmdDriver.
 
 #include <functional>
 #include <vector>
@@ -27,7 +28,9 @@ struct VerletOptions {
 
 class VelocityVerlet {
 public:
-  VelocityVerlet(ForceProvider forces, VerletOptions opt = {});
+  /// Evaluates the forces on `atoms` once, for the first half kick.
+  VelocityVerlet(ForceProvider forces, const Atoms& atoms,
+                 VerletOptions opt = {});
 
   /// One MD step; updates atoms in place. Returns the potential energy at
   /// the end of the step.
@@ -37,6 +40,8 @@ public:
   long steps() const { return steps_; }
 
   const std::vector<double>& forces() const { return f_; }
+  /// Potential energy of the last force evaluation.
+  double potential_energy() const { return epot_; }
 
 private:
   void apply_thermostat(Atoms& atoms);
@@ -44,7 +49,7 @@ private:
   ForceProvider forces_fn_;
   VerletOptions opt_;
   std::vector<double> f_;
-  bool have_forces_ = false;
+  double epot_ = 0.0;
   long steps_ = 0;
   Rng rng_;
 };

@@ -32,16 +32,6 @@ Atoms make_perovskite(std::size_t nx, std::size_t ny, std::size_t nz,
   return atoms;
 }
 
-void polarize_perovskite(Atoms& atoms, double uz) {
-  for (std::size_t i = 0; i < atoms.n(); ++i) {
-    if (atoms.type[i] == 1)
-      atoms.pos(i)[2] += uz;
-    else if (atoms.type[i] == 2)
-      atoms.pos(i)[2] -= 0.5 * uz;
-    atoms.box.wrap(atoms.pos(i));
-  }
-}
-
 std::size_t count_type(const Atoms& atoms, int type) {
   std::size_t c = 0;
   for (int t : atoms.type)

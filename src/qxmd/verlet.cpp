@@ -4,17 +4,15 @@
 
 namespace mlmd::qxmd {
 
-VelocityVerlet::VelocityVerlet(ForceProvider forces, VerletOptions opt)
-    : forces_fn_(std::move(forces)), opt_(opt), rng_(opt.seed) {}
+VelocityVerlet::VelocityVerlet(ForceProvider forces, const Atoms& atoms,
+                               VerletOptions opt)
+    : forces_fn_(std::move(forces)), opt_(opt), rng_(opt.seed) {
+  epot_ = forces_fn_(atoms, f_);
+}
 
 double VelocityVerlet::step(Atoms& atoms) {
   const std::size_t n = atoms.n();
   const double dt = opt_.dt;
-
-  if (!have_forces_) {
-    forces_fn_(atoms, f_);
-    have_forces_ = true;
-  }
 
   // Half kick + drift.
   for (std::size_t i = 0; i < n; ++i) {
@@ -27,7 +25,7 @@ double VelocityVerlet::step(Atoms& atoms) {
   }
 
   // New forces + half kick.
-  const double epot = forces_fn_(atoms, f_);
+  epot_ = forces_fn_(atoms, f_);
   for (std::size_t i = 0; i < n; ++i) {
     const double c = 0.5 * dt / atoms.mass[i];
     for (int k = 0; k < 3; ++k) atoms.vel(i)[k] += c * f_[3 * i + k];
@@ -35,7 +33,7 @@ double VelocityVerlet::step(Atoms& atoms) {
 
   apply_thermostat(atoms);
   ++steps_;
-  return epot;
+  return epot_;
 }
 
 void VelocityVerlet::apply_thermostat(Atoms& atoms) {

@@ -19,9 +19,4 @@ std::vector<ferro::Vec3> polarization_from_atoms(const qxmd::Atoms& atoms,
                                                  const std::vector<double>& r_ref,
                                                  std::size_t lx, std::size_t ly);
 
-/// Convenience: write the binned field into a FerroLattice of matching
-/// extents (velocities untouched).
-void load_polarization(ferro::FerroLattice& lat, const qxmd::Atoms& atoms,
-                       const std::vector<double>& r_ref);
-
 } // namespace mlmd::topo

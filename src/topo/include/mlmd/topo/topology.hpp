@@ -57,17 +57,7 @@ void init_stripe_domains(ferro::FerroLattice& lat, std::size_t period);
 void paint_vortex(ferro::FerroLattice& lat, double cx, double cy, double amp,
                   int winding = +1, double core_radius = 2.0);
 
-/// In-plane winding number of the (u_x, u_y) field around a closed
-/// lattice loop of the given radius centred at (cx, cy).
-double in_plane_winding(const ferro::FerroLattice& lat, double cx, double cy,
-                        double radius);
-
 /// Uniform z polarization (+amp).
 void init_uniform(ferro::FerroLattice& lat, double sign = +1.0);
-
-/// Count plaquettes whose |charge density| exceeds `threshold` (defect
-/// cores / skyrmion count proxy).
-std::size_t count_charged_plaquettes(const ferro::FerroLattice& lat,
-                                     double threshold = 0.05);
 
 } // namespace mlmd::topo

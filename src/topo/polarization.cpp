@@ -37,9 +37,4 @@ std::vector<ferro::Vec3> polarization_from_atoms(const qxmd::Atoms& atoms,
   return field;
 }
 
-void load_polarization(ferro::FerroLattice& lat, const qxmd::Atoms& atoms,
-                       const std::vector<double>& r_ref) {
-  lat.field() = polarization_from_atoms(atoms, r_ref, lat.lx(), lat.ly());
-}
-
 } // namespace mlmd::topo

@@ -175,41 +175,4 @@ void paint_vortex(ferro::FerroLattice& lat, double cx, double cy, double amp,
     }
 }
 
-double in_plane_winding(const ferro::FerroLattice& lat, double cx, double cy,
-                        double radius) {
-  // Walk a discrete circle and accumulate the angle increments of
-  // (u_x, u_y), unwrapped to (-pi, pi].
-  const int nsamples = 64;
-  double total = 0.0;
-  double prev_angle = 0.0;
-  bool have_prev = false;
-  for (int k = 0; k <= nsamples; ++k) {
-    const double t = 2.0 * std::numbers::pi * k / nsamples;
-    const auto x = static_cast<std::size_t>(
-        std::llround(cx + radius * std::cos(t)) % static_cast<long long>(lat.lx()));
-    const auto y = static_cast<std::size_t>(
-        std::llround(cy + radius * std::sin(t)) % static_cast<long long>(lat.ly()));
-    const Vec3& u = lat.u(x % lat.lx(), y % lat.ly());
-    const double ang = std::atan2(u[1], u[0]);
-    if (have_prev) {
-      double d = ang - prev_angle;
-      while (d > std::numbers::pi) d -= 2.0 * std::numbers::pi;
-      while (d < -std::numbers::pi) d += 2.0 * std::numbers::pi;
-      total += d;
-    }
-    prev_angle = ang;
-    have_prev = true;
-  }
-  return total / (2.0 * std::numbers::pi);
-}
-
-std::size_t count_charged_plaquettes(const ferro::FerroLattice& lat,
-                                     double threshold) {
-  auto q = charge_density(lat.field(), lat.lx(), lat.ly());
-  std::size_t c = 0;
-  for (double v : q)
-    if (std::abs(v) > threshold) ++c;
-  return c;
-}
-
 } // namespace mlmd::topo

@@ -122,6 +122,20 @@ TEST(Ferro, ExcitationSizeMismatchThrows) {
   EXPECT_THROW(lat.set_excitation(w), std::invalid_argument);
 }
 
+TEST(Ferro, ExternalForceStepsRejectWrongSize) {
+  FerroLattice lat(4, 4);
+  randomize(lat, 5, 0.4);
+  for (auto& v : lat.velocity()) v = {0.1, -0.2, 0.3};
+  const auto u0 = lat.field();
+  const auto v0 = lat.velocity();
+  const std::vector<Vec3> f(lat.ncells() - 1, Vec3{1.0, 1.0, 1.0});
+  mlmd::Rng rng(3);
+  EXPECT_THROW(lat.step(f), std::invalid_argument);
+  EXPECT_THROW(lat.step_langevin(0.05, rng, f), std::invalid_argument);
+  EXPECT_EQ(lat.field(), u0);
+  EXPECT_EQ(lat.velocity(), v0);
+}
+
 TEST(Ferro, LangevinHeatsColdLattice) {
   FerroParams p;
   p.gamma = 0.3;

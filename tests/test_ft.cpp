@@ -1,8 +1,9 @@
 // Fault-matrix coverage for mlmd::ft (DESIGN.md Sec. 10): checkpoint
-// container integrity and bitwise-identical restart, deterministic fault
-// injection through the SimComm and step-loop hooks, bounded transient
-// retry, the three sentinel recovery policies on the pipeline, graceful
-// degradation (fidelity + MD driver), and the CLI unknown-flag guard.
+// container integrity and bitwise-identical pipeline restart,
+// deterministic fault injection through the SimComm and step-loop hooks,
+// bounded transient retry, the three sentinel recovery policies on the
+// pipeline (stage 3) and the stage-2 probe check that aborts under all
+// of them, and the CLI unknown-flag guard.
 //
 // Labeled `ft`, `tsan`, and `ubsan`: the SimComm tests run real rank
 // threads, so the whole file must stay clean under ThreadSanitizer and
@@ -26,8 +27,6 @@
 #include "mlmd/ft/guard.hpp"
 #include "mlmd/ft/io.hpp"
 #include "mlmd/mlmd/pipeline.hpp"
-#include "mlmd/nnq/fidelity.hpp"
-#include "mlmd/nnq/md_driver.hpp"
 #include "mlmd/par/simcomm.hpp"
 
 namespace {
@@ -447,102 +446,6 @@ TEST(StepSentinel, DetectsEnergyDriftAgainstFirstReference) {
 }
 
 // ---------------------------------------------------------------------------
-// NnqmdDriver checkpoint/restart + degradation
-// ---------------------------------------------------------------------------
-
-nnq::AtomModel test_model(unsigned long long seed = 99) {
-  return nnq::AtomModel(nnq::RadialBasis::make(5, 1.5, 6.5, 1.2), {12, 8},
-                        seed);
-}
-
-qxmd::Atoms test_atoms(unsigned long long seed = 1) {
-  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 4.5, 200.0);
-  Rng rng(seed);
-  for (auto& x : atoms.r) x += 0.1 * rng.normal();
-  return atoms;
-}
-
-// The acceptance-criterion property: 100 uninterrupted steps must be
-// bitwise identical to 50 steps + checkpoint + restore-into-a-fresh-
-// driver + 50 steps, including the Langevin thermostat's RNG stream.
-// The checkpoint lands at step 50, a multiple of rebuild_every=10, so
-// the freshly rebuilt neighbor list matches the uninterrupted run's.
-TEST(Checkpoint, MdDriverRestartIsBitwiseIdentical) {
-  ScopedFile f("test_ft_md.ckpt");
-  auto model = test_model();
-  auto atoms = test_atoms();
-  nnq::MdOptions opt;
-  opt.dt = 5.0;
-  opt.rebuild_every = 10;
-  opt.langevin_kt = 0.004;
-
-  nnq::NnqmdDriver uninterrupted(model, nullptr, atoms, opt);
-  for (int s = 0; s < 100; ++s) uninterrupted.step();
-
-  nnq::NnqmdDriver killed(model, nullptr, atoms, opt);
-  for (int s = 0; s < 50; ++s) killed.step();
-  ft::CheckpointWriter w;
-  killed.save_checkpoint(w);
-  w.write(f.path);
-
-  nnq::NnqmdDriver restored(model, nullptr, atoms, opt);
-  ft::CheckpointReader r(f.path);
-  restored.restore_checkpoint(r);
-  EXPECT_EQ(restored.steps(), 50);
-  for (int s = 0; s < 50; ++s) restored.step();
-
-  ASSERT_EQ(restored.atoms().r.size(), uninterrupted.atoms().r.size());
-  EXPECT_EQ(std::memcmp(restored.atoms().r.data(),
-                        uninterrupted.atoms().r.data(),
-                        restored.atoms().r.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(restored.atoms().v.data(),
-                        uninterrupted.atoms().v.data(),
-                        restored.atoms().v.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(restored.total_energy(), uninterrupted.total_energy());
-}
-
-TEST(Degradation, MdDriverSwapsToFallbackOnInjectedNanForce) {
-  qxmd::LjParams lj;
-  lj.rc = 6.5; // <= basis rc + skin: fallback sees every listed pair
-  auto model = test_model();
-  nnq::MdOptions opt;
-  opt.dt = 5.0;
-  opt.fallback = &lj;
-
-  ft::ScopedFaults faults("nan_force@step=3");
-  nnq::NnqmdDriver driver(model, nullptr, test_atoms(), opt);
-  EXPECT_FALSE(driver.degraded());
-  for (int s = 0; s < 10; ++s) driver.step();
-  EXPECT_TRUE(driver.degraded());
-  // The baseline pair potential carried the run: trajectory stays finite.
-  for (double x : driver.atoms().r) EXPECT_TRUE(std::isfinite(x));
-  for (double v : driver.atoms().v) EXPECT_TRUE(std::isfinite(v));
-  for (double f : driver.forces()) EXPECT_TRUE(std::isfinite(f));
-}
-
-TEST(Degradation, FidelityRunDegradesWhereFailureWouldOccur) {
-  nnq::LatticeModel model({12, 12}, 71);
-  ferro::FerroParams params;
-  nnq::FailureOptions opt;
-  opt.max_steps = 150;
-  opt.weight_noise = 10.0; // huge mispredictions: trips quickly
-
-  const long t_fail = nnq::time_to_failure(model, 8, 8, params, opt);
-  const auto stats = nnq::run_with_degradation(model, 8, 8, params, opt);
-  // Same seed, same noise schedule: degradation trips exactly where
-  // time_to_failure declares failure — but the run finishes finite.
-  if (t_fail < opt.max_steps) {
-    EXPECT_EQ(stats.trip_step, t_fail);
-    EXPECT_EQ(stats.degraded_steps, opt.max_steps - stats.trip_step);
-  } else {
-    EXPECT_EQ(stats.trip_step, -1);
-  }
-  EXPECT_TRUE(stats.finite);
-}
-
-// ---------------------------------------------------------------------------
 // Pipeline: checkpoint/restore identity + the three recovery policies
 // ---------------------------------------------------------------------------
 
@@ -635,6 +538,28 @@ TEST(Pipeline, DegradePolicySwapsNeuralForExactBackend) {
   EXPECT_TRUE(res.degraded);
   for (double q : res.q_history) EXPECT_TRUE(std::isfinite(q));
   EXPECT_TRUE(std::isfinite(res.q_final));
+}
+
+TEST(Pipeline, NonFiniteProbeTripsGuardUnderEveryPolicy) {
+  // A NaN in stage 2's DC-MESH forces reaches n_exc, which
+  // excitation_weight would clamp to w = 0. Stage 2 has no snapshot to
+  // roll back to and no baseline probe to degrade to, so every policy
+  // aborts.
+  for (ft::Policy policy :
+       {ft::Policy::kAbort, ft::Policy::kRollback, ft::Policy::kDegrade}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    ft::ScopedFaults faults("nan_force@step=1");
+    auto opt = tiny_pipeline();
+    opt.guard.enabled = true;
+    opt.guard.policy = policy;
+    try {
+      pipeline::run_pipeline(opt, /*dark=*/false);
+      FAIL() << "expected GuardTripped";
+    } catch (const ft::GuardTripped& e) {
+      EXPECT_NE(std::string(e.what()).find("stage 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -383,73 +383,6 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   EXPECT_DOUBLE_EQ(c(1, 1), 4.0);
 }
 
-TEST(Gemv, MatchesGemm) {
-  mlmd::Rng rng(19);
-  Matrix<double> a(6, 4);
-  fill_random(a, rng);
-  std::vector<double> x(4), y(6, 0.0);
-  for (auto& v : x) v = rng.normal();
-  gemv(Trans::kN, 1.0, a, x.data(), 0.0, y.data());
-  for (std::size_t i = 0; i < 6; ++i) {
-    double acc = 0;
-    for (std::size_t j = 0; j < 4; ++j) acc += a(i, j) * x[j];
-    EXPECT_NEAR(y[i], acc, 1e-12);
-  }
-}
-
-TEST(Gemv, ComplexTransConjMatchesReference) {
-  // The packed kT/kC path streams A row by row into per-output
-  // accumulators; check it against the direct column-dot definition for
-  // both the transpose and the conjugate-transpose.
-  mlmd::Rng rng(20);
-  Matrix<cd> a(37, 23); // stored k x m for kT/kC
-  fill_random(a, rng);
-  std::vector<cd> x(37), y0(23);
-  for (auto& v : x) v = cd(rng.normal(), rng.normal());
-  for (auto& v : y0) v = cd(rng.normal(), rng.normal());
-  const cd alpha(1.25, -0.5), beta(0.75, 0.25);
-  for (Trans t : {Trans::kT, Trans::kC}) {
-    std::vector<cd> y = y0;
-    gemv(t, alpha, a, x.data(), beta, y.data());
-    for (std::size_t j = 0; j < 23; ++j) {
-      cd acc{};
-      for (std::size_t p = 0; p < 37; ++p) {
-        const cd v = t == Trans::kC ? std::conj(a(p, j)) : a(p, j);
-        acc += v * x[p];
-      }
-      const cd expect = alpha * acc + beta * y0[j];
-      ASSERT_NEAR(std::abs(y[j] - expect), 0.0, 1e-12)
-          << "t=" << static_cast<int>(t) << " j=" << j;
-    }
-  }
-}
-
-TEST(Gemv, FlopCountDistinguishesComplex) {
-  // Analytic contract (gemm.cpp): 2*m*k real FLOPs for real data, 8*m*k
-  // for complex — identical for every trans path.
-  Matrix<double> a(12, 7);
-  std::vector<double> x(12, 1.0), y(7, 0.0);
-  Matrix<cd> za(12, 7);
-  std::vector<cd> zx(12, cd(1.0, 0.0)), zy(7);
-  {
-    mlmd::flops::Scope s;
-    gemv(Trans::kT, 1.0, a, x.data(), 0.0, y.data());
-    EXPECT_EQ(s.flops(), 2ull * 7 * 12);
-  }
-  {
-    mlmd::flops::Scope s;
-    gemv(Trans::kC, cd(1.0, 0.0), za, zx.data(), cd{}, zy.data());
-    EXPECT_EQ(s.flops(), 8ull * 7 * 12);
-  }
-  {
-    // kN consumes x of length n_cols and fills y of length n_rows.
-    std::vector<cd> zx_n(7, cd(1.0, 0.0)), zy_n(12);
-    mlmd::flops::Scope s;
-    gemv(Trans::kN, cd(1.0, 0.0), za, zx_n.data(), cd{}, zy_n.data());
-    EXPECT_EQ(s.flops(), 8ull * 12 * 7);
-  }
-}
-
 // ---- BF16 mixed-precision ladder ----------------------------------------
 
 class Bf16Ladder : public ::testing::TestWithParam<std::size_t> {};

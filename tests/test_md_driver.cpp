@@ -178,7 +178,7 @@ TEST(Polarization, SkyrmionTextureSurvivesBinning) {
                           0.3 * u[static_cast<std::size_t>(k)];
     }
   ferro::FerroLattice rebinned(16, 16);
-  topo::load_polarization(rebinned, atoms, r_ref);
+  rebinned.field() = topo::polarization_from_atoms(atoms, r_ref, 16, 16);
   EXPECT_NEAR(topo::topological_charge(rebinned), q_direct, 0.1);
 }
 

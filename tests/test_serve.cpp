@@ -232,28 +232,11 @@ ferro::FerroLattice random_lattice(std::size_t n, int seed) {
   return lat;
 }
 
-TEST(ForcesMulti, BitwiseIdenticalToPerLatticeForces) {
+TEST(ForcesMulti, MixedForcesMatchPerScenarioEquation4) {
   // Different sizes on purpose: the shared inference blocks straddle the
   // lattice boundary, so the scatter must split per sub-range.
-  const auto a = random_lattice(8, 21);
-  const auto b = random_lattice(12, 22);
-  const auto& model = *trained_models().gs;
-
-  const auto multi = nnq::forces_multi(model, {&a, &b});
-  const auto fa = model.forces(a);
-  const auto fb = model.forces(b);
-  ASSERT_EQ(multi.size(), 2u);
-  ASSERT_EQ(multi[0].size(), fa.size());
-  ASSERT_EQ(multi[1].size(), fb.size());
-  EXPECT_EQ(0, std::memcmp(multi[0].data(), fa.data(),
-                           fa.size() * sizeof(ferro::Vec3)));
-  EXPECT_EQ(0, std::memcmp(multi[1].data(), fb.data(),
-                           fb.size() * sizeof(ferro::Vec3)));
-}
-
-TEST(ForcesMulti, MixedForcesMatchPerScenarioEquation4) {
   const auto a = random_lattice(8, 23);
-  const auto b = random_lattice(8, 24);
+  const auto b = random_lattice(12, 24);
   const auto& gs = *trained_models().gs;
   const auto& xs = *trained_models().xs;
   const std::vector<double> n_exc = {0.0, 0.011};

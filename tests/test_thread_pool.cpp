@@ -727,13 +727,6 @@ TEST(ThreadPoolKernels, LatticeForcesMatchSerialOracleAtEveryThreadCount) {
     const auto before = launches.value();
     {
       const mlmd::flops::Scope fl;
-      const auto got = mlmd::nnq::forces_multi(gs, ptrs);
-      EXPECT_EQ(fl.flops(), flops_gs);
-      ASSERT_EQ(got.size(), lats.size());
-      for (std::size_t i = 0; i < lats.size(); ++i) expect_same_forces(got[i], want_gs[i]);
-    }
-    {
-      const mlmd::flops::Scope fl;
       const auto got = mlmd::nnq::xs_mixed_forces_multi(gs, xs, ptrs, n_exc, n_sat);
       EXPECT_EQ(fl.flops(), flops_mix);
       ASSERT_EQ(got.size(), lats.size());

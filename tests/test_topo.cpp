@@ -1,5 +1,5 @@
 // Tests for topological analysis: solid angles, charge quantization of
-// painted textures, initializers, and polar vortices (in-plane winding).
+// painted textures, initializers, and polar vortices (meron core charge).
 
 #include <gtest/gtest.h>
 
@@ -104,14 +104,6 @@ TEST(Topo, ChargeDensityLocalizedAtSkyrmion) {
   EXPECT_GT(near, 10.0 * far);
 }
 
-TEST(Topo, CountChargedPlaquettes) {
-  ferro::FerroLattice lat(32, 32);
-  init_uniform(lat, +1.0);
-  EXPECT_EQ(count_charged_plaquettes(lat), 0u);
-  paint_skyrmion(lat, 16, 16, 4.0, lat.well_amplitude(), +1);
-  EXPECT_GT(count_charged_plaquettes(lat, 0.01), 0u);
-}
-
 TEST(Topo, ZeroCellsAreSkipped) {
   ferro::FerroLattice lat(8, 8);
   // All-zero field: undefined direction -> contributes zero, not NaN.
@@ -121,16 +113,6 @@ TEST(Topo, ZeroCellsAreSkipped) {
 }
 
 // --- vortices ---------------------------------------------------------------
-
-TEST(Vortex, WindingMatchesPainted) {
-  ferro::FerroLattice lat(24, 24);
-  topo::paint_vortex(lat, 12, 12, 0.8, +1);
-  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), 1.0, 0.05);
-  topo::paint_vortex(lat, 12, 12, 0.8, -1);
-  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), -1.0, 0.05);
-  topo::paint_vortex(lat, 12, 12, 0.8, +2);
-  EXPECT_NEAR(topo::in_plane_winding(lat, 12, 12, 8.0), 2.0, 0.1);
-}
 
 TEST(Vortex, EscapedCoreHasMeronHalfCharge) {
   // A vortex whose core escapes into +z covers half the sphere: the
@@ -148,12 +130,6 @@ TEST(Vortex, EscapedCoreHasMeronHalfCharge) {
         q_core += q[static_cast<std::size_t>(x * 32 + y)];
     }
   EXPECT_NEAR(std::abs(q_core), 0.5, 0.1);
-}
-
-TEST(Vortex, UniformFieldHasNoWinding) {
-  ferro::FerroLattice lat(16, 16);
-  for (auto& u : lat.field()) u = {0.3, 0.1, 0.5};
-  EXPECT_NEAR(topo::in_plane_winding(lat, 8, 8, 5.0), 0.0, 1e-9);
 }
 
 TEST(Topo, ChargeDensitySumsToTotalCharge) {
