@@ -1,7 +1,8 @@
 // mlmd_run — command-line front door to the MLMD library.
 //
 //   mlmd_run pipeline [--lattice=48] [--sk=3] [--e0=0.08] [--dark]
-//       Full Fig. 3 multiscale pipeline; prints Q(t) and the verdict.
+//       Full Fig. 3 multiscale pipeline; prints n_exc and w, the initial
+//       and final Q, the verdict, and an FNV-1a digest of the Q(t) record.
 //   mlmd_run mesh [--md_steps=6] [--e0=0.05]
 //       One DC-MESH domain under a pump pulse; prints per-step stats.
 //   mlmd_run scf [--n=16] [--domains=2] [--buffer=2]
@@ -12,11 +13,13 @@
 // Every subcommand exits 0 on success so the binary can anchor CI smoke
 // runs.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "mlmd/analysis/spectrum.hpp"
 #include "mlmd/common/cli.hpp"
@@ -32,6 +35,17 @@
 namespace {
 
 using namespace mlmd;
+
+/// FNV-1a over the bytes of `q`: one line that changes with any bit of it.
+std::uint64_t fnv1a(const std::vector<double>& q) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* b = reinterpret_cast<const unsigned char*>(q.data());
+  for (std::size_t i = 0; i < q.size() * sizeof(double); ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 int run_pipeline_cmd(const Cli& cli) {
   pipeline::PipelineOptions opt;
@@ -65,6 +79,8 @@ int run_pipeline_cmd(const Cli& cli) {
     std::printf("Q: %.3f -> %.3f (%s run)\n", res.q_initial, res.q_final,
                 dark ? "dark" : "pumped");
     std::printf("switched: %s\n", res.switched ? "yes" : "no");
+    std::printf("q_digest = %016llx\n",
+                static_cast<unsigned long long>(fnv1a(res.q_history)));
     if (res.start_step > 0 || res.checkpoints_written > 0 ||
         res.rollbacks > 0 || res.degraded)
       std::printf("ft: start_step=%ld checkpoints=%d rollbacks=%d "

@@ -1,7 +1,11 @@
 #!/bin/sh
-# Thread-count identity of mlmd_run end to end: the Fig. 3 pipeline and
-# the atomistic NNQMD run must print byte-identical stdout at --threads=1
-# and --threads=4. Usage:
+# Thread-count and SIMD-target identity of mlmd_run end to end: the Fig. 3
+# pipeline and the atomistic NNQMD run must print byte-identical stdout at
+# --threads=1 and --threads=4, and the pipeline must print the same bytes
+# under MLMD_SIMD=scalar as under the host's default target. The pipeline
+# runs at --lattice=64, so each ferro step and charge pass splits into two
+# pool chunks, and its stdout carries a digest of every bit of Q(t).
+# Usage:
 #   mlmd_run_threads_identity_test.sh <mlmd_run>
 set -eu
 
@@ -12,16 +16,26 @@ trap cleanup EXIT
 trap 'cleanup; trap - EXIT; exit 1' INT TERM HUP
 
 for t in 1 4; do
-  "$RUN" pipeline --lattice=32 --xs_steps=200 --threads=$t > "$WORK/pipeline.t$t"
+  "$RUN" pipeline --lattice=64 --xs_steps=200 --threads=$t > "$WORK/pipeline.t$t"
   "$RUN" nnqmd --epochs=30 --md_steps=100 --threads=$t > "$WORK/nnqmd.t$t"
 done
+MLMD_SIMD=scalar "$RUN" pipeline --lattice=64 --xs_steps=200 --threads=4 \
+  > "$WORK/pipeline.scalar"
 
+fail() {
+  echo "FAIL: $1" >&2
+  diff "$2" "$3" >&2 || true
+  exit 1
+}
 for cmd in pipeline nnqmd; do
-  if ! cmp -s "$WORK/$cmd.t1" "$WORK/$cmd.t4"; then
-    echo "FAIL: mlmd_run $cmd stdout differs between --threads=1 and --threads=4" >&2
-    diff "$WORK/$cmd.t1" "$WORK/$cmd.t4" >&2 || true
-    exit 1
-  fi
+  cmp -s "$WORK/$cmd.t1" "$WORK/$cmd.t4" ||
+    fail "mlmd_run $cmd stdout differs between --threads=1 and --threads=4" \
+         "$WORK/$cmd.t1" "$WORK/$cmd.t4"
 done
+cmp -s "$WORK/pipeline.t4" "$WORK/pipeline.scalar" ||
+  fail "mlmd_run pipeline stdout differs between the default SIMD target and MLMD_SIMD=scalar" \
+       "$WORK/pipeline.t4" "$WORK/pipeline.scalar"
+grep -q '^q_digest = [0-9a-f]\{16\}$' "$WORK/pipeline.t1" ||
+  fail "mlmd_run pipeline printed no q_digest line" "$WORK/pipeline.t1" /dev/null
 
-echo "PASS: mlmd_run pipeline and nnqmd stdout identical at --threads=1 and --threads=4"
+echo "PASS: mlmd_run pipeline and nnqmd stdout identical at --threads=1 and --threads=4, pipeline identical under MLMD_SIMD=scalar"

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   // Eq. (4) sanity: mixed forces interpolate between the two models.
   ferro::FerroLattice lat(L, L);
   lat.set_uniform_excitation(0.0);
-  for (auto& u : lat.field()) u = {0.05, -0.02, 0.7};
+  lat.set_u_cells(std::vector<ferro::Vec3>(lat.ncells(), {0.05, -0.02, 0.7}));
   auto f0 = nnq::xs_mixed_forces(gs, xs, lat, /*n_exc=*/0.0, /*n_sat=*/1.0);
   auto f1 = nnq::xs_mixed_forces(gs, xs, lat, /*n_exc=*/2.0, /*n_sat=*/1.0);
   auto fg = gs.forces(lat);

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mlmd/common/rng.hpp"
@@ -50,10 +51,29 @@ public:
   std::size_t ncells() const { return lx_ * ly_; }
   std::size_t index(std::size_t x, std::size_t y) const { return x * ly_ + y; }
 
-  Vec3& u(std::size_t x, std::size_t y) { return u_[index(x, y)]; }
-  const Vec3& u(std::size_t x, std::size_t y) const { return u_[index(x, y)]; }
-  std::vector<Vec3>& field() { return u_; }
-  const std::vector<Vec3>& field() const { return u_; }
+  /// u and v are stored as three planes each (every cell's x component,
+  /// then every y, then every z), so the row kernel streams unit-stride
+  /// rows. Only this class and the simd row kernel index that layout;
+  /// everyone else goes through the accessors below.
+  Vec3 u(std::size_t x, std::size_t y) const {
+    const std::size_t i = index(x, y), n = ncells();
+    return {u_[i], u_[n + i], u_[2 * n + i]};
+  }
+  void set_u(std::size_t x, std::size_t y, const Vec3& a);
+
+  /// Interleaved copies of the whole field and velocity, one Vec3 per
+  /// cell in index() order (snapshots, checkpoints, tests); the setters
+  /// take the same layout and throw on a size mismatch.
+  std::vector<Vec3> u_cells() const;
+  void set_u_cells(const std::vector<Vec3>& cells);
+  std::vector<Vec3> v_cells() const;
+  void set_v_cells(const std::vector<Vec3>& cells);
+
+  /// The whole u / v store, 3 * ncells() doubles in the layout above,
+  /// for sweeps that treat every value alike (fault hooks, finiteness
+  /// checks, clamps).
+  std::span<double> u_store() { return u_; }
+  std::span<double> v_store() { return v_; }
 
   const FerroParams& params() const { return p_; }
   FerroParams& params() { return p_; }
@@ -69,9 +89,10 @@ public:
 
   /// Damped semi-implicit Euler step (deterministic quench dynamics):
   /// v <- (v + dt F/m) / (1 + gamma dt), then u <- u + dt v. Runs on the
-  /// par::ThreadPool by blocks of rows; the new field is built in a
-  /// persistent second buffer, so the result is bit-identical for every
-  /// thread count and a warm step allocates nothing.
+  /// par::ThreadPool by blocks of rows, one simd::KernelTable::ferro_row
+  /// call per row; the new field is built in a persistent second buffer,
+  /// so the result is bit-identical for every thread count and SIMD
+  /// target, and a warm step allocates nothing.
   void step();
   /// The same damped step driven by externally supplied forces `f` (one
   /// per cell, e.g. the Eq. (4) neural forces) instead of forces().
@@ -89,20 +110,12 @@ public:
   /// Mean |u_z| over the lattice.
   double mean_uz() const;
 
-  const std::vector<Vec3>& velocity() const { return v_; }
-  std::vector<Vec3>& velocity() { return v_; }
-
 private:
-  /// forces() of row x into f[0, ly).
-  void row_forces(std::size_t x, Vec3* f) const;
-  /// One damped step with forces `f_ext`, or forces() when null.
-  void advance(const Vec3* f_ext);
-
   std::size_t lx_, ly_;
   FerroParams p_;
-  std::vector<Vec3> u_, v_;
+  std::vector<double> u_, v_; ///< planes x, y, z of ncells() each
   std::vector<double> w_;
-  std::vector<Vec3> u_next_; ///< step() writes the new field here, then swaps
+  std::vector<double> u_next_; ///< step() writes the new field here, then swaps
 };
 
 } // namespace mlmd::ferro

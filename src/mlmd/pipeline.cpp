@@ -25,8 +25,8 @@ Stage3Snapshot capture(const ferro::FerroLattice& lat,
   st.q_initial = res.q_initial;
   st.q_history = res.q_history;
   st.degraded = degraded;
-  st.field = lat.field();
-  st.velocity = lat.velocity();
+  st.field = lat.u_cells();
+  st.velocity = lat.v_cells();
   st.excitation = lat.excitation();
   return st;
 }
@@ -36,8 +36,8 @@ void apply(const Stage3Snapshot& st, ferro::FerroLattice& lat,
   if (st.field.size() != lat.ncells() || st.velocity.size() != lat.ncells() ||
       st.excitation.size() != lat.ncells())
     throw std::invalid_argument("run_pipeline: restored lattice size mismatch");
-  lat.field() = st.field;
-  lat.velocity() = st.velocity;
+  lat.set_u_cells(st.field);
+  lat.set_v_cells(st.velocity);
   lat.set_excitation(st.excitation);
   res.n_exc = st.n_exc;
   res.w = st.w;
@@ -82,13 +82,12 @@ Stage3Snapshot read_stage3_checkpoint(const std::string& path,
   return st;
 }
 
-/// Zero every non-finite component (the kDegrade reaction on the exact
+/// Zero every non-finite value (the kDegrade reaction on the exact
 /// backend, where there is no baseline model to swap to: injected Inf/NaN
 /// cells are clamped and the deterministic quench re-relaxes them).
-void sanitize(std::vector<ferro::Vec3>& a) {
-  for (auto& v : a)
-    for (double& c : v)
-      if (!std::isfinite(c)) c = 0.0;
+void sanitize(std::span<double> a) {
+  for (double& c : a)
+    if (!std::isfinite(c)) c = 0.0;
 }
 
 std::span<const double> flat(const std::vector<ferro::Vec3>& a) {
@@ -201,12 +200,11 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
 
   if (!tripped) {
     // Fault-injection point: inf_field entries corrupt the lattice.
-    if (!lat_.field().empty())
-      ft::hook_fields(step_, lat_.field()[0].data(), 3 * lat_.ncells());
+    ft::hook_fields(step_, lat_.u_store().data(), lat_.u_store().size());
     // Gate on `enabled` here, not only inside check_*: lat.energy() is
     // an O(ncells) sum and must not run on the guard-off path.
     if (sentinel_.options().enabled &&
-        (!sentinel_.check_values("pipeline.field", flat(lat_.field())) ||
+        (!sentinel_.check_values("pipeline.field", lat_.u_store()) ||
          !sentinel_.check_energy("pipeline.energy", lat_.energy())))
       tripped = true;
   }
@@ -245,8 +243,8 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
         }
         // Clamp whatever non-finite damage reached the lattice; the
         // damped dynamics re-relaxes the zeroed cells.
-        sanitize(lat_.field());
-        sanitize(lat_.velocity());
+        sanitize(lat_.u_store());
+        sanitize(lat_.v_store());
         recovered.add(1);
         sentinel_.reset_energy_reference();
         return true; // retry this step on the baseline

@@ -204,7 +204,7 @@ void scatter_lattice_forces(const ferro::FerroLattice& lat, const double* dedg,
     const std::size_t xp = (x + 1) % lx, xm = (x + lx - 1) % lx;
     const std::size_t yp = (y + 1) % ly, ym = (y + ly - 1) % ly;
     const double* gi = dedg + c * kLatticeFeatures;
-    const auto& ui = lat.u(x, y);
+    const ferro::Vec3 ui = lat.u(x, y);
     // Feature layout (descriptor.cpp): [u_i (3), |u_i|^2, u_xp (3),
     // u_xm (3), u_yp (3), u_ym (3)].
     auto& fi = f[lat.index(x, y)];

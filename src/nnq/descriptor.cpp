@@ -84,11 +84,11 @@ void lattice_features(const ferro::FerroLattice& lat, std::size_t x, std::size_t
   const std::size_t xm = (x + lat.lx() - 1) % lat.lx();
   const std::size_t yp = (y + 1) % lat.ly();
   const std::size_t ym = (y + lat.ly() - 1) % lat.ly();
-  const auto& ui = lat.u(x, y);
-  const auto& a = lat.u(xp, y);
-  const auto& b = lat.u(xm, y);
-  const auto& c = lat.u(x, yp);
-  const auto& d = lat.u(x, ym);
+  const ferro::Vec3 ui = lat.u(x, y);
+  const ferro::Vec3 a = lat.u(xp, y);
+  const ferro::Vec3 b = lat.u(xm, y);
+  const ferro::Vec3 c = lat.u(x, yp);
+  const ferro::Vec3 d = lat.u(x, ym);
   std::size_t o = 0;
   for (int k = 0; k < 3; ++k) out[o++] = ui[k];
   out[o++] = ui[0] * ui[0] + ui[1] * ui[1] + ui[2] * ui[2];

@@ -12,9 +12,10 @@ long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
   ferro::FerroLattice lat(lx, ly, params);
   Rng rng(opt.seed);
   const double amp = std::max(lat.well_amplitude(), 0.3);
-  for (auto& u : lat.field())
-    u = {0.1 * amp * rng.normal(), 0.1 * amp * rng.normal(),
-         amp + 0.1 * amp * rng.normal()};
+  for (std::size_t x = 0; x < lx; ++x)
+    for (std::size_t y = 0; y < ly; ++y)
+      lat.set_u(x, y, {0.1 * amp * rng.normal(), 0.1 * amp * rng.normal(),
+                       amp + 0.1 * amp * rng.normal()});
 
   // Optionally perturb a copy of the weights each step: a controlled
   // stand-in for the rare mispredictions that sharpness-aware training

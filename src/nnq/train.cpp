@@ -142,9 +142,11 @@ Dataset sample_ferro_dataset(std::size_t lx, std::size_t ly, double kT,
   // Start from a weakly-random polarized state and equilibrate.
   Rng rng(seed);
   const double amp = std::max(lat.well_amplitude(), 0.3);
-  for (auto& u : lat.field())
-    u = {0.2 * amp * rng.normal(), 0.2 * amp * rng.normal(),
-         amp * (rng.uniform() < 0.5 ? -1.0 : 1.0) + 0.1 * amp * rng.normal()};
+  for (std::size_t x = 0; x < lx; ++x)
+    for (std::size_t y = 0; y < ly; ++y)
+      lat.set_u(x, y, {0.2 * amp * rng.normal(), 0.2 * amp * rng.normal(),
+                       amp * (rng.uniform() < 0.5 ? -1.0 : 1.0) +
+                           0.1 * amp * rng.normal()});
   for (int i = 0; i < 200; ++i) lat.step_langevin(kT, rng);
 
   Dataset data;

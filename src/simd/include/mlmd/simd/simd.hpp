@@ -26,6 +26,10 @@
 // checkpoint restore, cross-transport comm parity) survive unchanged
 // under any target.
 //
+// The stage-3 ferro row kernel is not hand-written: it is the generic
+// template of ukern_generic.hpp, compiled once with the vectorizer on
+// for SSE2 (the scalar table) and once for AVX2 (both wide tables).
+//
 // One binary carries all targets: the AVX2/AVX-512 kernels live in
 // translation units compiled with per-file -mavx2/-mavx512* flags, and no
 // intrinsic code path is reachable without a cpuid + OS-state approval,
@@ -167,6 +171,28 @@ using PackPanelFn = void (*)(const R* src, std::size_t ld, std::size_t kc,
 using Bf16Dot16Fn = void (*)(std::size_t n, const std::uint16_t* a,
                              const std::uint16_t* b, float acc[16]);
 
+/// Coefficients of ferro::FerroLattice's damped step (ferro/lattice.hpp):
+/// the Hamiltonian's a0, b, k, j, d and external field e, and the
+/// update's dt, mass and damping divisor damp = 1 + gamma dt.
+struct FerroCoeffs {
+  double a0 = 0, b = 0, k = 0, j = 0, d = 0;
+  double e[3] = {0, 0, 0};
+  double dt = 0, mass = 0, damp = 0;
+};
+
+/// One row of FerroLattice::step(): the force on each of the row's ly
+/// cells from the old field, then the damped update (ukern_generic.hpp
+/// has the per-cell definitions). u and v are stored as planes: u, u_xp
+/// and u_xm point at rows x, x+1 and x-1 of u's x plane, and the y and z
+/// planes follow at +plane and +2*plane; v (in/out) and u_next (out) use
+/// the same layout, and w is the row's excitation. c is taken by value:
+/// no store through v or u_next can then alias it, so the kernels keep
+/// the coefficients in registers instead of reloading them per cell.
+using FerroRowFn = void (*)(FerroCoeffs c, const double* u,
+                            const double* u_xp, const double* u_xm,
+                            const double* w, double* v, double* u_next,
+                            std::size_t plane, std::size_t ly);
+
 struct KernelTable {
   Target target = Target::kScalar;
   GemmUkern<float> sgemm;
@@ -180,6 +206,7 @@ struct KernelTable {
   PackPanelFn<float> pack_f = nullptr;
   PackPanelFn<double> pack_d = nullptr;
   Bf16Dot16Fn bf16_dot16 = nullptr;  ///< null unless AVX512-BF16 usable
+  FerroRowFn ferro_row = nullptr;
 };
 
 /// The kernel table of the active target (one relaxed atomic load).

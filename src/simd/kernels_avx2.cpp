@@ -68,6 +68,7 @@ const KernelTable kTable = {
     &pack_panel_vec<V256f>,
     &pack_panel_vec<V256d>,
     nullptr,  // bf16 pair-dot needs AVX512-BF16
+    &ferro_row_avx2,
 };
 
 }  // namespace

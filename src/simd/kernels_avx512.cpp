@@ -94,6 +94,7 @@ const KernelTable kTable = {
     &pack_panel_vec<V512f>,
     &pack_panel_vec<V512d>,
     kBf16Dot,
+    &ferro_row_avx2,  // a zmm build gained nothing measurable at 4 threads
 };
 
 }  // namespace

@@ -3,7 +3,8 @@
 // file is compiled with -ffp-contract=off so that even a build with
 // global FMA-capable flags (-march=native in CMAKE_CXX_FLAGS) cannot
 // contract mul+add here — the scalar table is the reference every other
-// target is byte-compared against.
+// target is byte-compared against. Its `omp simd` loops (the ferro row
+// among them) vectorize for the baseline SSE2.
 
 #include "mlmd/simd/simd.hpp"
 #include "mlmd/simd/ukern_generic.hpp"
@@ -27,6 +28,7 @@ const KernelTable kScalarTable = {
     &generic::pack_panel<float>,
     &generic::pack_panel<double>,
     nullptr,  // bf16_dot16: scalar emulation is routed by bf16_dot()
+    &generic::ferro_row<Target::kScalar>,
 };
 
 }  // namespace

@@ -22,17 +22,16 @@ using ferro::Vec3;
 /// vectors), via the Oosterom-Strackee formula. Range (-2pi, 2pi).
 double solid_angle(const Vec3& n1, const Vec3& n2, const Vec3& n3);
 
-/// Topological charge of a periodic lx x ly field (row-major, y fastest,
-/// matching FerroLattice). Cells with |u| < min_norm contribute zero
-/// (topological charge is undefined at zeros).
-double topological_charge(const std::vector<Vec3>& u, std::size_t lx, std::size_t ly,
-                          double min_norm = 1e-6);
-
+/// Topological charge of the lattice's periodic field. Cells with
+/// |u| < min_norm contribute zero (topological charge is undefined at
+/// zeros).
 double topological_charge(const ferro::FerroLattice& lat, double min_norm = 1e-6);
 
-/// Per-plaquette topological charge density (for defect localization).
-std::vector<double> charge_density(const std::vector<Vec3>& u, std::size_t lx,
-                                   std::size_t ly, double min_norm = 1e-6);
+/// Per-plaquette topological charge density (for defect localization),
+/// one value per cell in FerroLattice::index() order: the plaquette whose
+/// lower corner is that cell.
+std::vector<double> charge_density(const ferro::FerroLattice& lat,
+                                   double min_norm = 1e-6);
 
 // --- texture initializers -------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "mlmd/topo/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -26,29 +27,31 @@ inline bool normalize(Vec3& a, double min_norm) {
 }
 
 /// Cells per pool chunk in both density passes (the ferro grain): a 128^2
-/// lattice splits into 8 chunks, lattices of <= 2048 cells run inline.
+/// lattice splits into 8 row blocks, lattices of <= 2048 cells run inline.
 constexpr std::size_t kCellsPerChunk = 2048;
 
-/// Charge density of every plaquette into q[0, lx*ly). Each cell is a
-/// corner of four plaquettes, so it is normalised once up front; both
-/// passes run on the pool, and every output element depends only on its
-/// own inputs, so q is bit-identical for every thread count.
-void density_into(const Vec3* u, std::size_t lx, std::size_t ly,
-                  double min_norm, double* q) {
-  const std::size_t n = lx * ly;
+/// Charge density of every plaquette of `lat` into q[0, ncells). Each
+/// cell is a corner of four plaquettes, so it is normalised once up
+/// front; both passes run on the pool by the same row blocks, and every
+/// output element depends only on its own inputs, so q is bit-identical
+/// for every thread count.
+void density_into(const ferro::FerroLattice& lat, double min_norm, double* q) {
+  const std::size_t lx = lat.lx(), ly = lat.ly();
   common::Workspace& ws = common::Workspace::local();
   common::Workspace::Frame frame(ws);
-  Vec3* unit = ws.get<Vec3>(n);
-  bool* ok = ws.get<bool>(n);
-  par::parallel_for(0, n, kCellsPerChunk, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      unit[i] = u[i];
-      ok[i] = normalize(unit[i], min_norm);
-    }
+  Vec3* unit = ws.get<Vec3>(lx * ly);
+  bool* ok = ws.get<bool>(lx * ly);
+  const std::size_t rows = (kCellsPerChunk + ly - 1) / ly;
+  par::parallel_for(0, lx, rows, [&](std::size_t x0, std::size_t x1) {
+    for (std::size_t x = x0; x < x1; ++x)
+      for (std::size_t y = 0; y < ly; ++y) {
+        const std::size_t i = x * ly + y;
+        unit[i] = lat.u(x, y);
+        ok[i] = normalize(unit[i], min_norm);
+      }
   });
 
   const double inv4pi = 1.0 / (4.0 * std::numbers::pi);
-  const std::size_t rows = (kCellsPerChunk + ly - 1) / ly;
   par::parallel_for(0, lx, rows, [&](std::size_t x0, std::size_t x1) {
     for (std::size_t x = x0; x < x1; ++x) {
       const std::size_t xp = x + 1 == lx ? 0 : x + 1;
@@ -75,28 +78,23 @@ double solid_angle(const Vec3& n1, const Vec3& n2, const Vec3& n3) {
   return 2.0 * std::atan2(num, den);
 }
 
-std::vector<double> charge_density(const std::vector<Vec3>& u, std::size_t lx,
-                                   std::size_t ly, double min_norm) {
-  std::vector<double> q(lx * ly);
-  density_into(u.data(), lx, ly, min_norm, q.data());
+std::vector<double> charge_density(const ferro::FerroLattice& lat,
+                                   double min_norm) {
+  std::vector<double> q(lat.ncells());
+  density_into(lat, min_norm, q.data());
   return q;
 }
 
-double topological_charge(const std::vector<Vec3>& u, std::size_t lx, std::size_t ly,
-                          double min_norm) {
+double topological_charge(const ferro::FerroLattice& lat, double min_norm) {
   common::Workspace& ws = common::Workspace::local();
   common::Workspace::Frame frame(ws);
-  double* q = ws.get<double>(lx * ly);
-  density_into(u.data(), lx, ly, min_norm, q);
+  double* q = ws.get<double>(lat.ncells());
+  density_into(lat, min_norm, q);
   // Serial and in ascending cell order, so the total has the same bits at
   // every thread count.
   double total = 0.0;
-  for (std::size_t i = 0; i < lx * ly; ++i) total += q[i];
+  for (std::size_t i = 0; i < lat.ncells(); ++i) total += q[i];
   return total;
-}
-
-double topological_charge(const ferro::FerroLattice& lat, double min_norm) {
-  return topological_charge(lat.field(), lat.lx(), lat.ly(), min_norm);
 }
 
 void paint_skyrmion(ferro::FerroLattice& lat, double cx, double cy, double radius,
@@ -117,17 +115,17 @@ void paint_skyrmion(ferro::FerroLattice& lat, double cx, double cy, double radiu
       // charge_sign = -1 mirrors the azimuthal winding (phi -> -phi),
       // which reverses the degree of the map and hence the charge sign.
       const double phi = std::atan2(dy, dx) * static_cast<double>(charge_sign);
-      Vec3& ui = lat.u(x, y);
-      ui[0] = amp * std::sin(theta) * std::cos(phi);
-      ui[1] = amp * std::sin(theta) * std::sin(phi);
-      ui[2] = amp * std::cos(theta);
+      lat.set_u(x, y, {amp * std::sin(theta) * std::cos(phi),
+                       amp * std::sin(theta) * std::sin(phi),
+                       amp * std::cos(theta)});
     }
 }
 
 void init_uniform(ferro::FerroLattice& lat, double sign) {
   const double amp = lat.well_amplitude();
-  for (auto& ui : lat.field()) ui = {0.0, 0.0, sign * amp};
-  for (auto& vi : lat.velocity()) vi = {0.0, 0.0, 0.0};
+  for (std::size_t x = 0; x < lat.lx(); ++x)
+    for (std::size_t y = 0; y < lat.ly(); ++y) lat.set_u(x, y, {0.0, 0.0, sign * amp});
+  std::ranges::fill(lat.v_store(), 0.0);
 }
 
 void init_skyrmion_superlattice(ferro::FerroLattice& lat, std::size_t nx,
@@ -147,9 +145,9 @@ void init_stripe_domains(ferro::FerroLattice& lat, std::size_t period) {
   const double amp = lat.well_amplitude();
   for (std::size_t x = 0; x < lat.lx(); ++x) {
     const double sign = (x / period) % 2 == 0 ? 1.0 : -1.0;
-    for (std::size_t y = 0; y < lat.ly(); ++y) lat.u(x, y) = {0.0, 0.0, sign * amp};
+    for (std::size_t y = 0; y < lat.ly(); ++y) lat.set_u(x, y, {0.0, 0.0, sign * amp});
   }
-  for (auto& vi : lat.velocity()) vi = {0.0, 0.0, 0.0};
+  std::ranges::fill(lat.v_store(), 0.0);
 }
 
 void paint_vortex(ferro::FerroLattice& lat, double cx, double cy, double amp,
@@ -168,10 +166,7 @@ void paint_vortex(ferro::FerroLattice& lat, double cx, double cy, double amp,
       // singular zero.
       const double core = std::exp(-r / core_radius);
       const double inplane = amp * (1.0 - core);
-      Vec3& u = lat.u(x, y);
-      u[0] = -inplane * std::sin(phi);
-      u[1] = inplane * std::cos(phi);
-      u[2] = amp * core;
+      lat.set_u(x, y, {-inplane * std::sin(phi), inplane * std::cos(phi), amp * core});
     }
 }
 

@@ -15,8 +15,13 @@ using namespace mlmd::ferro;
 
 void randomize(FerroLattice& lat, unsigned long long seed, double amp = 0.5) {
   mlmd::Rng rng(seed);
-  for (auto& u : lat.field())
-    u = {amp * rng.normal(), amp * rng.normal(), amp * rng.normal()};
+  std::vector<Vec3> u(lat.ncells());
+  for (auto& ui : u) ui = {amp * rng.normal(), amp * rng.normal(), amp * rng.normal()};
+  lat.set_u_cells(u);
+}
+
+void fill(FerroLattice& lat, const Vec3& u) {
+  lat.set_u_cells(std::vector<Vec3>(lat.ncells(), u));
 }
 
 TEST(Ferro, TooSmallThrows) {
@@ -46,15 +51,19 @@ TEST_P(FerroForceSweep, ForcesAreMinusEnergyGradient) {
   std::vector<Vec3> f;
   lat.forces(f);
   const double eps = 1e-6;
+  auto cells = lat.u_cells();
   for (std::size_t i : {0ul, 7ul, 13ul, 19ul}) {
     for (int c = 0; c < 3; ++c) {
-      auto& u = lat.field()[i][static_cast<std::size_t>(c)];
+      auto& u = cells[i][static_cast<std::size_t>(c)];
       const double orig = u;
       u = orig + eps;
+      lat.set_u_cells(cells);
       const double ep = lat.energy();
       u = orig - eps;
+      lat.set_u_cells(cells);
       const double em = lat.energy();
       u = orig;
+      lat.set_u_cells(cells);
       EXPECT_NEAR(f[i][static_cast<std::size_t>(c)], -(ep - em) / (2 * eps), 1e-5)
           << "cell " << i << " comp " << c;
     }
@@ -78,7 +87,7 @@ TEST(Ferro, UniformPolarizedStateIsStationary) {
   p.d = 0.0; // the chiral term tilts the uniform state; test without it
   FerroLattice lat(6, 6, p);
   const double m = lat.well_amplitude();
-  for (auto& u : lat.field()) u = {0.0, 0.0, m};
+  fill(lat, {0.0, 0.0, m});
   std::vector<Vec3> f;
   lat.forces(f);
   for (const auto& fi : f)
@@ -97,7 +106,7 @@ TEST(Ferro, RelaxedStateReachesWellAmplitude) {
   FerroParams p;
   p.d = 0.0;
   FerroLattice lat(6, 6, p);
-  for (auto& u : lat.field()) u = {0.0, 0.0, 0.1}; // weak seed, relax into well
+  fill(lat, {0.0, 0.0, 0.1}); // weak seed, relax into well
   for (int i = 0; i < 2000; ++i) lat.step();
   EXPECT_NEAR(lat.mean_uz(), lat.well_amplitude(), 0.05 * lat.well_amplitude());
 }
@@ -106,8 +115,8 @@ TEST(Ferro, ExcitationSoftensPolarization) {
   FerroParams p;
   p.d = 0.0;
   FerroLattice gs(6, 6, p), xs(6, 6, p);
-  for (auto& u : gs.field()) u = {0.0, 0.0, 0.6};
-  for (auto& u : xs.field()) u = {0.0, 0.0, 0.6};
+  fill(gs, {0.0, 0.0, 0.6});
+  fill(xs, {0.0, 0.0, 0.6});
   xs.set_uniform_excitation(0.5); // A(w=1/2) = 0: well flattens
   for (int i = 0; i < 1500; ++i) {
     gs.step();
@@ -122,30 +131,44 @@ TEST(Ferro, ExcitationSizeMismatchThrows) {
   EXPECT_THROW(lat.set_excitation(w), std::invalid_argument);
 }
 
+TEST(Ferro, CellAccessorsAgreeWithInterleavedCopies) {
+  FerroLattice lat(3, 5);
+  lat.set_u(2, 1, {1.0, -2.0, 3.0});
+  EXPECT_EQ(lat.u(2, 1), (Vec3{1.0, -2.0, 3.0}));
+  EXPECT_EQ(lat.u_cells()[lat.index(2, 1)], (Vec3{1.0, -2.0, 3.0}));
+  randomize(lat, 9);
+  const auto u = lat.u_cells();
+  for (std::size_t x = 0; x < lat.lx(); ++x)
+    for (std::size_t y = 0; y < lat.ly(); ++y) EXPECT_EQ(lat.u(x, y), u[lat.index(x, y)]);
+  EXPECT_EQ(lat.u_store().size(), 3 * lat.ncells());
+  EXPECT_THROW(lat.set_u_cells(std::vector<Vec3>(lat.ncells() + 1)), std::invalid_argument);
+  EXPECT_THROW(lat.set_v_cells(std::vector<Vec3>(lat.ncells() - 1)), std::invalid_argument);
+}
+
 TEST(Ferro, ExternalForceStepsRejectWrongSize) {
   FerroLattice lat(4, 4);
   randomize(lat, 5, 0.4);
-  for (auto& v : lat.velocity()) v = {0.1, -0.2, 0.3};
-  const auto u0 = lat.field();
-  const auto v0 = lat.velocity();
+  lat.set_v_cells(std::vector<Vec3>(lat.ncells(), Vec3{0.1, -0.2, 0.3}));
+  const auto u0 = lat.u_cells();
+  const auto v0 = lat.v_cells();
   const std::vector<Vec3> f(lat.ncells() - 1, Vec3{1.0, 1.0, 1.0});
   mlmd::Rng rng(3);
   EXPECT_THROW(lat.step(f), std::invalid_argument);
   EXPECT_THROW(lat.step_langevin(0.05, rng, f), std::invalid_argument);
-  EXPECT_EQ(lat.field(), u0);
-  EXPECT_EQ(lat.velocity(), v0);
+  EXPECT_EQ(lat.u_cells(), u0);
+  EXPECT_EQ(lat.v_cells(), v0);
 }
 
 TEST(Ferro, LangevinHeatsColdLattice) {
   FerroParams p;
   p.gamma = 0.3;
   FerroLattice lat(8, 8, p);
-  for (auto& u : lat.field()) u = {0.0, 0.0, lat.well_amplitude()};
+  fill(lat, {0.0, 0.0, lat.well_amplitude()});
   mlmd::Rng rng(21);
   for (int i = 0; i < 500; ++i) lat.step_langevin(0.05, rng);
   // Kinetic energy per mode ~ kT/2.
   double ekin = 0;
-  for (const auto& v : lat.velocity())
+  for (const auto& v : lat.v_cells())
     ekin += 0.5 * p.mass * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
   ekin /= static_cast<double>(lat.ncells()) * 3.0;
   EXPECT_GT(ekin, 0.005);
@@ -158,18 +181,17 @@ TEST(Ferro, ChiralTermBreaksSymmetry) {
   p.d = 0.8;
   FerroLattice a(6, 6, p), b(6, 6, p);
   randomize(a, 31, 0.4);
-  for (std::size_t i = 0; i < a.ncells(); ++i) {
-    b.field()[i] = a.field()[i];
-    b.field()[i][0] = -b.field()[i][0]; // mirror x
-  }
+  auto u = a.u_cells();
+  for (auto& ui : u) ui[0] = -ui[0]; // mirror x
+  b.set_u_cells(u);
   EXPECT_GT(std::abs(a.energy() - b.energy()), 1e-6);
 }
 
 TEST(Ferro, EnergyExtensive) {
   FerroParams p;
   FerroLattice small(4, 4, p), big(8, 8, p);
-  for (auto& u : small.field()) u = {0.0, 0.0, 0.5};
-  for (auto& u : big.field()) u = {0.0, 0.0, 0.5};
+  fill(small, {0.0, 0.0, 0.5});
+  fill(big, {0.0, 0.0, 0.5});
   EXPECT_NEAR(big.energy(), 4.0 * small.energy(), 1e-9);
 }
 

@@ -172,13 +172,13 @@ TEST(Polarization, SkyrmionTextureSurvivesBinning) {
   for (std::size_t x = 0; x < 16; ++x)
     for (std::size_t y = 0; y < 16; ++y) {
       const std::size_t i = (x * 16 + y) * 1;
-      const auto& u = lat.u(x, y);
+      const auto u = lat.u(x, y);
       for (int k = 0; k < 3; ++k)
         atoms.pos(i)[k] = r_ref[3 * i + static_cast<std::size_t>(k)] +
                           0.3 * u[static_cast<std::size_t>(k)];
     }
   ferro::FerroLattice rebinned(16, 16);
-  rebinned.field() = topo::polarization_from_atoms(atoms, r_ref, 16, 16);
+  rebinned.set_u_cells(topo::polarization_from_atoms(atoms, r_ref, 16, 16));
   EXPECT_NEAR(topo::topological_charge(rebinned), q_direct, 0.1);
 }
 

@@ -308,20 +308,25 @@ TEST(AtomModel, BlockInferenceBitwiseIdentical) {
 TEST(LatticeModel, ForcesMatchEnergyGradient) {
   ferro::FerroLattice lat(4, 4);
   mlmd::Rng rng(12);
-  for (auto& u : lat.field()) u = {0.3 * rng.normal(), 0.3 * rng.normal(),
-                                   0.5 + 0.2 * rng.normal()};
+  for (std::size_t x = 0; x < lat.lx(); ++x)
+    for (std::size_t y = 0; y < lat.ly(); ++y)
+      lat.set_u(x, y, {0.3 * rng.normal(), 0.3 * rng.normal(), 0.5 + 0.2 * rng.normal()});
   LatticeModel model({12, 12}, 13);
   auto f = model.forces(lat);
   const double eps = 1e-6;
+  auto cells = lat.u_cells();
   for (std::size_t i : {0ul, 5ul, 10ul}) {
     for (int c = 0; c < 3; ++c) {
-      auto& u = lat.field()[i][static_cast<std::size_t>(c)];
+      auto& u = cells[i][static_cast<std::size_t>(c)];
       const double orig = u;
       u = orig + eps;
+      lat.set_u_cells(cells);
       const double ep = model.energy(lat);
       u = orig - eps;
+      lat.set_u_cells(cells);
       const double em = model.energy(lat);
       u = orig;
+      lat.set_u_cells(cells);
       EXPECT_NEAR(f[i][static_cast<std::size_t>(c)], -(ep - em) / (2 * eps), 1e-6)
           << i << "," << c;
     }
@@ -389,7 +394,7 @@ TEST(Mixing, WeightSaturates) {
 
 TEST(Mixing, InterpolatesForces) {
   ferro::FerroLattice lat(4, 4);
-  for (auto& u : lat.field()) u = {0.1, 0.2, 0.5};
+  lat.set_u_cells(std::vector<ferro::Vec3>(lat.ncells(), {0.1, 0.2, 0.5}));
   LatticeModel gs({8, 8}, 1), xs({8, 8}, 2);
   auto fg = gs.forces(lat);
   auto fx = xs.forces(lat);

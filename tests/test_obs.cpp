@@ -448,14 +448,17 @@ TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
 }
 
 TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
-  // A warm kExact stage-3 step — the lattice step, the recorded
-  // topological charge and the history push — must not touch the heap
-  // when it runs inline: the new field goes to the lattice's second
-  // buffer, chunk and charge scratch come from the thread's Workspace,
-  // the pool takes the chunk body by reference, and prepare() reserved
-  // q_history. At > 1 thread a launch that splits into several chunks
-  // still allocates its Task (DESIGN.md Sec. 8), so the 4-thread case uses
-  // a lattice that is one chunk.
+  // A warm kExact stage-3 step with the guard off — the lattice step, the
+  // recorded topological charge and the history push — must not touch
+  // the heap when it runs inline: the new field goes to the lattice's
+  // second buffer, the charge reads cells through the accessor into
+  // Workspace scratch, the pool takes the chunk body by reference, and
+  // prepare() reserved q_history. An interleaved copy of the planar field
+  // in the step loop would show up here. The known exception: at > 1
+  // thread a launch that splits into several chunks allocates its Task
+  // and its per-thread chunk counters (two per launch, 220 over 100
+  // steps at 128^2; DESIGN.md Sec. 8), so the 4-thread case uses a
+  // lattice that is one chunk.
   using mlmd::par::ThreadPool;
   Tracer::enable(false);
   struct Case {
@@ -470,11 +473,12 @@ TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
     opt.relax_steps = 10;
     opt.xs_steps = 400;
     opt.record_every = 20;
+    opt.guard.enabled = false;
     mlmd::pipeline::Session session(opt, /*dark=*/true);
     session.prepare();
     for (int i = 0; i < 20; ++i) session.step(); // includes one record
     const std::uint64_t before = g_heap_allocs.load();
-    for (int i = 0; i < 200; ++i) session.step();
+    for (int i = 0; i < 200; ++i) session.step(); // ten records
     EXPECT_EQ(g_heap_allocs.load() - before, 0u)
         << "threads=" << c.threads << " lattice=" << c.lattice;
     EXPECT_EQ(session.result().q_history.size(), 12u);

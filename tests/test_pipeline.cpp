@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
+#include "mlmd/ft/checkpoint.hpp"
 #include "mlmd/mlmd/pipeline.hpp"
 #include "mlmd/nnq/train.hpp"
 #include "mlmd/par/thread_pool.hpp"
+#include "mlmd/simd/simd.hpp"
 #include "mlmd/topo/topology.hpp"
+#include "simd_targets.hpp"
 
 namespace {
 
@@ -168,37 +173,84 @@ TEST(Session, PumpedMeshProbeBitIdenticalAcrossThreadCounts) {
             0);
 }
 
+/// FNV-1a over the bytes of `q`.
+std::uint64_t fnv1a(const std::vector<double>& q) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* b = reinterpret_cast<const unsigned char*>(q.data());
+  for (std::size_t i = 0; i < q.size() * sizeof(double); ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 TEST(Session, ExactLattice128BitIdenticalAcrossThreadCounts) {
   // At 128^2 the stage-3 lattice step and the topological charge split
   // into 8 pool chunks; the trajectory and its charge history must not
-  // depend on the thread count, pumped or dark.
+  // depend on the thread count or the SIMD target, pumped or dark. The
+  // digests were recorded when the field was still stored one Vec3 per
+  // cell and the step ran scalar, so any drift from that code fails here.
   auto opt = small_options();
   opt.lattice = 128;
   opt.superlattice = 4;
   opt.xs_steps = 400;
   opt.record_every = 20;
-  for (const bool dark : {false, true}) {
+  const std::pair<bool, std::uint64_t> cases[] = {{false, 0x87a691c744cb3ed6ull},
+                                                  {true, 0x21000754de190ca7ull}};
+  for (const auto& [dark, digest] : cases) {
     SCOPED_TRACE(dark ? "dark" : "pumped");
     std::vector<double> ref_q;
     std::vector<ferro::Vec3> ref_u;
-    for (const int threads : {1, 4}) {
-      par::ThreadPool::set_global_threads(threads);
-      Session s(opt, dark);
-      while (s.step()) {
+    for (const auto target : simd::supported_targets()) {
+      mlmd::testing::ScopedSimdTarget guard(target);
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(simd::target_name(target)) + " threads=" +
+                     std::to_string(threads));
+        par::ThreadPool::set_global_threads(threads);
+        Session s(opt, dark);
+        while (s.step()) {
+        }
+        const auto& q = s.result().q_history;
+        const auto u = s.lattice().u_cells();
+        EXPECT_EQ(fnv1a(q), digest);
+        if (ref_q.empty()) {
+          ref_q = q;
+          ref_u = u;
+          continue;
+        }
+        ASSERT_EQ(q.size(), ref_q.size());
+        EXPECT_EQ(std::memcmp(q.data(), ref_q.data(), q.size() * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(u.data(), ref_u.data(), u.size() * sizeof(ferro::Vec3)), 0);
       }
-      const auto& q = s.result().q_history;
-      const auto& u = s.lattice().field();
-      if (threads == 1) {
-        ref_q = q;
-        ref_u = u;
-        continue;
-      }
-      ASSERT_EQ(q.size(), ref_q.size());
-      EXPECT_EQ(std::memcmp(q.data(), ref_q.data(), q.size() * sizeof(double)), 0);
-      EXPECT_EQ(std::memcmp(u.data(), ref_u.data(), u.size() * sizeof(ferro::Vec3)), 0);
     }
   }
   par::ThreadPool::set_global_threads(0);
+}
+
+TEST(Session, CheckpointKeepsInterleavedLayout) {
+  // pipeline.field and pipeline.velocity hold one Vec3 per cell in cell
+  // order, whatever layout the lattice keeps, so checkpoints written
+  // before the field moved to planes still restore.
+  const std::string ckpt = "test_session_layout.ckpt";
+  Session s(session_options(), /*dark=*/false);
+  s.prepare();
+  while (s.step_index() < 15) s.step();
+  s.write_checkpoint(ckpt);
+  const ft::CheckpointReader r(ckpt);
+  const auto u = r.vec<ferro::Vec3>("pipeline.field");
+  const auto v = r.vec<ferro::Vec3>("pipeline.velocity");
+  std::remove(ckpt.c_str());
+  const auto& lat = s.lattice();
+  const auto vel = lat.v_cells();
+  ASSERT_EQ(u.size(), lat.ncells());
+  ASSERT_EQ(v.size(), lat.ncells());
+  for (std::size_t x = 0; x < lat.lx(); ++x)
+    for (std::size_t y = 0; y < lat.ly(); ++y) {
+      const std::size_t i = lat.index(x, y);
+      EXPECT_EQ(u[i], lat.u(x, y)) << "cell " << i;
+      EXPECT_EQ(v[i], vel[i]) << "cell " << i;
+    }
+  EXPECT_NE(vel[0], (ferro::Vec3{0.0, 0.0, 0.0}));
 }
 
 TEST(Session, InterleavedCheckpointRestoreMatchesBitwise) {

@@ -227,8 +227,9 @@ TEST(RequestQueue, PerReasonRejectCountersHavePerTenantLanes) {
 ferro::FerroLattice random_lattice(std::size_t n, int seed) {
   ferro::FerroLattice lat(n, n);
   Rng rng(seed);
-  for (auto& u : lat.field())
-    u = {0.3 * rng.normal(), 0.3 * rng.normal(), 0.5 + 0.2 * rng.normal()};
+  for (std::size_t x = 0; x < n; ++x)
+    for (std::size_t y = 0; y < n; ++y)
+      lat.set_u(x, y, {0.3 * rng.normal(), 0.3 * rng.normal(), 0.5 + 0.2 * rng.normal()});
   return lat;
 }
 

@@ -118,6 +118,7 @@ TEST(SimdDispatch, TileShapesArePositive) {
     EXPECT_NE(kt.phase_d, nullptr);
     EXPECT_NE(kt.pack_f, nullptr);
     EXPECT_NE(kt.pack_d, nullptr);
+    EXPECT_NE(kt.ferro_row, nullptr);
   }
 }
 
@@ -342,6 +343,68 @@ void vloc_bitwise_across_targets() {
 
 TEST(SimdBitIdentity, VlocDouble) { vloc_bitwise_across_targets<double>(); }
 TEST(SimdBitIdentity, VlocFloat) { vloc_bitwise_across_targets<float>(); }
+
+// ---- ferro row kernel ---------------------------------------------------
+//
+// FerroRowFn contract (simd.hpp): one lattice row's forces and damped
+// update, each target bytewise equal to the scalar table. Row lengths
+// cover an empty interior (ly 2), a one-cell interior (3), and vector
+// loops with and without a remainder; the excitation varies by cell and
+// the external field is non-zero. The row's wrap cells hold 0.0 and
+// -0.0, and a NaN or an Inf sits mid-row. The two specials run
+// separately: where an Inf's default NaN met the seeded NaN, the result
+// would depend on which operand the compiler put first.
+TEST(SimdBitIdentity, FerroRow) {
+  simd::FerroCoeffs c;
+  c.a0 = -1.0;
+  c.b = 1.0;
+  c.k = 0.4;
+  c.j = 0.6;
+  c.d = 0.8;
+  c.e[0] = 0.03;
+  c.e[1] = -0.05;
+  c.e[2] = 0.02;
+  c.dt = 0.02;
+  c.mass = 1.3;
+  c.damp = 1.0 + 0.5 * c.dt;
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()};
+  for (const std::size_t ly : {2, 3, 5, 8, 17, 70, 128}) {
+    for (const double special : specials) {
+      // Rows x-1, x and x+1 of a three-row lattice, stored as planes; row
+      // x is [ly, 2 ly) of each plane.
+      const std::size_t plane = 3 * ly;
+      Rng rng(ly);
+      std::vector<double> u(3 * plane), v(3 * plane), w(ly);
+      for (auto& a : u) a = 0.5 * rng.normal();
+      for (auto& a : v) a = 0.1 * rng.normal();
+      for (auto& a : w) a = rng.uniform(0.0, 0.8);
+      for (std::size_t k = 0; k < 3; ++k) {
+        u[k * plane + ly] = 0.0;
+        u[k * plane + 2 * ly - 1] = -0.0;
+      }
+      u[plane + ly + ly / 2] = special;
+      const auto run = [&](simd::Target t) {
+        ScopedSimdTarget guard(t);
+        std::vector<double> out = v, u_next(3 * plane, 0.0);
+        simd::kernels().ferro_row(c, u.data() + ly, u.data() + 2 * ly,
+                                  u.data(), w.data(), out.data() + ly,
+                                  u_next.data() + ly, plane, ly);
+        out.insert(out.end(), u_next.begin(), u_next.end());
+        return out;
+      };
+      const auto ref = run(simd::Target::kScalar);
+      // The special reached the new field's y plane (out = v, u_next).
+      EXPECT_FALSE(std::isfinite(ref[3 * plane + plane + ly + ly / 2])) << "ly=" << ly;
+      for (auto t : simd::supported_targets()) {
+        const auto got = run(t);
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+            << "target=" << simd::target_name(t) << " ly=" << ly
+            << " special=" << special;
+      }
+    }
+  }
+}
 
 // ---- BF16 dot-product kernel --------------------------------------------
 

@@ -30,7 +30,9 @@
 #include "mlmd/obs/metrics.hpp"
 #include "mlmd/par/thread_pool.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
+#include "mlmd/simd/simd.hpp"
 #include "mlmd/topo/topology.hpp"
+#include "simd_targets.hpp"
 
 namespace {
 
@@ -377,7 +379,9 @@ using mlmd::ferro::Vec3;
 // The serial FerroLattice::forces() + step(), the pipeline's external-force
 // step and topo::charge_density as they were before the lattice kernels
 // moved onto the pool, copied with member access spelled out. The pooled
-// kernels must reproduce them bit for bit.
+// kernels must reproduce them bit for bit. They read and write the field
+// through the lattice's interleaved copies, one Vec3 per cell, so the
+// arithmetic is the pre-pool AoS code's whatever the storage layout.
 
 double dot(const Vec3& a, const Vec3& b) {
   return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
@@ -386,7 +390,7 @@ double norm2(const Vec3& a) { return dot(a, a); }
 
 void forces(const FerroLattice& lat, std::vector<Vec3>& f) {
   const auto& p_ = lat.params();
-  const auto& u_ = lat.field();
+  const auto u_ = lat.u_cells();
   const auto& w_ = lat.excitation();
   const std::size_t lx_ = lat.lx(), ly_ = lat.ly();
   f.assign(lat.ncells(), Vec3{0, 0, 0});
@@ -423,8 +427,8 @@ void step(FerroLattice& lat) {
   std::vector<Vec3> f;
   forces(lat, f);
   const auto& p_ = lat.params();
-  auto& u_ = lat.field();
-  auto& v_ = lat.velocity();
+  auto u_ = lat.u_cells();
+  auto v_ = lat.v_cells();
   const double dt = p_.dt;
   for (std::size_t i = 0; i < lat.ncells(); ++i) {
     for (int c = 0; c < 3; ++c) {
@@ -432,26 +436,30 @@ void step(FerroLattice& lat) {
       u_[i][c] += dt * v_[i][c];
     }
   }
+  lat.set_u_cells(u_);
+  lat.set_v_cells(v_);
 }
 
 void step_with_forces(FerroLattice& lat, const std::vector<Vec3>& f) {
   const auto& p = lat.params();
-  auto& u = lat.field();
-  auto& v = lat.velocity();
+  auto u = lat.u_cells();
+  auto v = lat.v_cells();
   for (std::size_t i = 0; i < u.size(); ++i)
     for (int k = 0; k < 3; ++k) {
       auto ks = static_cast<std::size_t>(k);
       v[i][ks] = (v[i][ks] + p.dt * f[i][ks] / p.mass) / (1.0 + p.gamma * p.dt);
       u[i][ks] += p.dt * v[i][ks];
     }
+  lat.set_u_cells(u);
+  lat.set_v_cells(v);
 }
 
 void step_langevin(FerroLattice& lat, double kT, mlmd::Rng& rng) {
   std::vector<Vec3> f;
   forces(lat, f);
   const auto& p_ = lat.params();
-  auto& u_ = lat.field();
-  auto& v_ = lat.velocity();
+  auto u_ = lat.u_cells();
+  auto v_ = lat.v_cells();
   const double dt = p_.dt;
   const double c1 = std::exp(-p_.gamma * dt);
   const double c2 = std::sqrt((1.0 - c1 * c1) * kT / p_.mass);
@@ -461,6 +469,8 @@ void step_langevin(FerroLattice& lat, double kT, mlmd::Rng& rng) {
       v_[i][c] = c1 * v_[i][c] + c2 * rng.normal();
       u_[i][c] += dt * v_[i][c];
     }
+  lat.set_u_cells(u_);
+  lat.set_v_cells(v_);
 }
 
 bool normalize(Vec3& a, double min_norm) {
@@ -501,24 +511,40 @@ std::vector<double> charge_density(const std::vector<Vec3>& u, std::size_t lx,
 mlmd::ferro::FerroLattice ragged_lattice() {
   mlmd::ferro::FerroLattice lat(96, 70);
   std::vector<double> w(lat.ncells());
+  std::vector<mlmd::ferro::Vec3> u(lat.ncells()), v(lat.ncells());
   for (std::size_t i = 0; i < lat.ncells(); ++i) {
     const double s = static_cast<double>(i);
-    lat.field()[i] = {0.6 * std::sin(0.071 * s), 0.6 * std::cos(0.053 * s),
-                      0.8 * std::cos(0.013 * s + 0.4)};
-    lat.velocity()[i] = {0.01 * std::cos(0.3 * s), 0.0, -0.02 * std::sin(0.2 * s)};
+    u[i] = {0.6 * std::sin(0.071 * s), 0.6 * std::cos(0.053 * s),
+            0.8 * std::cos(0.013 * s + 0.4)};
+    v[i] = {0.01 * std::cos(0.3 * s), 0.0, -0.02 * std::sin(0.2 * s)};
     w[i] = 0.25 + 0.2 * std::sin(0.11 * s);
   }
-  for (std::size_t i = 0; i < lat.ncells(); i += 997) lat.field()[i] = {0, 0, 0};
+  for (std::size_t i = 0; i < lat.ncells(); i += 997) u[i] = {0, 0, 0};
+  lat.set_u_cells(u);
+  lat.set_v_cells(v);
   lat.set_excitation(w);
   return lat;
 }
 
-/// u then v of `lat`, as doubles.
+/// u then v of `lat`, one Vec3 per cell, as doubles.
 std::vector<double> state(const mlmd::ferro::FerroLattice& lat) {
-  auto out = as_doubles(lat.field().data(), lat.ncells());
-  const auto v = as_doubles(lat.velocity().data(), lat.ncells());
-  out.insert(out.end(), v.begin(), v.end());
+  const auto u = lat.u_cells(), v = lat.v_cells();
+  auto out = as_doubles(u.data(), u.size());
+  const auto vd = as_doubles(v.data(), v.size());
+  out.insert(out.end(), vd.begin(), vd.end());
   return out;
+}
+
+/// Runs `body` under every SIMD target the host supports: the lattice
+/// kernels dispatch through simd::kernels(), so each target must match
+/// the oracles.
+template <class Body>
+void for_each_simd_target(Body&& body) {
+  for (const auto t : mlmd::simd::supported_targets()) {
+    SCOPED_TRACE(mlmd::simd::target_name(t));
+    mlmd::testing::ScopedSimdTarget guard(t);
+    body();
+  }
 }
 
 void expect_same_bits(const std::vector<double>& got,
@@ -537,8 +563,10 @@ TEST(ThreadPoolKernels, FerroStepMatchesSerialOracleAtEveryThreadCount) {
     for (int s = 0; s < kLatticeSteps; ++s) lat.step();
     return state(lat);
   };
-  expect_bits_independent_of_threads(run);
-  expect_same_bits(run(), state(want));
+  for_each_simd_target([&] {
+    expect_bits_independent_of_threads(run);
+    expect_same_bits(run(), state(want));
+  });
 }
 
 TEST(ThreadPoolKernels, FerroForcesMatchSerialOracleAtEveryThreadCount) {
@@ -550,8 +578,10 @@ TEST(ThreadPoolKernels, FerroForcesMatchSerialOracleAtEveryThreadCount) {
     lat.forces(f);
     return as_doubles(f.data(), f.size());
   };
-  expect_bits_independent_of_threads(run);
-  expect_same_bits(run(), as_doubles(want.data(), want.size()));
+  for_each_simd_target([&] {
+    expect_bits_independent_of_threads(run);
+    expect_same_bits(run(), as_doubles(want.data(), want.size()));
+  });
 }
 
 TEST(ThreadPoolKernels, FerroExternalForceStepMatchesSerialOracle) {
@@ -566,8 +596,10 @@ TEST(ThreadPoolKernels, FerroExternalForceStepMatchesSerialOracle) {
     for (int s = 0; s < kLatticeSteps; ++s) lat.step(f);
     return state(lat);
   };
-  expect_bits_independent_of_threads(run);
-  expect_same_bits(run(), state(want));
+  for_each_simd_target([&] {
+    expect_bits_independent_of_threads(run);
+    expect_same_bits(run(), state(want));
+  });
 }
 
 TEST(ThreadPoolKernels, FerroLangevinStepMatchesSerialOracle) {
@@ -586,17 +618,19 @@ TEST(ThreadPoolKernels, FerroLangevinStepMatchesSerialOracle) {
 
 TEST(ThreadPoolKernels, ChargeDensityAndTotalMatchSerialOracle) {
   const auto lat = ragged_lattice();
-  auto want = oracle::charge_density(lat.field(), lat.lx(), lat.ly(), 1e-6);
+  auto want = oracle::charge_density(lat.u_cells(), lat.lx(), lat.ly(), 1e-6);
   double total = 0.0;
   for (double v : want) total += v;
   want.push_back(total);
   const auto run = [&] {
-    auto q = mlmd::topo::charge_density(lat.field(), lat.lx(), lat.ly());
+    auto q = mlmd::topo::charge_density(lat);
     q.push_back(mlmd::topo::topological_charge(lat));
     return q;
   };
-  expect_bits_independent_of_threads(run);
-  expect_same_bits(run(), want);
+  for_each_simd_target([&] {
+    expect_bits_independent_of_threads(run);
+    expect_same_bits(run(), want);
+  });
 }
 
 // --- Eq. (4) lattice inference: thread counts and the serial oracle -----
@@ -681,11 +715,13 @@ std::vector<mlmd::ferro::FerroLattice> inference_lattices() {
   for (const auto& [lx, ly] : {std::pair<std::size_t, std::size_t>{2, 37},
                                {9, 13}, {70, 131}}) {
     mlmd::ferro::FerroLattice lat(lx, ly);
+    std::vector<mlmd::ferro::Vec3> u(lat.ncells());
     for (std::size_t i = 0; i < lat.ncells(); ++i) {
       const double s = static_cast<double>(i + lx);
-      lat.field()[i] = {0.4 * std::sin(0.37 * s), 0.4 * std::cos(0.23 * s),
-                        0.6 + 0.2 * std::cos(0.051 * s)};
+      u[i] = {0.4 * std::sin(0.37 * s), 0.4 * std::cos(0.23 * s),
+              0.6 + 0.2 * std::cos(0.051 * s)};
     }
+    lat.set_u_cells(u);
     lats.push_back(std::move(lat));
   }
   return lats;

@@ -89,7 +89,7 @@ TEST(Topo, ChargeDensityLocalizedAtSkyrmion) {
   ferro::FerroLattice lat(32, 32);
   init_uniform(lat, +1.0);
   paint_skyrmion(lat, 8.0, 8.0, 4.0, lat.well_amplitude(), +1);
-  auto q = charge_density(lat.field(), 32, 32);
+  auto q = charge_density(lat);
   // Density near the core dominates density far away.
   double near = 0, far = 0;
   for (std::size_t x = 0; x < 32; ++x)
@@ -121,7 +121,7 @@ TEST(Vortex, EscapedCoreHasMeronHalfCharge) {
   // density lives at the periodic seam — so the measurement is local.)
   ferro::FerroLattice lat(32, 32);
   topo::paint_vortex(lat, 16, 16, 0.8, +1, 3.0);
-  auto q = topo::charge_density(lat.field(), 32, 32);
+  auto q = topo::charge_density(lat);
   double q_core = 0.0;
   for (int x = 0; x < 32; ++x)
     for (int y = 0; y < 32; ++y) {
@@ -135,7 +135,7 @@ TEST(Vortex, EscapedCoreHasMeronHalfCharge) {
 TEST(Topo, ChargeDensitySumsToTotalCharge) {
   ferro::FerroLattice lat(24, 24);
   topo::init_skyrmion_superlattice(lat, 2, 2);
-  auto q = topo::charge_density(lat.field(), 24, 24);
+  auto q = topo::charge_density(lat);
   double sum = 0;
   for (double v : q) sum += v;
   EXPECT_NEAR(sum, topo::topological_charge(lat), 1e-12);
