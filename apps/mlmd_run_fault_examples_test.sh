@@ -1,8 +1,10 @@
 #!/bin/sh
 # The fault examples mlmd_run advertises must fire. The spec quoted after
 # "e.g." in the usage text, run with --guard=abort, must abort stage 3 at
-# its step; the README's rollback spec must recover once; and a NaN in
-# the stage-2 DC-MESH probe must abort under the guard. Usage:
+# its step; the README's rollback spec must recover once; a fault that
+# fires three times must use up the three rollbacks a run may make, and a
+# fourth must end it; and a NaN in the stage-2 DC-MESH probe must abort
+# under the guard. Usage:
 #   mlmd_run_fault_examples_test.sh <mlmd_run>
 set -eu
 
@@ -38,6 +40,8 @@ fi
 
 expect 3 "step 25" --faults="$spec" --guard=abort
 expect 0 "rollbacks=1" --faults="inf_field@step=5" --guard=rollback
+expect 0 "rollbacks=3" --faults="inf_field@step=5,count=3" --guard=rollback
+expect 3 "rollback exhausted at step 5" --faults="inf_field@step=5,count=4" --guard=rollback
 expect 3 "stage 2" --faults="nan_force@step=1" --guard=abort
 
 echo "PASS: every advertised fault example fires"

@@ -21,7 +21,7 @@
 //   mlmd_serve [--tenants=4] [--per-tenant=2] [--out=DIR]
 //              [--checkpoint-dir=DIR] [--checkpoint-every=10]
 //              [--lattice=16] [--xs-steps=40] [--inflight=8]
-//              [--queue-cap=64] [--quota=0] [--batch-max=8] [--batch=1]
+//              [--queue-cap=64] [--quota=0] [--batch-max=8]
 //              [--verify-batching] [--threads=N] [--trace=PATH]
 //              [--deadline-ms=MS] [--shed-watermark-ms=MS]
 //              [--kill-at-round=N]   (test hook: SIGKILL mid-load)
@@ -123,7 +123,8 @@ void usage() {
       "  --lattice=N --xs-steps=N     scenario size (default 16 / 40)\n"
       "  --inflight=N --queue-cap=N   scheduler slots / queue bound\n"
       "  --quota=N                    per-tenant queued+in-flight cap (0=off)\n"
-      "  --batch=0|1 --batch-max=N    cross-request inference batching\n"
+      "  --batch-max=N                sessions per fused inference batch\n"
+      "                               (1 = no cross-request batching)\n"
       "  --verify-batching            memcmp batched vs unbatched forces\n"
       "  --threads=N --trace=PATH     ThreadPool size / Chrome trace\n"
       "  --deadline-ms=MS             per-request deadline (reaped with\n"
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
   if (!cli.check_known(
           {"tenants", "per-tenant", "out", "checkpoint-dir",
            "checkpoint-every", "lattice", "xs-steps", "inflight", "queue-cap",
-           "quota", "batch", "batch-max", "verify-batching", "threads",
+           "quota", "batch-max", "verify-batching", "threads",
            "trace", "deadline-ms", "shed-watermark-ms", "kill-at-round",
            "term-at-round", "help"},
           "run 'mlmd_serve --help' for usage"))
@@ -192,7 +193,6 @@ int main(int argc, char** argv) {
     sopt.tenant_quota = static_cast<std::size_t>(cli.integer("quota", 0));
     sopt.max_inflight = static_cast<std::size_t>(cli.integer("inflight", 8));
     sopt.batch_max = static_cast<std::size_t>(cli.integer("batch-max", 8));
-    sopt.batch = cli.integer("batch", 1) != 0;
     sopt.verify_batching = cli.flag("verify-batching");
     sopt.checkpoint_dir = cli.str("checkpoint-dir", "");
     sopt.checkpoint_every =

@@ -3,58 +3,14 @@
 // correction CGEMM, versus FP32. Shows the accuracy ladder the oneMKL
 // compute modes implement, here with our software BF16 split.
 
-#include <cstdint>
 #include <cstdio>
-#include <vector>
 
 #include "mlmd/common/rng.hpp"
 #include "mlmd/la/gemm.hpp"
-#include "mlmd/simd/simd.hpp"
-
-namespace {
-
-/// When the host has AVX512-BF16, cross-check the hardware vdpbf16ps
-/// reduction against the software emulation mlmd::simd uses everywhere
-/// else: the emulation replicates the instruction's lane semantics
-/// (odd-element-first chained adds, FP32-exact products, DAZ/FTZ), so the
-/// two paths must agree bit for bit.
-void bf16_dot_hw_vs_emulation() {
-  using namespace mlmd;
-  if (!simd::caps().avx512bf16) {
-    std::printf("# vdpbf16ps cross-check: host lacks avx512_bf16, "
-                "emulation only\n");
-    return;
-  }
-  Rng rng(77);
-  const std::size_t n = 4096; // bf16 pairs per stream; n % 32 == 0
-  std::vector<std::uint16_t> a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Truncate random normals to bf16 (top half of the f32 pattern).
-    union { float f; std::uint32_t u; } pa, pb;
-    pa.f = static_cast<float>(rng.normal());
-    pb.f = static_cast<float>(rng.normal());
-    a[i] = static_cast<std::uint16_t>(pa.u >> 16);
-    b[i] = static_cast<std::uint16_t>(pb.u >> 16);
-  }
-  const float hw = simd::bf16_dot(n, a.data(), b.data());
-  float em_acc[16] = {};
-  simd::bf16_dot16_scalar(n, a.data(), b.data(), em_acc);
-  float em = 0.0f;
-  for (float lane : em_acc) em += lane;
-  union { float f; std::uint32_t u; } uh, ue;
-  uh.f = hw;
-  ue.f = em;
-  std::printf("# vdpbf16ps cross-check (n=%zu): hw=%.9g emu=%.9g %s\n", n,
-              hw, em, uh.u == ue.u ? "bit-identical" : "MISMATCH");
-}
-
-} // namespace
 
 int main() {
   using namespace mlmd::la;
   using cf = std::complex<float>;
-
-  bf16_dot_hw_vs_emulation();
 
   std::printf("# BF16 compute-mode ablation: CGEMM C = A^H B accuracy vs "
               "FP32\n");

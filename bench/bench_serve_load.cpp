@@ -3,8 +3,8 @@
 //
 // Closed loop (default): --tenants concurrent tenants keep --per-tenant
 // kNeural scenarios in flight until all complete; the same load is served
-// twice, first with cross-request batching disabled (batch size 1), then
-// with the micro-batcher on, so the batching speedup on sustained
+// twice, first with batches of one session (batch_max = 1), then with
+// batches of up to --batch-max, so the batching speedup on sustained
 // scenario throughput is a measured, regression-tested number.
 //
 // Open loop (--mode=open --rps=R): scenarios are offered at R per second
@@ -176,10 +176,10 @@ int main(int argc, char** argv) {
     if (deadline_ms > 0.0) sopt.default_deadline_ms = deadline_ms;
     sopt.shed_watermark_ms = cli.real("shed-watermark-ms", 0.0);
 
-    // Phase 1: the same load with cross-request batching off — the
+    // Phase 1: the same load with one session per inference batch — the
     // baseline the speedup is measured against.
     serve::ServerOptions batch1 = sopt;
-    batch1.batch = false;
+    batch1.batch_max = 1;
     const auto base = run_phase(shape, batch1, models, mode, rps);
 
     // Phase 2: micro-batcher on. run_phase resets the registry, so the

@@ -29,7 +29,6 @@
 #include "mlmd/la/gemm.hpp"
 #include "mlmd/lfd/kin_prop.hpp"
 #include "mlmd/lfd/nlp_prop.hpp"
-#include "mlmd/maxwell/maxwell3d.hpp"
 #include "mlmd/obs/obs.hpp"
 #include "mlmd/par/thread_pool.hpp"
 #include "mlmd/simd/simd.hpp"
@@ -199,12 +198,6 @@ int main(int argc, char** argv) {
              w.psi);
   });
   scaling_row("kin_prop", [&] { lfd::kin_prop(w, kp); });
-  const std::size_t mxn = paper ? 64 : 32;
-  maxwell::Maxwell3D em(mxn, mxn, mxn, 1.0, 2e-3);
-  em.seed_plane_wave(2, 0.1);
-  scaling_row("maxwell3d", [&] {
-    for (int i = 0; i < 10; ++i) em.step();
-  });
 
   if (!trace_path.empty()) {
     const double gemm_s = obs::Tracer::summed_seconds("gemm");

@@ -29,7 +29,6 @@ FaultSpec parse_entry(const std::string& entry) {
   const std::string kind = entry.substr(0, at);
   FaultSpec s;
   if (kind == "rank_crash") s.kind = FaultKind::kRankCrash;
-  else if (kind == "exchange_fail") s.kind = FaultKind::kExchangeFail;
   else if (kind == "bitflip") s.kind = FaultKind::kBitFlip;
   else if (kind == "nan_force") s.kind = FaultKind::kNanForce;
   else if (kind == "inf_field") s.kind = FaultKind::kInfField;
@@ -159,10 +158,6 @@ void FaultPlan::on_comm(int rank) {
       throw InjectedCrash("injected rank_crash on rank " +
                           std::to_string(rank) + " at step " +
                           std::to_string(step));
-    if (a.spec.kind == FaultKind::kExchangeFail && fires(a, step, rank))
-      throw TransientCommFault("injected exchange_fail on rank " +
-                               std::to_string(rank) + " at step " +
-                               std::to_string(step));
   }
 }
 

@@ -1,24 +1,11 @@
 #include "mlmd/ft/guard.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <cmath>
+
+#include "mlmd/obs/metrics.hpp"
 
 namespace mlmd::ft {
-
-namespace {
-std::atomic<BackoffSleepFn> g_backoff_sleep{nullptr};
-} // namespace
-
-BackoffSleepFn set_backoff_sleep(BackoffSleepFn fn) {
-  return g_backoff_sleep.exchange(fn, std::memory_order_acq_rel);
-}
-
-void backoff_sleep(double seconds) {
-  if (BackoffSleepFn fn = g_backoff_sleep.load(std::memory_order_acquire)) {
-    fn(seconds);
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
 
 Policy parse_policy(const std::string& s) {
   if (s == "abort") return Policy::kAbort;

@@ -4,9 +4,6 @@
 // inject the faults on purpose, seeded and replayable:
 //
 //   rank_crash@step=40,rank=2        a SimComm rank dies (fatal throw)
-//   exchange_fail@step=10,p=0.5,seed=7,count=3
-//                                    transient collective-entry failures
-//                                    (retryable, see ft::with_retry)
 //   bitflip@step=12,rank=1,seed=9    one bit flipped in a collective
 //                                    payload in transit
 //   nan_force@step=25                a NaN written into the force array
@@ -43,15 +40,6 @@
 
 namespace mlmd::ft {
 
-/// Base class of every injected (or injectable-equivalent) error that a
-/// bounded retry may resolve. SimComm transient failures derive from it;
-/// production code can throw its own TransientError subtypes through
-/// ft::with_retry.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Fatal injected rank death. Never retried: the surviving ranks unwind
 /// via SimComm abort-poisoning and the run is expected to restart from a
 /// checkpoint.
@@ -60,18 +48,11 @@ class InjectedCrash : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Retryable injected communication failure.
-class TransientCommFault : public TransientError {
- public:
-  using TransientError::TransientError;
-};
-
 /// A progress deadline expired while blocked in a transport wait (peer
-/// stall, lost doorbell, wedged collective). Deliberately NOT a
-/// TransientError: blindly retrying the blocked op against a wedged peer
-/// would just stall again — the caller decides whether to degrade,
-/// checkpoint, or abort. Thrown by both SimComm backends when
-/// par::progress_timeout() is armed (DESIGN.md Sec. 15).
+/// stall, lost doorbell, wedged collective). Retrying the blocked op
+/// against a wedged peer would just stall again — the caller decides
+/// whether to degrade, checkpoint, or abort. Thrown by both SimComm
+/// backends when par::progress_timeout() is armed (DESIGN.md Sec. 15).
 class StallError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -79,7 +60,6 @@ class StallError : public std::runtime_error {
 
 enum class FaultKind {
   kRankCrash,
-  kExchangeFail,
   kBitFlip,
   kNanForce,
   kInfField,
@@ -123,9 +103,8 @@ class FaultPlan {
   long current_step() const { return step_.load(std::memory_order_relaxed); }
   void set_step(long s) { step_.store(s, std::memory_order_relaxed); }
 
-  /// SimComm entry hook: throws InjectedCrash / TransientCommFault when a
-  /// matching rank_crash / exchange_fail entry fires for `rank` at the
-  /// current step.
+  /// SimComm entry hook: throws InjectedCrash when a matching rank_crash
+  /// entry fires for `rank` at the current step.
   void on_comm(int rank);
   /// SimComm payload hook: flips one seeded bit of `payload` when a
   /// matching bitflip entry fires. Returns true if a flip happened.

@@ -16,6 +16,9 @@ namespace {
 
 using detail::Stage3Snapshot;
 
+/// kRollback recoveries one run may make before the guard gives up.
+constexpr int kMaxRollbacks = 3;
+
 Stage3Snapshot capture(const ferro::FerroLattice& lat,
                        const PipelineResult& res, long step, bool degraded) {
   Stage3Snapshot st;
@@ -218,7 +221,7 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
                                std::to_string(step_) + ": " +
                                sentinel_.last_what());
       case ft::Policy::kRollback: {
-        if (!have_snapshot_ || res_.rollbacks >= opt_.guard.max_rollbacks)
+        if (!have_snapshot_ || res_.rollbacks >= kMaxRollbacks)
           throw ft::GuardTripped(
               "pipeline stage 3: rollback exhausted at step " +
               std::to_string(step_) + ": " + sentinel_.last_what());

@@ -80,8 +80,6 @@ constexpr std::size_t kHdrSize = 12;       // p2p frame header: i32 tag, u64 len
 enum class ErrTag : int {
   kNone = 0,
   kInjectedCrash,
-  kTransientCommFault,
-  kTransientError,
   kInvalidArgument,
   kOutOfRange,
   kLogicError,
@@ -131,11 +129,10 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Comm-entry fault hooks: the injected crash/transient faults
-/// (hook_comm), plus the liveness-chaos delays (stall / slow_rank) slept
-/// HERE, before any shared state or lock is touched — to the peers this
-/// rank is simply late, which is exactly what the progress timeout must
-/// detect.
+/// Comm-entry fault hooks: the injected rank crash (hook_comm), plus the
+/// liveness-chaos delays (stall / slow_rank) slept HERE, before any shared
+/// state or lock is touched — to the peers this rank is simply late,
+/// which is exactly what the progress timeout must detect.
 void inject_comm_faults(int rank) {
   ft::hook_comm(rank);
   if (const double d = ft::hook_delay(rank); d > 0.0)
@@ -219,12 +216,6 @@ ErrTag classify_current(std::string& what) {
   } catch (const ft::InjectedCrash& e) {
     what = e.what();
     return ErrTag::kInjectedCrash;
-  } catch (const ft::TransientCommFault& e) {
-    what = e.what();
-    return ErrTag::kTransientCommFault;
-  } catch (const ft::TransientError& e) {
-    what = e.what();
-    return ErrTag::kTransientError;
   } catch (const ft::StallError& e) {
     what = e.what();
     return ErrTag::kStall;
@@ -252,8 +243,6 @@ ErrTag classify_current(std::string& what) {
 [[noreturn]] void rethrow_tag(ErrTag tag, const std::string& what) {
   switch (tag) {
     case ErrTag::kInjectedCrash: throw ft::InjectedCrash(what);
-    case ErrTag::kTransientCommFault: throw ft::TransientCommFault(what);
-    case ErrTag::kTransientError: throw ft::TransientError(what);
     case ErrTag::kInvalidArgument: throw std::invalid_argument(what);
     case ErrTag::kOutOfRange: throw std::out_of_range(what);
     case ErrTag::kLogicError: throw std::logic_error(what);
@@ -322,9 +311,8 @@ public:
   std::vector<std::byte> exchange(int rank, std::span<const std::byte> contrib,
                                   int root, bool to_all,
                                   const char* op) override {
-    // Hooks fire before any shared state is touched, so a transient fault
-    // thrown here leaves the group consistent and the whole collective can
-    // simply be retried (ft::with_retry), as with the threaded backend.
+    // Hooks fire before any shared state is touched, as with the threaded
+    // backend: an injected crash unwinds this rank and poisons the group.
     inject_comm_faults(rank);
     // Injected in-transit corruption hits the deposited copy, never the
     // caller's buffer (the wire analogue of a link bit-flip).

@@ -19,11 +19,11 @@ obs::Counter& stalls_counter() {
   return c;
 }
 
-/// Comm-entry fault hooks: the injected crash/transient faults
-/// (hook_comm), plus the liveness-chaos delays (stall / slow_rank) which
-/// are slept HERE, before any group state is touched and with no locks
-/// held — to the peers this rank is simply late, which is exactly what
-/// the progress timeout must detect.
+/// Comm-entry fault hooks: the injected rank crash (hook_comm), plus the
+/// liveness-chaos delays (stall / slow_rank) which are slept HERE, before
+/// any group state is touched and with no locks held — to the peers this
+/// rank is simply late, which is exactly what the progress timeout must
+/// detect.
 void inject_comm_faults(int rank) {
   ft::hook_comm(rank);
   if (const double d = ft::hook_delay(rank); d > 0.0)
@@ -110,9 +110,8 @@ std::vector<std::byte> GroupState::exchange(int rank,
                                             std::span<const std::byte> contrib,
                                             int root, bool to_all,
                                             const char* op) {
-  // Fault hooks fire before any collective state is touched, so a
-  // TransientCommFault thrown here leaves the group consistent and the
-  // caller can simply retry the whole collective (ft::with_retry).
+  // Fault hooks fire before any collective state is touched: an injected
+  // crash unwinds this rank and poisons the group like any rank error.
   inject_comm_faults(rank);
   const auto r = static_cast<std::size_t>(rank);
   double waited = 0.0;

@@ -51,7 +51,10 @@ struct ServerOptions {
   std::size_t tenant_quota = 0;  ///< queued+in-flight cap per tenant (0=off)
   std::size_t max_inflight = 8;  ///< concurrently active sessions
   std::size_t batch_max = 8;     ///< sessions per fused inference batch
-  bool batch = true;             ///< false: per-session force evaluation
+  /// false: per-session force evaluation, bitwise the same results as
+  /// batch_max = 1. Kept only because the benchmark harness
+  /// (e2ebench/src/serve.cpp) assigns it.
+  bool batch = true;
   bool verify_batching = false;  ///< memcmp batched vs unbatched forces
   std::string checkpoint_dir;    ///< non-empty: warm-restart checkpoints
   int checkpoint_every = 10;     ///< steps between session checkpoints

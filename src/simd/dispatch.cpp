@@ -1,8 +1,5 @@
 #include <atomic>
-#include <cfloat>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "mlmd/simd/simd.hpp"
@@ -43,8 +40,7 @@ std::string supported_list() {
 }
 
 /// Resolved dispatch state: value copies of the available compiled
-/// tables (the AVX-512 copy drops the bf16 slot when cpuid lacks
-/// AVX512-BF16) plus the active-table pointer.
+/// tables plus the active-table pointer.
 struct Dispatch {
   KernelTable tables[kNumTargets];
   bool avail[kNumTargets] = {};
@@ -62,8 +58,6 @@ Dispatch& dispatch() {
       const KernelTable* ct = compiled_table(t);
       if (!ct || !isa_ok(t)) continue;
       d.tables[i] = *ct;
-      if (t == Target::kAvx512 && !caps().avx512bf16)
-        d.tables[i].bf16_dot16 = nullptr;
       d.avail[i] = true;
     }
     Target chosen = best_supported();
@@ -140,63 +134,6 @@ void set_target(Target t) {
 
 const KernelTable& kernels() {
   return *dispatch().active.load(std::memory_order_acquire);
-}
-
-// ---- BF16 pair-dot --------------------------------------------------------
-
-namespace {
-
-/// Widen one bf16 bit pattern to FP32 with the DAZ behavior AVX512-BF16
-/// instructions apply unconditionally: denormal inputs read as
-/// (sign-preserved) zero.
-inline float bf16_widen_daz(std::uint16_t x) {
-  std::uint32_t u = static_cast<std::uint32_t>(x) << 16;
-  if ((x & 0x7f80u) == 0) u &= 0x80000000u;  // exponent 0 -> +-0
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-/// FTZ: AVX512-BF16 flushes denormal FP32 results to (signed) zero.
-inline float ftz(float v) {
-  if (v != 0.0f && std::fabs(v) < FLT_MIN)
-    return std::signbit(v) ? -0.0f : 0.0f;
-  return v;
-}
-
-}  // namespace
-
-void bf16_dot16_scalar(std::size_t n, const std::uint16_t* a,
-                       const std::uint16_t* b, float acc[16]) {
-  // VDPBF16PS lane semantics, determined empirically against hardware
-  // and locked in by a bitwise test in test_simd: per 32-element block
-  // each lane j chains two adds, odd element first —
-  //   acc = (acc + a[2j+1]*b[2j+1]) + a[2j]*b[2j]
-  // with both products exact in FP32 (8-bit significands) and DAZ/FTZ
-  // applied unconditionally.
-  for (std::size_t i = 0; i < n; i += 32) {
-    for (std::size_t j = 0; j < 16; ++j) {
-      const float p0 =
-          ftz(bf16_widen_daz(a[i + 2 * j]) * bf16_widen_daz(b[i + 2 * j]));
-      const float p1 = ftz(bf16_widen_daz(a[i + 2 * j + 1]) *
-                           bf16_widen_daz(b[i + 2 * j + 1]));
-      acc[j] = ftz(ftz(acc[j] + p1) + p0);
-    }
-  }
-}
-
-float bf16_dot(std::size_t n, const std::uint16_t* a,
-               const std::uint16_t* b) {
-  if (n % 32 != 0)
-    throw std::invalid_argument(
-        "bf16_dot: n must be a multiple of 32 (zero-pad the operands; "
-        "zero bf16 bits contribute exactly 0)");
-  alignas(64) float acc[16] = {};
-  const Bf16Dot16Fn fn = kernels().bf16_dot16;
-  (fn ? fn : &bf16_dot16_scalar)(n, a, b, acc);
-  float s = 0.0f;
-  for (int j = 0; j < 16; ++j) s += acc[j];
-  return s;
 }
 
 }  // namespace mlmd::simd

@@ -38,7 +38,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,18 +158,6 @@ template <class R>
 using PackPanelFn = void (*)(const R* src, std::size_t ld, std::size_t kc,
                              R alpha, std::size_t w, std::size_t W, R* dst);
 
-/// BF16 pair-dot kernel with VDPBF16PS lane semantics: consume bf16
-/// element pairs into 16 FP32 lane accumulators, lane j accumulating
-///   acc[j] += widen(a[32i+2j])*widen(b[32i+2j])
-///            + widen(a[32i+2j+1])*widen(b[32i+2j+1])
-/// (component products are exact in FP32 — 8-bit mantissas — so the only
-/// roundings are the pair sum and the accumulate, in that fixed order).
-/// n must be a multiple of 32; callers reduce the 16 lanes in ascending
-/// order. The scalar emulation reproduces this lane layout exactly, so
-/// hardware and emulation are bit-identical (asserted in test_simd).
-using Bf16Dot16Fn = void (*)(std::size_t n, const std::uint16_t* a,
-                             const std::uint16_t* b, float acc[16]);
-
 /// Coefficients of ferro::FerroLattice's damped step (ferro/lattice.hpp):
 /// the Hamiltonian's a0, b, k, j, d and external field e, and the
 /// update's dt, mass and damping divisor damp = 1 + gamma dt.
@@ -205,24 +192,11 @@ struct KernelTable {
   PhaseRowFn<double> phase_d = nullptr;
   PackPanelFn<float> pack_f = nullptr;
   PackPanelFn<double> pack_d = nullptr;
-  Bf16Dot16Fn bf16_dot16 = nullptr;  ///< null unless AVX512-BF16 usable
   FerroRowFn ferro_row = nullptr;
 };
 
 /// The kernel table of the active target (one relaxed atomic load).
 const KernelTable& kernels();
-
-/// Always-available scalar emulation of the BF16 pair-dot kernel
-/// (reference for test_simd and the fallback for bf16_dot()).
-void bf16_dot16_scalar(std::size_t n, const std::uint16_t* a,
-                       const std::uint16_t* b, float acc[16]);
-
-/// Full BF16 dot product with the pair-dot kernel contract: n padded by
-/// the caller to a multiple of 32 (zero bf16 bits contribute exactly 0),
-/// lanes reduced in ascending order. Uses VDPBF16PS when the active
-/// target provides it, the scalar emulation otherwise — bit-identical
-/// either way.
-float bf16_dot(std::size_t n, const std::uint16_t* a, const std::uint16_t* b);
 
 // Typed accessors so templated kernels pick their slot without
 // specializing on the table layout.

@@ -67,7 +67,6 @@ const KernelTable kTable = {
     &phase_row_vec<V256d>,
     &pack_panel_vec<V256f>,
     &pack_panel_vec<V256d>,
-    nullptr,  // bf16 pair-dot needs AVX512-BF16
     &ferro_row_avx2,
 };
 

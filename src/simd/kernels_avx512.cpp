@@ -1,17 +1,11 @@
 // AVX-512 dispatch table. Compiled with -mavx512f -mavx512bw -mavx512vl
-// (+ -mavx512bf16 when the compiler has it) and -ffp-contract=off; the
-// guard compiles this TU to a nullptr table when the flags are
-// unavailable. No FMA anywhere — see the bit-identity contract in
-// simd.hpp.
+// and -ffp-contract=off; the guard compiles this TU to a nullptr table
+// when the flags are unavailable. No FMA anywhere — see the bit-identity
+// contract in simd.hpp.
 //
 // Tile shapes (32 zmm registers): float 8x32 / double 8x16 (16 acc regs
 // + 2 B + 1 broadcast), complex 8x16 / 8x8 (16 acc regs across the two
 // planes + 2 B planes + 2 broadcasts).
-//
-// The BF16 pair-dot kernel is the only consumer of AVX512-BF16; its
-// table slot is nulled at dispatch-resolve time when cpuid lacks the
-// bit, so the rest of the AVX-512 table remains usable on F+BW+VL-only
-// hosts.
 
 #include "tables.hpp"
 
@@ -37,7 +31,12 @@ struct V512f {
   static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_ps(a, b); }
-  static reg swap_pairs(reg v) { return _mm512_permute_ps(v, 0xB1); }
+  // The all-ones mask form emits the same vpermilps as
+  // _mm512_permute_ps, whose undefined passthrough GCC 12 flags with
+  // -Wmaybe-uninitialized once inlined.
+  static reg swap_pairs(reg v) {
+    return _mm512_mask_permute_ps(v, 0xFFFF, v, 0xB1);
+  }
   static reg alt(float x) {
     return _mm512_setr_ps(-x, x, -x, x, -x, x, -x, x, -x, x, -x, x, -x, x,
                           -x, x);
@@ -57,29 +56,13 @@ struct V512d {
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
-  static reg swap_pairs(reg v) { return _mm512_permute_pd(v, 0x55); }
+  static reg swap_pairs(reg v) {
+    return _mm512_mask_permute_pd(v, 0xFF, v, 0x55);  // see V512f
+  }
   static reg alt(double x) {
     return _mm512_setr_pd(-x, x, -x, x, -x, x, -x, x);
   }
 };
-
-#if defined(__AVX512BF16__)
-/// VDPBF16PS pair-dot (contract in simd.hpp): 16 FP32 lane accumulators,
-/// each consuming one bf16 pair per 32-element block.
-void bf16_dot16_hw(std::size_t n, const std::uint16_t* a,
-                   const std::uint16_t* b, float acc[16]) {
-  __m512 c = _mm512_loadu_ps(acc);
-  for (std::size_t i = 0; i < n; i += 32) {
-    const __m512i av = _mm512_loadu_si512(a + i);
-    const __m512i bv = _mm512_loadu_si512(b + i);
-    c = _mm512_dpbf16_ps(c, (__m512bh)av, (__m512bh)bv);
-  }
-  _mm512_storeu_ps(acc, c);
-}
-constexpr Bf16Dot16Fn kBf16Dot = &bf16_dot16_hw;
-#else
-constexpr Bf16Dot16Fn kBf16Dot = nullptr;
-#endif
 
 const KernelTable kTable = {
     Target::kAvx512,
@@ -93,7 +76,6 @@ const KernelTable kTable = {
     &phase_row_vec<V512d>,
     &pack_panel_vec<V512f>,
     &pack_panel_vec<V512d>,
-    kBf16Dot,
     &ferro_row_avx2,  // a zmm build gained nothing measurable at 4 threads
 };
 

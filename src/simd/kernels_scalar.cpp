@@ -27,7 +27,6 @@ const KernelTable kScalarTable = {
     &generic::phase_row<double>,
     &generic::pack_panel<float>,
     &generic::pack_panel<double>,
-    nullptr,  // bf16_dot16: scalar emulation is routed by bf16_dot()
     &generic::ferro_row<Target::kScalar>,
 };
 

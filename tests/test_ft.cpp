@@ -1,7 +1,7 @@
 // Fault-matrix coverage for mlmd::ft (DESIGN.md Sec. 10): checkpoint
 // container integrity and bitwise-identical pipeline restart,
 // deterministic fault injection through the SimComm and step-loop hooks,
-// bounded transient retry, the three sentinel recovery policies on the
+// the three sentinel recovery policies on the
 // pipeline (stage 3) and the stage-2 probe check that aborts under all
 // of them, and the CLI unknown-flag guard.
 //
@@ -130,14 +130,15 @@ TEST(Checkpoint, AtomicWriteLeavesNoTempFile) {
 
 TEST(FaultPlan, ParsesEveryKindAndKey) {
   auto plan = ft::parse_faults(
-      "rank_crash@step=40,rank=2; exchange_fail@step=10,p=0.5,seed=7,count=3;"
+      "rank_crash@step=40,rank=2; bitflip@step=10,p=0.5,seed=7,count=3;"
       "bitflip@rank=1;nan_force@step=25; inf_field");
   const auto& s = plan.specs();
   ASSERT_EQ(s.size(), 5u);
   EXPECT_EQ(s[0].kind, ft::FaultKind::kRankCrash);
   EXPECT_EQ(s[0].step, 40);
   EXPECT_EQ(s[0].rank, 2);
-  EXPECT_EQ(s[1].kind, ft::FaultKind::kExchangeFail);
+  EXPECT_EQ(s[1].kind, ft::FaultKind::kBitFlip);
+  EXPECT_EQ(s[1].step, 10);
   EXPECT_DOUBLE_EQ(s[1].p, 0.5);
   EXPECT_EQ(s[1].seed, 7u);
   EXPECT_EQ(s[1].count, 3);
@@ -152,7 +153,9 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(ft::parse_faults("frobnicate@step=1"), std::invalid_argument);
   EXPECT_THROW(ft::parse_faults("nan_force@bogus=1"), std::invalid_argument);
   EXPECT_THROW(ft::parse_faults("nan_force@step=xyz"), std::invalid_argument);
-  EXPECT_THROW(ft::parse_faults("exchange_fail@p=1.5"), std::invalid_argument);
+  EXPECT_THROW(ft::parse_faults("bitflip@p=1.5"), std::invalid_argument);
+  // No kind models a retryable comm failure: nothing would retry it.
+  EXPECT_THROW(ft::parse_faults("exchange_fail@step=1"), std::invalid_argument);
   EXPECT_THROW(ft::parse_faults("nan_force@count=0"), std::invalid_argument);
   EXPECT_TRUE(ft::parse_faults("").specs().empty());
 }
@@ -227,7 +230,7 @@ TEST(FaultPlan, BitflipCorruptsOneCollectivePayload) {
 }
 
 // ---------------------------------------------------------------------------
-// SimComm: abort-poison root cause + injected crashes + transient retry
+// SimComm: abort-poison root cause + injected crashes
 // ---------------------------------------------------------------------------
 
 // Regression (this PR's SimComm bugfix): surviving ranks used to unwind
@@ -267,146 +270,6 @@ TEST(SimComm, InjectedRankCrashPoisonsThenRestartSucceeds) {
   // The crash budget (count=1) is spent: the restarted run — the
   // checkpoint/restart story at SimComm level — completes cleanly.
   EXPECT_NO_THROW(par::run(2, body));
-}
-
-TEST(SimComm, TransientExchangeFailureIsRetriedToSuccess) {
-  ft::ScopedFaults faults("exchange_fail@count=2");
-  par::run(2, [](par::Comm& c) {
-    const double sum = ft::with_retry(
-        [&] { return c.allreduce(1.0, par::ReduceOp::kSum); });
-    EXPECT_DOUBLE_EQ(sum, 2.0);
-  });
-  EXPECT_EQ(ft::active_plan()->fired(), 2);
-}
-
-// ---------------------------------------------------------------------------
-// with_retry
-// ---------------------------------------------------------------------------
-
-TEST(WithRetry, RecoversAfterTransientFailures) {
-  int calls = 0;
-  const int v = ft::with_retry([&] {
-    if (++calls < 3) throw ft::TransientCommFault("flaky");
-    return 42;
-  });
-  EXPECT_EQ(v, 42);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(WithRetry, ExhaustsBudgetAndRethrows) {
-  ft::RetryOptions opt;
-  opt.max_attempts = 2;
-  int calls = 0;
-  EXPECT_THROW(ft::with_retry(
-                   [&]() -> void {
-                     ++calls;
-                     throw ft::TransientCommFault("always");
-                   },
-                   opt),
-               ft::TransientError);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(WithRetry, NonTransientErrorsPropagateImmediately) {
-  int calls = 0;
-  EXPECT_THROW(ft::with_retry([&]() -> void {
-                 ++calls;
-                 throw std::logic_error("not transient");
-               }),
-               std::logic_error);
-  EXPECT_EQ(calls, 1);
-}
-
-namespace {
-std::vector<double>& recorded_backoffs() {
-  static std::vector<double> v;
-  return v;
-}
-void recording_sleep(double seconds) { recorded_backoffs().push_back(seconds); }
-} // namespace
-
-TEST(WithRetry, BackoffScheduleIsInjectableAndExponential) {
-  // The injectable clock (ISSUE 9 satellite): the backoff sleeps route
-  // through set_backoff_sleep, so the exponential schedule is asserted
-  // exactly, with zero wall-clock time spent — the serve retry paths test
-  // the same way.
-  recorded_backoffs().clear();
-  ASSERT_EQ(ft::set_backoff_sleep(&recording_sleep), nullptr);
-  ft::RetryOptions opt;
-  opt.max_attempts = 4;
-  opt.backoff_seconds = 0.25;
-  opt.backoff_multiplier = 2.0;
-  int calls = 0;
-  EXPECT_THROW(ft::with_retry(
-                   [&]() -> void {
-                     ++calls;
-                     throw ft::TransientCommFault("always");
-                   },
-                   opt),
-               ft::TransientError);
-  EXPECT_EQ(ft::set_backoff_sleep(nullptr), &recording_sleep);
-  EXPECT_EQ(calls, 4);
-  ASSERT_EQ(recorded_backoffs().size(), 3u); // no sleep after the last try
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[0], 0.25);
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[1], 0.5);
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[2], 1.0);
-}
-
-TEST(WithRetry, JitterIsDeterministicFromItsSeed) {
-  // Jitter decorrelates retry storms across ranks, but must stay
-  // reproducible: the perturbed schedule is a pure function of
-  // jitter_seed, asserted exactly by replaying the same Rng stream.
-  recorded_backoffs().clear();
-  ASSERT_EQ(ft::set_backoff_sleep(&recording_sleep), nullptr);
-  ft::RetryOptions opt;
-  opt.max_attempts = 4;
-  opt.backoff_seconds = 0.25;
-  opt.backoff_multiplier = 2.0;
-  opt.jitter = 0.5;
-  opt.jitter_seed = 17;
-  EXPECT_THROW(ft::with_retry(
-                   [&]() -> void { throw ft::TransientCommFault("always"); },
-                   opt),
-               ft::TransientError);
-  EXPECT_EQ(ft::set_backoff_sleep(nullptr), &recording_sleep);
-  ASSERT_EQ(recorded_backoffs().size(), 3u);
-  Rng replay(opt.jitter_seed);
-  const std::array<double, 3> base = {0.25, 0.5, 1.0};
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    const double expect =
-        base[i] * (1.0 + opt.jitter * (replay.uniform() - 0.5));
-    EXPECT_DOUBLE_EQ(recorded_backoffs()[i], expect);
-    // jitter=0.5 bounds every sleep within +/-25% of the exponential base.
-    EXPECT_GE(recorded_backoffs()[i], base[i] * 0.75);
-    EXPECT_LE(recorded_backoffs()[i], base[i] * 1.25);
-  }
-}
-
-TEST(WithRetry, TotalElapsedCapTruncatesLastSleepAndStops) {
-  // max_total_seconds bounds the whole retry episode, not just the
-  // attempt count: the sleep that would overshoot is truncated to land
-  // exactly on the cap, and the next failure rethrows with budget spent.
-  recorded_backoffs().clear();
-  ASSERT_EQ(ft::set_backoff_sleep(&recording_sleep), nullptr);
-  ft::RetryOptions opt;
-  opt.max_attempts = 10;
-  opt.backoff_seconds = 0.25;
-  opt.backoff_multiplier = 2.0;
-  opt.max_total_seconds = 0.6;
-  int calls = 0;
-  EXPECT_THROW(ft::with_retry(
-                   [&]() -> void {
-                     ++calls;
-                     throw ft::TransientCommFault("always");
-                   },
-                   opt),
-               ft::TransientError);
-  EXPECT_EQ(ft::set_backoff_sleep(nullptr), &recording_sleep);
-  EXPECT_EQ(calls, 3); // budget exhausted long before max_attempts
-  ASSERT_EQ(recorded_backoffs().size(), 2u);
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[0], 0.25);
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[1], 0.35); // 0.5 truncated to the cap
-  EXPECT_DOUBLE_EQ(recorded_backoffs()[0] + recorded_backoffs()[1], 0.6);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <complex>
-#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -403,57 +402,6 @@ TEST(SimdBitIdentity, FerroRow) {
             << " special=" << special;
       }
     }
-  }
-}
-
-// ---- BF16 dot-product kernel --------------------------------------------
-
-TEST(SimdBf16, DotRejectsUnpaddedLength) {
-  std::vector<std::uint16_t> a(33, 0), b(33, 0);
-  EXPECT_THROW(simd::bf16_dot(33, a.data(), b.data()), std::invalid_argument);
-  EXPECT_THROW(simd::bf16_dot(1, a.data(), b.data()), std::invalid_argument);
-}
-
-TEST(SimdBf16, DotBitIdenticalAcrossTargets) {
-  // The scalar emulation replicates VDPBF16PS lane semantics
-  // (odd-element-first chained adds, FP32-exact products, DAZ/FTZ), so
-  // the hardware path — when the host has AVX512-BF16 — must agree
-  // bitwise with the emulation, for every supported dispatch target.
-  Rng rng(113);
-  const std::size_t n = 2048;
-  std::vector<std::uint16_t> a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    union { float f; std::uint32_t u; } pa, pb;
-    pa.f = static_cast<float>(rng.normal());
-    pb.f = static_cast<float>(rng.normal());
-    a[i] = static_cast<std::uint16_t>(pa.u >> 16);
-    b[i] = static_cast<std::uint16_t>(pb.u >> 16);
-  }
-  float ref = 0.0f;
-  {
-    ScopedSimdTarget guard(simd::Target::kScalar);
-    ref = simd::bf16_dot(n, a.data(), b.data());
-  }
-  for (auto t : simd::supported_targets()) {
-    ScopedSimdTarget guard(t);
-    const float got = simd::bf16_dot(n, a.data(), b.data());
-    std::uint32_t ur, ug;
-    std::memcpy(&ur, &ref, 4);
-    std::memcpy(&ug, &got, 4);
-    EXPECT_EQ(ur, ug) << "target=" << simd::target_name(t);
-  }
-  if (!simd::caps().avx512bf16)
-    GTEST_SKIP() << "host lacks avx512_bf16: only the emulation path ran";
-}
-
-TEST(SimdBf16, HardwareSlotPresentOnlyWithCpuidFlag) {
-  for (auto t : simd::supported_targets()) {
-    ScopedSimdTarget guard(t);
-    const auto& kt = simd::kernels();
-    if (t == simd::Target::kAvx512 && simd::caps().avx512bf16)
-      EXPECT_NE(kt.bf16_dot16, nullptr);
-    else if (t != simd::Target::kAvx512)
-      EXPECT_EQ(kt.bf16_dot16, nullptr);
   }
 }
 

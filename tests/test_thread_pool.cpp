@@ -22,7 +22,6 @@
 #include "mlmd/lfd/dsa.hpp"
 #include "mlmd/lfd/hamiltonian.hpp"
 #include "mlmd/lfd/nlp_prop.hpp"
-#include "mlmd/maxwell/maxwell3d.hpp"
 #include "mlmd/mg/multigrid.hpp"
 #include "mlmd/nnq/allegro.hpp"
 #include "mlmd/nnq/angular.hpp"
@@ -205,28 +204,6 @@ TEST(ThreadPoolKernels, GemmBitIdenticalSerialVsPool) {
   mlmd::la::gemm(mlmd::la::Trans::kN, mlmd::la::Trans::kN, cf(1.0f, 0.0f),
                  a, b, cf{}, d4);
   EXPECT_TRUE(d1 == d4);
-}
-
-TEST(ThreadPoolKernels, MaxwellStencilBitIdenticalSerialVsPool) {
-  GlobalPoolGuard guard;
-  auto advance = [](int steps) {
-    mlmd::maxwell::Maxwell3D em(12, 10, 8, 1.0, 1e-3);
-    em.seed_plane_wave(2, 0.5);
-    for (int s = 0; s < steps; ++s) em.step();
-    return em;
-  };
-  ThreadPool::set_global_threads(1);
-  auto em1 = advance(25);
-  ThreadPool::set_global_threads(4);
-  auto em4 = advance(25);
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_EQ(std::memcmp(em1.e_field(c).data(), em4.e_field(c).data(),
-                          em1.ncells() * sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(em1.b_field(c).data(), em4.b_field(c).data(),
-                          em1.ncells() * sizeof(double)),
-              0);
-  }
 }
 
 // --- thread-count bit-identity of the grid and atom kernels ---------------
