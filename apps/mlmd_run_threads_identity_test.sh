@@ -5,6 +5,9 @@
 # under MLMD_SIMD=scalar as under the host's default target. The pipeline
 # runs at --lattice=64, so each ferro step and charge pass splits into two
 # pool chunks, and its stdout carries a digest of every bit of Q(t).
+# The pipeline also runs at --threads=3, where the pool's home ranges are
+# uneven: at --lattice=64 one of the three participants has an empty
+# range, and at --lattice=128 the 8 chunks split 2/3/3.
 # Usage:
 #   mlmd_run_threads_identity_test.sh <mlmd_run>
 set -eu
@@ -19,6 +22,10 @@ for t in 1 4; do
   "$RUN" pipeline --lattice=64 --xs_steps=200 --threads=$t > "$WORK/pipeline.t$t"
   "$RUN" nnqmd --epochs=30 --md_steps=100 --threads=$t > "$WORK/nnqmd.t$t"
 done
+"$RUN" pipeline --lattice=64 --xs_steps=200 --threads=3 > "$WORK/pipeline.t3"
+for t in 1 3; do
+  "$RUN" pipeline --lattice=128 --xs_steps=200 --threads=$t > "$WORK/pipeline128.t$t"
+done
 MLMD_SIMD=scalar "$RUN" pipeline --lattice=64 --xs_steps=200 --threads=4 \
   > "$WORK/pipeline.scalar"
 
@@ -32,10 +39,16 @@ for cmd in pipeline nnqmd; do
     fail "mlmd_run $cmd stdout differs between --threads=1 and --threads=4" \
          "$WORK/$cmd.t1" "$WORK/$cmd.t4"
 done
+cmp -s "$WORK/pipeline.t1" "$WORK/pipeline.t3" ||
+  fail "mlmd_run pipeline --lattice=64 stdout differs between --threads=1 and --threads=3" \
+       "$WORK/pipeline.t1" "$WORK/pipeline.t3"
+cmp -s "$WORK/pipeline128.t1" "$WORK/pipeline128.t3" ||
+  fail "mlmd_run pipeline --lattice=128 stdout differs between --threads=1 and --threads=3" \
+       "$WORK/pipeline128.t1" "$WORK/pipeline128.t3"
 cmp -s "$WORK/pipeline.t4" "$WORK/pipeline.scalar" ||
   fail "mlmd_run pipeline stdout differs between the default SIMD target and MLMD_SIMD=scalar" \
        "$WORK/pipeline.t4" "$WORK/pipeline.scalar"
 grep -q '^q_digest = [0-9a-f]\{16\}$' "$WORK/pipeline.t1" ||
   fail "mlmd_run pipeline printed no q_digest line" "$WORK/pipeline.t1" /dev/null
 
-echo "PASS: mlmd_run pipeline and nnqmd stdout identical at --threads=1 and --threads=4, pipeline identical under MLMD_SIMD=scalar"
+echo "PASS: mlmd_run pipeline and nnqmd stdout identical at --threads=1 and --threads=4, pipeline identical at --threads=3 (lattice 64 and 128) and under MLMD_SIMD=scalar"

@@ -5,10 +5,23 @@
 // paper's parallelism story: SimComm ranks stand in for MPI across nodes,
 // the pool saturates the cores inside one (DESIGN.md Sec. 7).
 //
-// Scheduling is "work-stealing-lite": a launched loop is pre-split into
-// fixed-size chunks and idle threads claim the next chunk with a single
-// atomic fetch-add. That gives dynamic load balancing (a thread stuck on
-// a slow chunk does not stall the others) without per-thread deques.
+// Scheduling: a launched loop is pre-split into fixed-size chunks, and
+// each of the P participants (the nthreads-1 workers, then the launcher as
+// participant P-1) owns a contiguous home range of chunk ids,
+// [p*n/P, (p+1)*n/P). A participant claims its own chunks first with an
+// atomic fetch-add on its range's cursor; once its range is empty it
+// steals from the others' cursors in ring order. Repeated launches of the
+// same loop (the stage-3 lattice step) so put the same rows on the same
+// core every time, while a thread stuck on a slow chunk still does not
+// stall the others.
+//
+// Launch cost: the pool owns the one in-flight launch's state (chunk
+// body, cursors, counters), sized at construction, so a launch allocates
+// nothing. An idle worker spins on the launch epoch for kSpinBudget
+// before it parks on a condition variable, and the launcher's join spins
+// on the count of workers inside the launch for the same budget before it
+// sleeps. The join returns once every worker that entered the launch has
+// left it, so the next launch may reuse the state.
 //
 // Determinism contract:
 //   * The chunk decomposition depends only on (range, grain) — never on
@@ -34,15 +47,20 @@
 // launch runs with the full pool, one at a time.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "mlmd/common/workspace.hpp"
 
 namespace mlmd::par {
 
@@ -57,6 +75,17 @@ public:
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return nthreads_; }
+
+  /// How long an idle worker spins on the launch epoch, and the launcher
+  /// on its join, before parking. Measured gaps between launches on the
+  /// 128² stage-3 loop at 4 threads are under 2 µs between ferro steps
+  /// and ~20 µs (15–27 µs) after a recorded charge, so 30 µs covers both
+  /// and no thread parks inside the loop. A longer gap costs one wake
+  /// (~10 µs) on the next launch, after the caller was away longer than
+  /// the budget anyway. A constant, not a knob: budgets of 30 and 100 µs
+  /// gave the same Fig. 3 speed, and a longer one only burns CPU that
+  /// co-running processes could use.
+  static constexpr std::chrono::nanoseconds kSpinBudget{30'000};
 
   /// Run body(i0, i1) over disjoint subranges covering [begin, end).
   /// `grain` is the exact chunk width (see determinism contract); pick it
@@ -80,28 +109,34 @@ public:
 
   /// Deterministic reduction: acc = combine(acc, map(i0, i1)) over chunks
   /// in ascending order. `map` returns the partial for one chunk;
-  /// `combine` folds partials left-to-right starting from `init`.
+  /// `combine` folds partials left-to-right starting from `init`. The
+  /// partials live in the calling thread's Workspace, so a warm call
+  /// allocates nothing; T must therefore be trivially copyable.
   template <class T, class Map, class Combine>
   T parallel_reduce(std::size_t begin, std::size_t end, std::size_t grain,
                     T init, Map&& map, Combine&& combine) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "parallel_reduce keeps its partials in Workspace scratch");
     if (end <= begin) return init;
     const std::size_t cs = grain ? grain : 1;
     const std::size_t nchunks = (end - begin + cs - 1) / cs;
-    std::vector<T> partials(nchunks, init);
+    common::Workspace& ws = common::Workspace::local();
+    common::Workspace::Frame frame(ws);
+    T* partials = ws.get<T>(nchunks);
     auto chunk = [&](std::size_t c) {
       const std::size_t i0 = begin + c * cs;
       const std::size_t i1 = i0 + cs < end ? i0 + cs : end;
-      partials[c] = map(i0, i1);
+      ::new (static_cast<void*>(partials + c)) T(map(i0, i1));
     };
     run_chunks(nchunks, ChunkFn(chunk));
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < nchunks; ++c)
-      acc = combine(std::move(acc), std::move(partials[c]));
+    T acc = init;
+    for (std::size_t c = 0; c < nchunks; ++c) acc = combine(acc, partials[c]);
     return acc;
   }
 
   /// The process-global pool used by the compute kernels. Created on
-  /// first use from MLMD_NUM_THREADS / hardware_concurrency.
+  /// first use from MLMD_NUM_THREADS / hardware_concurrency; after that a
+  /// lookup is one atomic load, no lock.
   static ThreadPool& global();
 
   /// Replace the global pool with an `n`-thread one. Call at startup (or
@@ -121,14 +156,13 @@ public:
   static void reset_after_fork();
 
 private:
-  struct Task;
-
   /// Non-owning reference to a `void(std::size_t)` chunk body: type
   /// erasure without std::function's heap-allocated copy. The launcher
   /// blocks until every chunk has run, so the referenced callable
   /// outlives every call through it.
   class ChunkFn {
   public:
+    ChunkFn() = default;
     template <class F>
       requires(!std::is_same_v<std::remove_cv_t<F>, ChunkFn>)
     explicit ChunkFn(F& f)
@@ -136,30 +170,61 @@ private:
     void operator()(std::size_t c) const { call_(obj_, c); }
 
   private:
-    void* obj_;
-    void (*call_)(void*, std::size_t);
+    void* obj_ = nullptr;
+    void (*call_)(void*, std::size_t) = nullptr;
+  };
+
+  /// One participant's home range of the current launch: chunks
+  /// [next, end) are unclaimed. `executed` counts the chunks this
+  /// participant ran (the imbalance measurement). One cache line each.
+  struct alignas(64) Slot {
+    std::atomic<std::size_t> next{0};
+    std::size_t end = 0;
+    std::uint32_t executed = 0;
   };
 
   /// Dispatch chunk(c) for c in [0, nchunks) across the pool.
   void run_chunks(std::size_t nchunks, ChunkFn chunk);
-  /// `self` is the participant index for per-thread chunk accounting:
-  /// workers are 0..nthreads-2, the launcher is nthreads-1.
-  void work_on(const std::shared_ptr<Task>& t, int self);
+  /// Claim and run chunks of the current launch, home range first, until
+  /// every range is empty. `self` is the participant index: workers are
+  /// 0..nthreads-2, the launcher is nthreads-1.
+  void work_on(int self);
+  /// The launcher's join: wait until no worker is inside the launch, then
+  /// close it so no late worker can enter.
+  void join();
   void worker_loop(int self);
 
   int nthreads_ = 1;
-  std::vector<std::thread> workers_;
 
-  std::mutex mu_;                  // guards epoch_/current_/stop_/ready_
-  std::condition_variable cv_;     // workers wait for a new epoch
-  // The launcher waits for task completion, the constructor for ready_.
-  std::condition_variable done_cv_;
-  std::shared_ptr<Task> current_;
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
-  int ready_ = 0; // workers whose scratch arena is reserved
+  // Launch state word: the launch epoch in bits [32, 64), kClosed in bit
+  // 31, the number of workers inside the launch in bits [0, 31). Workers
+  // enter with a CAS that fails once the launcher has closed the launch,
+  // so the join can tell "every entrant has left" from "one is entering".
+  alignas(64) std::atomic<std::uint64_t> state_;
+  // The current launch, written by the launcher before it opens the epoch
+  // and read by participants only while they are inside it.
+  alignas(64) ChunkFn chunk_;
+  std::uint64_t publish_ns_ = 0; // queue-wait measurement
+  std::atomic<bool> cancelled_{false};
+  std::unique_ptr<Slot[]> slots_; // nthreads_ home ranges
+  std::mutex err_mu_;
+  std::exception_ptr error_;
+
+  // Parking. Workers past their spin budget sleep on cv_ and count
+  // themselves in sleepers_, so a launch notifies only when someone
+  // sleeps; a launcher past its join budget sleeps on done_cv_ with
+  // joiner_parked_ set, and the last worker out wakes it.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::condition_variable done_cv_; // also the constructor's ready_ wait
+  std::atomic<int> sleepers_{0};
+  std::atomic<bool> joiner_parked_{false};
+  std::atomic<bool> stop_{false};
+  int ready_ = 0; // workers whose scratch arena is reserved (guarded by mu_)
 
   std::mutex launch_mu_; // serializes external launches
+
+  std::vector<std::thread> workers_; // after everything they use
 };
 
 /// Convenience wrappers over ThreadPool::global().

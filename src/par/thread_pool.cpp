@@ -2,46 +2,53 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
-#include <new>
 
-#include "mlmd/common/workspace.hpp"
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "mlmd/obs/metrics.hpp"
 #include "mlmd/obs/trace.hpp"
 
 namespace mlmd::par {
 
-// One launched loop. Workers (and the launcher) claim chunk ids with an
-// atomic fetch-add on `next`; `done` counts finished chunks and drives the
-// launcher's completion wait. Held by shared_ptr so a worker that polls
-// `next` just after the launcher returns never touches freed memory.
-struct ThreadPool::Task {
-  Task(ChunkFn c, std::size_t n) : chunk(c), nchunks(n) {}
-  ChunkFn chunk;
-  std::size_t nchunks;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<bool> cancelled{false};
-  std::mutex err_mu;
-  std::exception_ptr error;
-  // obs accounting: publish timestamp (queue-wait measurement) and chunks
-  // executed per participant (imbalance measurement).
-  std::uint64_t publish_ns = 0;
-  std::vector<std::atomic<std::uint32_t>> per_thread_chunks;
-};
-
 namespace {
 // Set while this thread executes inside a pool task: nested launches from
 // kernel bodies fall back to inline serial execution.
 thread_local bool tl_in_task = false;
+
+// Fields of ThreadPool::state_.
+constexpr std::uint64_t kEpochUnit = std::uint64_t{1} << 32;
+constexpr std::uint64_t kClosed = std::uint64_t{1} << 31;
+constexpr std::uint64_t kInsideMask = kClosed - 1;
+std::uint64_t epoch_of(std::uint64_t s) { return s >> 32; }
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+/// Spin until `ready()` holds or ThreadPool::kSpinBudget elapses; returns
+/// whether it holds.
+template <class Pred>
+bool spin_until(Pred ready) {
+  const auto deadline = std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+    if (i % 16 == 0 && std::chrono::steady_clock::now() >= deadline) return ready();
+  }
+}
 } // namespace
 
-ThreadPool::ThreadPool(int nthreads) {
+ThreadPool::ThreadPool(int nthreads) : state_(kClosed) {
   if (nthreads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     nthreads = hw ? static_cast<int>(hw) : 1;
   }
   nthreads_ = nthreads;
+  slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(nthreads));
   workers_.reserve(static_cast<std::size_t>(nthreads - 1));
   for (int i = 0; i < nthreads - 1; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -52,7 +59,7 @@ ThreadPool::ThreadPool(int nthreads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lk(mu_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -73,57 +80,81 @@ void ThreadPool::worker_loop(int self) {
     ++ready_;
   }
   done_cv_.notify_all();
-  std::uint64_t seen = 0;
+  static auto& queue_wait =
+      obs::Registry::global().histogram("pool.queue_wait.seconds");
+  std::uint64_t seen = 0; // epoch of the last launch this worker saw
+  // seq_cst loads: paired with sleepers_ below and the launcher's publish.
+  const auto launched = [&] { return stop_.load() || epoch_of(state_.load()) != seen; };
   while (true) {
-    std::shared_ptr<Task> t;
-    {
+    if (!spin_until(launched)) {
       std::unique_lock lk(mu_);
-      cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-      if (stop_) return;
-      seen = epoch_;
-      t = current_;
+      sleepers_.fetch_add(1);
+      cv_.wait(lk, launched);
+      sleepers_.fetch_sub(1);
     }
-    if (t) {
-      // Queue wait: how long this worker's wakeup lagged the launch.
-      static auto& qw =
-          obs::Registry::global().histogram("pool.queue_wait.seconds");
-      qw.observe(static_cast<double>(obs::mono_ns() - t->publish_ns) * 1e-9);
-      work_on(t, self);
+    if (stop_.load()) return;
+    // Enter the launch unless the launcher has already closed it (every
+    // chunk done and every entrant gone).
+    std::uint64_t s = state_.load(std::memory_order_acquire);
+    bool entered = false;
+    while (!entered && !(s & kClosed))
+      entered = state_.compare_exchange_weak(s, s + 1, std::memory_order_acquire);
+    seen = epoch_of(s);
+    if (!entered) continue;
+    // Queue wait: how long this worker's wakeup lagged the launch.
+    queue_wait.observe(static_cast<double>(obs::mono_ns() - publish_ns_) * 1e-9);
+    work_on(self);
+    // Leave. The last worker out wakes a launcher that parked in join().
+    if ((state_.fetch_sub(1) & kInsideMask) == 1 && joiner_parked_.load()) {
+      { std::lock_guard lk(mu_); }
+      done_cv_.notify_all();
     }
   }
 }
 
-void ThreadPool::work_on(const std::shared_ptr<Task>& t, int self) {
+void ThreadPool::work_on(int self) {
   const bool was_in_task = tl_in_task;
   tl_in_task = true;
   std::uint32_t executed = 0;
-  while (true) {
-    const std::size_t c = t->next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= t->nchunks) break;
-    if (!t->cancelled.load(std::memory_order_relaxed)) {
+  // Own range first, then steal from the others in ring order. A cursor
+  // only grows, so one pass that finds every range empty is final.
+  for (int k = 0; k < nthreads_; ++k) {
+    Slot& slot = slots_[static_cast<std::size_t>((self + k) % nthreads_)];
+    for (std::size_t c = slot.next.fetch_add(1, std::memory_order_relaxed);
+         c < slot.end; c = slot.next.fetch_add(1, std::memory_order_relaxed)) {
+      if (cancelled_.load(std::memory_order_relaxed)) continue;
       try {
-        t->chunk(c);
+        chunk_(c);
         ++executed;
       } catch (...) {
         {
-          std::lock_guard lk(t->err_mu);
-          if (!t->error) t->error = std::current_exception();
+          std::lock_guard lk(err_mu_);
+          if (!error_) error_ = std::current_exception();
         }
-        t->cancelled.store(true, std::memory_order_relaxed);
+        cancelled_.store(true, std::memory_order_relaxed);
       }
     }
-    // Last finished chunk wakes the launcher. Notify under mu_ so the
-    // launcher cannot miss the wakeup between its predicate check and
-    // going to sleep.
-    if (t->done.fetch_add(1, std::memory_order_acq_rel) + 1 == t->nchunks) {
-      std::lock_guard lk(mu_);
-      done_cv_.notify_all();
-    }
   }
-  if (executed > 0)
-    t->per_thread_chunks[static_cast<std::size_t>(self)].fetch_add(
-        executed, std::memory_order_relaxed);
+  slots_[static_cast<std::size_t>(self)].executed = executed;
   tl_in_task = was_in_task;
+}
+
+void ThreadPool::join() {
+  // seq_cst load: paired with joiner_parked_ and the leaving worker.
+  const auto all_left = [&] { return (state_.load() & kInsideMask) == 0; };
+  while (true) {
+    if (!spin_until(all_left)) {
+      std::unique_lock lk(mu_);
+      joiner_parked_.store(true);
+      done_cv_.wait(lk, all_left);
+      joiner_parked_.store(false);
+    }
+    std::uint64_t s = state_.load(std::memory_order_acquire);
+    if ((s & kInsideMask) == 0 &&
+        state_.compare_exchange_strong(s, s | kClosed, std::memory_order_acq_rel))
+      return;
+    // A late worker entered between the check and the close: wait for it.
+  }
 }
 
 void ThreadPool::run_chunks(std::size_t nchunks, ChunkFn chunk) {
@@ -146,34 +177,37 @@ void ThreadPool::run_chunks(std::size_t nchunks, ChunkFn chunk) {
   obs::ObsScope span("pool.launch", obs::Cat::kTask);
 
   std::lock_guard launch(launch_mu_);
-  auto t = std::make_shared<Task>(chunk, nchunks);
-  t->per_thread_chunks =
-      std::vector<std::atomic<std::uint32_t>>(static_cast<std::size_t>(nthreads_));
-  t->publish_ns = obs::mono_ns();
-  {
-    std::lock_guard lk(mu_);
-    current_ = t;
-    ++epoch_;
+  // The previous launch is closed, so nobody reads these until the epoch
+  // below opens this one.
+  chunk_ = chunk;
+  cancelled_.store(false, std::memory_order_relaxed);
+  const auto np = static_cast<std::size_t>(nthreads_);
+  for (std::size_t p = 0; p < np; ++p) {
+    slots_[p].next.store(p * nchunks / np, std::memory_order_relaxed);
+    slots_[p].end = (p + 1) * nchunks / np;
+    slots_[p].executed = 0;
   }
-  cv_.notify_all();
-  work_on(t, nthreads_ - 1); // the launcher participates
-  {
-    std::unique_lock lk(mu_);
-    done_cv_.wait(lk, [&] {
-      return t->done.load(std::memory_order_acquire) == t->nchunks;
-    });
-    current_.reset();
+  publish_ns_ = obs::mono_ns();
+  // Open the next epoch with nobody inside. A parking worker counts itself
+  // in sleepers_ under mu_ before it tests the epoch (both seq_cst), so
+  // either it sees the new epoch or this sees it and takes mu_, which it
+  // can only get once the worker waits.
+  state_.store((state_.load(std::memory_order_relaxed) & ~(kClosed | kInsideMask)) +
+               kEpochUnit);
+  if (sleepers_.load() > 0) {
+    { std::lock_guard lk(mu_); }
+    cv_.notify_all();
   }
+  work_on(nthreads_ - 1); // the launcher participates
+  join();
   // Imbalance of this launch: busiest participant's chunk share over the
   // perfectly-even share (1.0 = balanced, nthreads = one thread did all).
   std::uint32_t busiest = 0;
-  for (const auto& n : t->per_thread_chunks)
-    busiest = std::max(busiest, n.load(std::memory_order_relaxed));
+  for (std::size_t p = 0; p < np; ++p) busiest = std::max(busiest, slots_[p].executed);
   static auto& imbalance = reg.histogram("pool.imbalance");
-  imbalance.observe(static_cast<double>(busiest) *
-                    static_cast<double>(nthreads_) /
+  imbalance.observe(static_cast<double>(busiest) * static_cast<double>(nthreads_) /
                     static_cast<double>(nchunks));
-  if (t->error) std::rethrow_exception(t->error);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 int ThreadPool::parse_env_threads(const char* value) {
@@ -185,21 +219,30 @@ int ThreadPool::parse_env_threads(const char* value) {
 }
 
 namespace {
+// g_pool owns the global pool; g_pool_ptr publishes it, so global() is one
+// atomic load once the pool exists. The mutex guards creation and
+// replacement only.
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
+std::atomic<ThreadPool*> g_pool_ptr{nullptr};
 } // namespace
 
 ThreadPool& ThreadPool::global() {
+  if (ThreadPool* p = g_pool_ptr.load(std::memory_order_acquire)) return *p;
   std::lock_guard lk(g_pool_mu);
-  if (!g_pool)
+  if (!g_pool) {
     g_pool = std::make_unique<ThreadPool>(
         parse_env_threads(std::getenv("MLMD_NUM_THREADS")));
+    g_pool_ptr.store(g_pool.get(), std::memory_order_release);
+  }
   return *g_pool;
 }
 
 void ThreadPool::set_global_threads(int n) {
   std::lock_guard lk(g_pool_mu);
-  g_pool = std::make_unique<ThreadPool>(n);
+  auto fresh = std::make_unique<ThreadPool>(n);
+  g_pool_ptr.store(fresh.get(), std::memory_order_release);
+  g_pool = std::move(fresh);
 }
 
 void ThreadPool::reset_after_fork() {
@@ -209,6 +252,7 @@ void ThreadPool::reset_after_fork() {
   // in place, then abandon the inherited pool object: its workers died
   // with the parent's address space and ~ThreadPool would join forever.
   new (&g_pool_mu) std::mutex();
+  g_pool_ptr.store(nullptr, std::memory_order_relaxed);
   (void)g_pool.release(); // leak the ghost pool, never run its destructor
 }
 

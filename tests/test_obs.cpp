@@ -23,6 +23,7 @@
 #include "mlmd/obs/obs.hpp"
 #include "mlmd/par/simcomm.hpp"
 #include "mlmd/par/thread_pool.hpp"
+#include "mlmd/qxmd/pair_potential.hpp"
 
 // Process-wide allocation counter backing
 // Obs.AccountSteadyStateIsAllocationFree: replacing the global operator
@@ -454,18 +455,16 @@ TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
   // second buffer, the charge reads cells through the accessor into
   // Workspace scratch, the pool takes the chunk body by reference, and
   // prepare() reserved q_history. An interleaved copy of the planar field
-  // in the step loop would show up here. The known exception: at > 1
-  // thread a launch that splits into several chunks allocates its Task
-  // and its per-thread chunk counters (two per launch, 220 over 100
-  // steps at 128^2; DESIGN.md Sec. 8), so the 4-thread case uses a
-  // lattice that is one chunk.
+  // in the step loop would show up here. At 4 threads the 128^2 lattice
+  // splits each launch into 8 chunks (one ferro launch per step plus two
+  // charge passes per record), so a pool launch must not allocate either.
   using mlmd::par::ThreadPool;
   Tracer::enable(false);
   struct Case {
     int threads;
     std::size_t lattice;
   };
-  for (const Case c : {Case{1, 32}, Case{1, 128}, Case{4, 32}}) {
+  for (const Case c : {Case{1, 32}, Case{1, 128}, Case{4, 32}, Case{4, 128}}) {
     ThreadPool::set_global_threads(c.threads);
     mlmd::pipeline::PipelineOptions opt;
     opt.lattice = c.lattice;
@@ -482,6 +481,28 @@ TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
     EXPECT_EQ(g_heap_allocs.load() - before, 0u)
         << "threads=" << c.threads << " lattice=" << c.lattice;
     EXPECT_EQ(session.result().q_history.size(), 12u);
+  }
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(Obs, WarmLjEnergyForcesIsAllocationFree) {
+  // The energy is a parallel_reduce whose partials come from the calling
+  // thread's Workspace, and the force vector keeps its size, so a warm
+  // call allocates nothing, inline or as a 27-chunk pool launch.
+  using mlmd::par::ThreadPool;
+  Tracer::enable(false);
+  const auto atoms = mlmd::qxmd::make_cubic_lattice(6, 6, 6, 4.0, 50.0);
+  const mlmd::qxmd::LjParams p;
+  const mlmd::qxmd::NeighborList nl(atoms, p.rc);
+  for (const int threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    std::vector<double> forces;
+    const double warm = mlmd::qxmd::lj_energy_forces(atoms, nl, p, forces);
+    const std::uint64_t before = g_heap_allocs.load();
+    double e = 0.0;
+    for (int i = 0; i < 20; ++i) e = mlmd::qxmd::lj_energy_forces(atoms, nl, p, forces);
+    EXPECT_EQ(g_heap_allocs.load() - before, 0u) << "threads=" << threads;
+    EXPECT_EQ(e, warm);
   }
   ThreadPool::set_global_threads(0);
 }

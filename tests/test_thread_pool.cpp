@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -153,6 +154,126 @@ TEST(ThreadPool, ConcurrentExternalLaunchersSerialize) {
   }
   for (auto& c : callers) c.join();
   EXPECT_EQ(total.load(), 4 * 20 * 50);
+}
+
+// ---- pool mechanics: home ranges, stealing, spin-then-park ------------
+
+/// Spins until `pred()` holds or a generous deadline passes; returns
+/// whether it holds. A broken wake or steal fails the test instead of
+/// hanging it.
+template <class Pred>
+bool wait_for(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+mlmd::obs::Histogram& imbalance_histogram() {
+  return mlmd::obs::Registry::global().histogram("pool.imbalance");
+}
+
+TEST(ThreadPool, EveryChunkRunsOnceOverUnevenAndEmptyHomeRanges) {
+  // With n chunks and P participants the home ranges [p*n/P, (p+1)*n/P)
+  // are uneven for most n here and empty for some participants when
+  // n < P; every chunk must still run exactly once per launch.
+  for (const int threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    imbalance_histogram().reset();
+    for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64}) {
+      std::vector<int> hits(n, 0); // plain ints: the join orders the launches
+      const int reps = 50;
+      for (int rep = 0; rep < reps; ++rep)
+        pool.parallel_for(0, n, 1, [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) ++hits[i];
+        });
+      for (std::size_t c = 0; c < n; ++c)
+        EXPECT_EQ(hits[c], reps) << "threads=" << threads << " n=" << n << " c=" << c;
+    }
+    // Busiest participant's share over the even share: 1 when balanced,
+    // nthreads when one participant ran every chunk.
+    EXPECT_GE(imbalance_histogram().min(), 1.0) << "threads=" << threads;
+    EXPECT_LE(imbalance_histogram().max(), static_cast<double>(threads))
+        << "threads=" << threads;
+  }
+}
+
+TEST(ThreadPool, ParkedWorkersWakeForALaunchAfterAnIdleGap) {
+  // After an idle gap far past the spin budget every worker has parked.
+  // Each of the 4 chunks (one per home range) waits until all 4 have
+  // started, so the launch completes only if every parked worker woke
+  // and joined it.
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(100 * ThreadPool::kSpinBudget);
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    pool.parallel_for(0, kThreads, 1, [&](std::size_t, std::size_t) {
+      started.fetch_add(1);
+      if (wait_for([&] { return started.load() == kThreads; })) met.fetch_add(1);
+    });
+    EXPECT_EQ(met.load(), kThreads) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, BackToBackLaunchesKeepExactTalliesUnderSteals) {
+  // 20,000 launches of 9 uneven chunks (home ranges 2/2/2/3) whose cost
+  // varies by chunk, so participants finish their ranges at different
+  // times and steal from each other. Plain per-chunk tallies must come
+  // out exact, and ThreadSanitizer sees each launch ordered after the
+  // previous one's join.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kChunks = 9;
+  constexpr int kLaunches = 20'000;
+  ThreadPool pool(kThreads);
+  imbalance_histogram().reset();
+  std::vector<long> tally(kChunks, 0);
+  std::vector<double> sink(kChunks, 0.0);
+  for (int l = 0; l < kLaunches; ++l)
+    pool.parallel_for(0, kChunks, 1, [&](std::size_t c, std::size_t) {
+      double x = static_cast<double>(l);
+      for (std::size_t k = 0; k < 40 * ((c + static_cast<std::size_t>(l)) % 4); ++k)
+        x = std::sqrt(x + 1.0);
+      sink[c] += x;
+      ++tally[c];
+    });
+  for (std::size_t c = 0; c < kChunks; ++c) EXPECT_EQ(tally[c], kLaunches) << c;
+  EXPECT_EQ(imbalance_histogram().count(), static_cast<std::uint64_t>(kLaunches));
+  EXPECT_GE(imbalance_histogram().min(), 1.0);
+  EXPECT_LE(imbalance_histogram().max(), static_cast<double>(kThreads));
+}
+
+TEST(ThreadPool, ExceptionFromStolenChunkIsRethrownAndPoolReusable) {
+  // Two participants, four chunks: the worker's home range is {0, 1}, the
+  // launcher's {2, 3}. Chunk 2 waits until the worker is inside chunk 0,
+  // and chunk 0 waits until chunk 1 has run, so chunk 1 can only be run
+  // by the launcher stealing it from the worker's range. It throws.
+  ThreadPool pool(2);
+  const auto launcher = std::this_thread::get_id();
+  std::atomic<bool> chunk0_started{false};
+  std::atomic<bool> chunk1_ran{false};
+  std::thread::id chunk1_thread;
+  EXPECT_THROW(pool.parallel_for(0, 4, 1,
+                                 [&](std::size_t c, std::size_t) {
+                                   if (c == 0) {
+                                     chunk0_started.store(true);
+                                     wait_for([&] { return chunk1_ran.load(); });
+                                   } else if (c == 1) {
+                                     chunk1_thread = std::this_thread::get_id();
+                                     chunk1_ran.store(true);
+                                     throw std::runtime_error("stolen chunk");
+                                   } else if (c == 2) {
+                                     wait_for([&] { return chunk0_started.load(); });
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(chunk1_thread, launcher) << "chunk 1 was not stolen";
+  std::atomic<int> count{0};
+  pool.parallel_for(0, 100, 1, [&](std::size_t, std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPool, ParseEnvThreads) {
