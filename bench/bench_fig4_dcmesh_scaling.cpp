@@ -6,16 +6,13 @@
 // on this host (several granularities); the network is the calibrated
 // Dragonfly-like alpha-beta model (DESIGN.md substitution). Also checks
 // the paper's aggregate-EFLOP/s accounting rule and runs a real SimComm
-// multi-rank mini-version to validate the communication pattern — over
-// the in-process backend or, with --transport=shm, over real forked
-// processes and shared memory (DESIGN.md Sec. 11), which makes the
-// mini-run's communication points *measured* rather than modeled.
+// multi-rank mini-version (DESIGN.md Sec. 11), which makes the mini-run's
+// communication points *measured* rather than modeled.
 //
 // --json=<path> emits benchjson schema v3 with one record per SimComm
 // rank of the mini-run (comm_bytes = that rank's exact contributed
-// bytes); the per-rank records must be identical between --transport
-// values for the same configuration (trace_check --compare-comm).
-// --model=0 skips the calibration and analytic sweeps (CI smoke runs).
+// bytes). --model=0 skips the calibration and analytic sweeps (CI smoke
+// runs).
 //
 // Expected shape: weak-scaling wall time ~flat (efficiency ~1.0 at 128
 // e/rank); strong-scaling efficiency decays with P (paper: 0.843 at
@@ -31,18 +28,15 @@
 #include "mlmd/common/flops.hpp"
 #include "mlmd/mesh/baseline.hpp"
 #include "mlmd/mesh/multidomain.hpp"
-#include "mlmd/par/transport.hpp"
 #include "mlmd/perf/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
   if (!cli.check_known(
-          {"steps", "node_speedup", "model", "ranks", "md_steps", "transport",
-           "json"},
+          {"steps", "node_speedup", "model", "ranks", "md_steps", "json"},
           "usage: bench_fig4_dcmesh_scaling [--steps=N] [--node_speedup=X] "
-          "[--model=0|1] [--ranks=N] [--md_steps=N] "
-          "[--transport=inproc|shm] [--json=path]"))
+          "[--model=0|1] [--ranks=N] [--md_steps=N] [--json=path]"))
     return 1;
 
   int steps = 8, ranks = 4, md_steps = 1;
@@ -56,8 +50,6 @@ int main(int argc, char** argv) {
     model = cli.flag("model", true);
     node_speedup_flag = cli.real("node_speedup", -1.0);
     json_path = cli.str("json", "");
-    par::set_default_transport(cli.choice("transport", par::kTransportChoices,
-                                          par::default_transport()));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -133,7 +125,6 @@ int main(int argc, char** argv) {
   }
 
   // --- real SimComm mini-run validating the communication pattern ------
-  const char* transport = par::transport_name(par::default_transport());
   mesh::ParallelMeshOptions popt;
   popt.md_steps = md_steps;
   popt.grid_n = 8;
@@ -141,21 +132,19 @@ int main(int argc, char** argv) {
   popt.nfilled = 2;
   popt.mesh.nqd_per_md = 10;
   auto res = mesh::run_parallel_mesh(ranks, popt);
-  std::printf("\n# SimComm validation (%d ranks, %d MD step(s), transport "
-              "%s): n_exc gathered from %zu domains, %llu collective ops, "
-              "%llu bytes\n",
-              ranks, md_steps, transport,
-              res.n_exc_per_domain.size(),
+  std::printf("\n# SimComm validation (%d ranks, %d MD step(s)): n_exc "
+              "gathered from %zu domains, %llu collective ops, %llu bytes\n",
+              ranks, md_steps, res.n_exc_per_domain.size(),
               static_cast<unsigned long long>(res.traffic.collective_ops),
               static_cast<unsigned long long>(res.traffic.collective_bytes));
   const auto recs = benchjson::rank_records("dcmesh_mini", res.wall_seconds,
                                            res.rank_traffic);
   if (!json_path.empty()) {
-    if (!benchjson::write(json_path, recs, transport)) {
+    if (!benchjson::write(json_path, recs)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::printf("# wrote %s (transport %s)\n", json_path.c_str(), transport);
+    std::printf("# wrote %s\n", json_path.c_str());
   }
   return 0;
 }

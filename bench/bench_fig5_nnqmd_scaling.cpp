@@ -8,10 +8,9 @@
 // problem but collapsing to ~0.44 for the small one (comm/compute ratio).
 //
 // A real SimComm mini-run exercises the halo-exchange + energy-allreduce
-// pattern over the selected transport (--transport=inproc|shm, DESIGN.md
-// Sec. 11); --json=<path> emits one benchjson record per rank whose
-// comm_bytes must be identical across transports (trace_check
-// --compare-comm). --model=0 skips the analytic sweeps for CI smoke.
+// pattern (DESIGN.md Sec. 11); --json=<path> emits one benchjson record
+// per rank (comm_bytes = that rank's exact contributed bytes). --model=0
+// skips the analytic sweeps for CI smoke.
 
 #include <cstdio>
 #include <stdexcept>
@@ -23,7 +22,6 @@
 #include "mlmd/common/timer.hpp"
 #include "mlmd/nnq/allegro.hpp"
 #include "mlmd/par/simcomm.hpp"
-#include "mlmd/par/transport.hpp"
 #include "mlmd/perf/machine.hpp"
 #include "mlmd/qxmd/atoms.hpp"
 #include "mlmd/qxmd/neighbor.hpp"
@@ -33,10 +31,10 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   if (!cli.check_known(
           {"lattice", "steps", "node_speedup", "model", "ranks", "halo_steps",
-           "transport", "json"},
+           "json"},
           "usage: bench_fig5_nnqmd_scaling [--lattice=N] [--steps=N] "
           "[--node_speedup=X] [--model=0|1] [--ranks=N] [--halo_steps=N] "
-          "[--transport=inproc|shm] [--json=path]"))
+          "[--json=path]"))
     return 1;
 
   std::size_t lat = 12;
@@ -52,8 +50,6 @@ int main(int argc, char** argv) {
     model = cli.flag("model", true);
     node_speedup = cli.real("node_speedup", 1000.0);
     json_path = cli.str("json", "");
-    par::set_default_transport(cli.choice("transport", par::kTransportChoices,
-                                          par::default_transport()));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -125,9 +121,7 @@ int main(int argc, char** argv) {
   // The measured counterpart of the modeled comm terms above: each rank
   // exchanges a fixed halo slab with its ring neighbours (the Fig. 5
   // divide-and-conquer boundary pattern) and joins a global energy
-  // allreduce per step. par::run returns every rank's account, identical
-  // across transports.
-  const char* transport = par::transport_name(par::default_transport());
+  // allreduce per step. par::run returns every rank's account.
   constexpr std::size_t kHaloDoubles = 512; // fixed slab per exchange
   Timer wall;
   const auto traffic = par::run(ranks, [&](par::Comm& comm) {
@@ -163,20 +157,20 @@ int main(int argc, char** argv) {
     }
   });
   const double wall_seconds = wall.seconds();
-  std::printf("\n# SimComm halo mini-run (%d ranks, %d steps, transport %s): "
-              "%llu messages, %llu p2p bytes, %llu collective bytes\n",
-              ranks, halo_steps, transport,
+  std::printf("\n# SimComm halo mini-run (%d ranks, %d steps): %llu "
+              "messages, %llu p2p bytes, %llu collective bytes\n",
+              ranks, halo_steps,
               static_cast<unsigned long long>(traffic.messages),
               static_cast<unsigned long long>(traffic.p2p_bytes),
               static_cast<unsigned long long>(traffic.collective_bytes));
   const auto recs =
       benchjson::rank_records("nnqmd_halo", wall_seconds, traffic.ranks);
   if (!json_path.empty()) {
-    if (!benchjson::write(json_path, recs, transport)) {
+    if (!benchjson::write(json_path, recs)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::printf("# wrote %s (transport %s)\n", json_path.c_str(), transport);
+    std::printf("# wrote %s\n", json_path.c_str());
   }
   return 0;
 }

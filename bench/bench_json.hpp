@@ -3,8 +3,8 @@
 //
 // Schema v3 (see DESIGN.md Sec. 9): a top-level object
 //
-//   {"schema_version": 3, "machine": {...}, ["transport": "...",]
-//    "records": [ {...}, ... ], "registry": {...}}
+//   {"schema_version": 3, "machine": {...}, "records": [ {...}, ... ],
+//    "registry": {...}}
 //
 // with one record per measured kernel carrying
 //   kernel       measured kernel/model name
@@ -12,8 +12,8 @@
 //   bytes_alloc  Workspace bytes reserved during the final repetition —
 //                the zero-allocation contract makes this 0 after warm-up
 //   seconds      best-repetition wall time
-//   comm_bytes   SimComm payload bytes the measurement moved (obs
-//                registry delta; 0 for single-rank kernels)
+//   comm_bytes   SimComm payload bytes the measurement moved (one
+//                rank's account in a mini-run; 0 for single-rank kernels)
 //   comm_seconds SimComm blocked-wait seconds over the measurement
 //   comm_overlap_seconds
 //                communication hidden behind compute: summed post->wait
@@ -34,15 +34,12 @@
 // and the cpuid feature flags of the measuring host, so a recorded number
 // can always be traced back to the micro-kernel ISA that produced it.
 //
-// When the measurement ran over a SimComm transport the object carries
-// a "transport" string ("inproc" or "shm", DESIGN.md Sec. 11) identifying
-// the backend, so scaling points measured over real process boundaries
-// are distinguishable from threaded ones.
-//
 // "registry" is obs::Registry::report_json(): every counter, gauge and
 // histogram of the process (ft.*, serve.*, simcomm.*, ...), histograms
 // with their p50/p95/p99. trace_check checks how those instruments relate
-// (its invariant table), so a bench publishes a number by updating an
+// (its invariant table), and that the records' handles_posted and
+// comm_bytes sum to the registry's simcomm.handles.posted and
+// simcomm.*.bytes, so a bench publishes a number by updating an
 // instrument, not by adding a field here.
 
 #include <cstdio>
@@ -50,7 +47,7 @@
 #include <vector>
 
 #include "mlmd/obs/metrics.hpp"
-#include "mlmd/par/transport.hpp"
+#include "mlmd/par/simcomm.hpp"
 #include "mlmd/simd/simd.hpp"
 
 namespace mlmd::benchjson {
@@ -72,9 +69,9 @@ struct Record {
 
 /// One record per SimComm rank of a measured mini-run, named
 /// "<prefix>.rank<r>", each also printed as a "#   rank r: ..." line.
-/// comm_bytes is the rank's exact contributed payload, which must match
-/// bit-for-bit between the inproc and shm transports for the same
-/// configuration (trace_check --compare-comm enforces this in CI).
+/// comm_bytes is the rank's exact contributed payload; summed over the
+/// records it equals the registry's simcomm.*.bytes (trace_check checks
+/// this in CI).
 inline std::vector<Record> rank_records(
     const std::string& prefix, double seconds,
     const std::vector<par::RankTraffic>& ranks) {
@@ -103,8 +100,7 @@ inline std::vector<Record> rank_records(
   return recs;
 }
 
-inline bool write(const std::string& path, const std::vector<Record>& recs,
-                  const std::string& transport = "") {
+inline bool write(const std::string& path, const std::vector<Record>& recs) {
   std::FILE* fp = std::fopen(path.c_str(), "w");
   if (!fp) return false;
   std::fprintf(fp, "{\"schema_version\": %d, ", kSchemaVersion);
@@ -114,8 +110,6 @@ inline bool write(const std::string& path, const std::vector<Record>& recs,
   for (std::size_t i = 0; i < flags.size(); ++i)
     std::fprintf(fp, "%s\"%s\"", i ? ", " : "", flags[i].c_str());
   std::fprintf(fp, "]}, ");
-  if (!transport.empty())
-    std::fprintf(fp, "\"transport\": \"%s\", ", transport.c_str());
   std::fprintf(fp, "\"records\": [\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const auto& r = recs[i];

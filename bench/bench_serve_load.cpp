@@ -99,7 +99,10 @@ struct PhaseResult {
 PhaseResult run_phase(const LoadShape& shape, serve::ServerOptions sopt,
                       std::shared_ptr<serve::ModelRegistry> models,
                       const std::string& mode, double rps) {
-  obs::Registry::global().reset();
+  auto& reg = obs::Registry::global();
+  reg.reset();
+  auto& completed = reg.counter("serve.completed");
+  const auto completed0 = completed.value();
   serve::Server server(std::move(sopt), std::move(models));
   server.start();
 
@@ -117,7 +120,7 @@ PhaseResult run_phase(const LoadShape& shape, serve::ServerOptions sopt,
   }
   server.wait_all();
   out.elapsed_s = now_s() - t0;
-  out.completed = server.stats().completed;
+  out.completed = static_cast<long>(completed.value() - completed0);
   server.stop();
   return out;
 }

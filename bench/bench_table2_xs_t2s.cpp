@@ -36,7 +36,6 @@ struct Meas {
   std::size_t weights = 0;
   double total_seconds = 0.0; ///< wall time summed over ALL repetitions
   unsigned long long span_count = 0;
-  mlmd::obs::CommTotals comm;
 };
 
 Meas measure_model(const mlmd::nnq::AtomModel& model, const mlmd::qxmd::Atoms& atoms,
@@ -48,7 +47,6 @@ Meas measure_model(const mlmd::nnq::AtomModel& model, const mlmd::qxmd::Atoms& a
   Meas m;
   m.sec_per_step = 1e300;
   const auto spans0 = mlmd::obs::Tracer::span_count();
-  const auto comm0 = mlmd::obs::comm_totals();
   for (int i = 0; i < steps; ++i) {
     mlmd::ft::set_step(i);
     const auto r0 = mlmd::common::Workspace::total_reserved_bytes();
@@ -56,7 +54,7 @@ Meas measure_model(const mlmd::nnq::AtomModel& model, const mlmd::qxmd::Atoms& a
     mlmd::Timer t;
     model.energy_forces(atoms, nl, forces, /*block_size=*/4096);
     // Fault-injection point (--faults / MLMD_FAULTS): corrupted forces
-    // here surface in the emitted "ft" benchjson block.
+    // here surface in the registry's ft.* counters.
     if (!forces.empty()) mlmd::ft::hook_forces(i, forces.data(), forces.size());
     const double secs = t.seconds();
     m.total_seconds += secs;
@@ -66,10 +64,7 @@ Meas measure_model(const mlmd::nnq::AtomModel& model, const mlmd::qxmd::Atoms& a
       m.gflops = static_cast<double>(scope.flops()) / secs / 1e9;
     }
   }
-  const auto comm1 = mlmd::obs::comm_totals();
   m.span_count = mlmd::obs::Tracer::span_count() - spans0;
-  m.comm.bytes = comm1.bytes - comm0.bytes;
-  m.comm.wait_seconds = comm1.wait_seconds - comm0.wait_seconds;
   m.weights = model.n_weights();
   m.t2s = m.sec_per_step /
           (static_cast<double>(atoms.n()) * static_cast<double>(m.weights));
@@ -153,8 +148,6 @@ int main(int argc, char** argv) {
                                .gflops = m.gflops,
                                .bytes_alloc = m.bytes_alloc,
                                .seconds = m.sec_per_step,
-                               .comm_bytes = m.comm.bytes,
-                               .comm_seconds = m.comm.wait_seconds,
                                .span_count = m.span_count};
     };
     const std::vector<benchjson::Record> recs{rec("table2_small_net", m_small),

@@ -23,9 +23,9 @@
 //   - Every lane family "X.t<k>" sums to its base "X": counter values, or
 //     histogram counts.
 //   - The rows of kInvariants (below) hold.
-//   - In a transport-tagged file, which holds one record per rank of one
-//     mini-run, the records' handles_posted and comm_bytes sum to the
-//     registry's simcomm.handles.posted and simcomm.*.bytes.
+//   - The records' handles_posted and comm_bytes sum to the registry's
+//     simcomm.handles.posted and simcomm.*.bytes (a file with no SimComm
+//     traffic reads 0 on both sides).
 //
 // The file kind is detected from the top-level value. Exit 0 on a valid
 // file (a one-line summary is printed), 1 on any structural violation.
@@ -453,45 +453,31 @@ int check_bench(const Value& root) {
     simd_target = s->str;
   }
 
-  // Optional transport tag (DESIGN.md Sec. 11): when present it must be
-  // one of the SimComm backend names, so downstream scaling plots can
-  // trust the measured-over-processes distinction.
-  std::string transport;
-  if (root.obj.count("transport")) {
-    const Value* t = field(root, "transport", Value::Kind::kString);
-    if (!t || (t->str != "inproc" && t->str != "shm"))
-      return fail("\"transport\" must be \"inproc\" or \"shm\"");
-    transport = t->str;
-  }
-
   if (check_registry(*reg) != 0) return 1;
 
-  // Records vs registry: a transport-tagged file holds one record per rank
-  // of one mini-run, so the records account for every SimComm byte and
-  // handle the registry counted.
-  if (!transport.empty()) {
-    double reg_bytes = 0.0;
-    for (const auto& [name, v] :
-         field(*reg, "counters", Value::Kind::kObject)->obj)
-      if (name.rfind("simcomm.", 0) == 0 && name.size() > 6 &&
-          name.compare(name.size() - 6, 6, ".bytes") == 0)
-        reg_bytes += v->num;
-    const double reg_posted =
-        operand(*reg, "simcomm.handles.posted").value_or(0.0);
-    if (posted_sum != reg_posted || bytes_sum != reg_bytes)
-      return fail("records sum to %g handles_posted and %g comm_bytes, the "
-                  "registry to %g simcomm.handles.posted and %g "
-                  "simcomm.*.bytes",
-                  posted_sum, bytes_sum, reg_posted, reg_bytes);
-  }
+  // Records vs registry: the records account for every SimComm byte and
+  // handle the registry counted. A mini-run bench emits one record per
+  // rank; a bench that runs no SimComm reads 0 on both sides.
+  double reg_bytes = 0.0;
+  for (const auto& [name, v] :
+       field(*reg, "counters", Value::Kind::kObject)->obj)
+    if (name.rfind("simcomm.", 0) == 0 && name.size() > 6 &&
+        name.compare(name.size() - 6, 6, ".bytes") == 0)
+      reg_bytes += v->num;
+  const double reg_posted =
+      operand(*reg, "simcomm.handles.posted").value_or(0.0);
+  if (posted_sum != reg_posted || bytes_sum != reg_bytes)
+    return fail("records sum to %g handles_posted and %g comm_bytes, the "
+                "registry to %g simcomm.handles.posted and %g "
+                "simcomm.*.bytes",
+                posted_sum, bytes_sum, reg_posted, reg_bytes);
 
   std::size_t instruments = 0;
   for (const auto& [kind, group] : reg->obj) instruments += group->obj.size();
   std::printf("trace_check: OK, bench schema v3, %zu records, %zu "
-              "instruments%s%s%s%s\n",
+              "instruments%s%s\n",
               recs->arr.size(), instruments,
-              simd_target.empty() ? "" : ", simd ", simd_target.c_str(),
-              transport.empty() ? "" : ", transport ", transport.c_str());
+              simd_target.empty() ? "" : ", simd ", simd_target.c_str());
   return 0;
 }
 
@@ -517,65 +503,11 @@ ValuePtr parse_file(const char* path) {
   }
 }
 
-/// --compare-comm a.json b.json: both must be valid bench files with the
-/// same kernel set and bit-equal comm_bytes per kernel. This is how CI
-/// proves the shm and inproc transports move identical traffic for the
-/// same configuration (timings, overlap seconds, and handle counts are
-/// allowed to differ).
-int compare_comm(const char* path_a, const char* path_b) {
-  ValuePtr a = parse_file(path_a);
-  ValuePtr b = parse_file(path_b);
-  if (!a || !b) return 1;
-  if (a->kind != Value::Kind::kObject || b->kind != Value::Kind::kObject ||
-      check_bench(*a) != 0 || check_bench(*b) != 0)
-    return 1;
-  auto comm_map = [](const Value& root) {
-    std::map<std::string, double> m;
-    const Value* recs = field(root, "records", Value::Kind::kArray);
-    for (const auto& r : recs->arr)
-      m[field(*r, "kernel", Value::Kind::kString)->str] =
-          field(*r, "comm_bytes", Value::Kind::kNumber)->num;
-    return m;
-  };
-  const auto ma = comm_map(*a);
-  const auto mb = comm_map(*b);
-  int bad = 0;
-  for (const auto& [kernel, bytes] : ma) {
-    auto it = mb.find(kernel);
-    if (it == mb.end()) {
-      std::fprintf(stderr, "trace_check: kernel \"%s\" only in %s\n",
-                   kernel.c_str(), path_a);
-      ++bad;
-    } else if (it->second != bytes) {
-      std::fprintf(stderr,
-                   "trace_check: kernel \"%s\" comm_bytes differ: %.0f vs "
-                   "%.0f\n",
-                   kernel.c_str(), bytes, it->second);
-      ++bad;
-    }
-  }
-  for (const auto& [kernel, bytes] : mb)
-    if (!ma.count(kernel)) {
-      std::fprintf(stderr, "trace_check: kernel \"%s\" only in %s\n",
-                   kernel.c_str(), path_b);
-      ++bad;
-    }
-  if (bad) return 1;
-  std::printf("trace_check: OK, %zu kernels, per-kernel comm_bytes "
-              "identical\n",
-              ma.size());
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 4 && std::string(argv[1]) == "--compare-comm")
-    return compare_comm(argv[2], argv[3]);
   if (argc != 2) {
-    std::fprintf(stderr,
-                 "usage: trace_check <file.json>\n"
-                 "       trace_check --compare-comm <a.json> <b.json>\n");
+    std::fprintf(stderr, "usage: trace_check <file.json>\n");
     return 1;
   }
   ValuePtr root = parse_file(argv[1]);

@@ -74,7 +74,7 @@ public:
   }
 
   /// Enum-valued option against a (name, value) table — the one shared
-  /// implementation of `--transport=`/`--simd=`-style choices (each app
+  /// implementation of `--simd=`-style choices (each app
   /// used to hand-roll its own). An unknown value throws
   /// std::invalid_argument listing every accepted spelling, so the error
   /// is exhaustive no matter which front-end surfaces it. Aliases are

@@ -34,7 +34,6 @@ FaultSpec parse_entry(const std::string& entry) {
   else if (kind == "inf_field") s.kind = FaultKind::kInfField;
   else if (kind == "stall") s.kind = FaultKind::kStall;
   else if (kind == "slow_rank") s.kind = FaultKind::kSlowRank;
-  else if (kind == "drop_doorbell") s.kind = FaultKind::kDropDoorbell;
   else
     throw std::invalid_argument("parse_faults: unknown fault kind '" + kind +
                                 "'");
@@ -215,17 +214,6 @@ double FaultPlan::on_delay(int rank) {
   return seconds;
 }
 
-bool FaultPlan::on_doorbell(int rank) {
-  const long step = current_step();
-  std::lock_guard lk(mu_);
-  bool hit = false;
-  for (auto& a : armed_) {
-    if (a.spec.kind != FaultKind::kDropDoorbell) continue;
-    if (fires(a, step, rank)) hit = true;
-  }
-  return hit;
-}
-
 long FaultPlan::fired() const {
   std::lock_guard lk(mu_);
   return fired_;
@@ -262,10 +250,6 @@ bool fields_hook_slow(long step, double* v, std::size_t n) {
 double delay_hook_slow(int rank) {
   auto* p = g_plan.load(std::memory_order_acquire);
   return p ? p->on_delay(rank) : 0.0;
-}
-bool doorbell_hook_slow(int rank) {
-  auto* p = g_plan.load(std::memory_order_acquire);
-  return p ? p->on_doorbell(rank) : false;
 }
 void set_step_slow(long step) {
   if (auto* p = g_plan.load(std::memory_order_acquire)) p->set_step(step);

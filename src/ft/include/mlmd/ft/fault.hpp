@@ -14,9 +14,6 @@
 //                                    peers unwind with StallError)
 //   slow_rank@rank=1,ms=2,count=50   a straggler: small per-op delay
 //                                    (graceful degradation, never an error)
-//   drop_doorbell@rank=0,count=4     the shm sender skips its condvar
-//                                    doorbell; parked receivers recover
-//                                    via the bounded park slices
 //
 // Entries are ';'-separated; every entry fires at most `count` times
 // (default 1), so a rollback that replays the faulty step converges.
@@ -48,11 +45,11 @@ class InjectedCrash : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A progress deadline expired while blocked in a transport wait (peer
-/// stall, lost doorbell, wedged collective). Retrying the blocked op
-/// against a wedged peer would just stall again — the caller decides
-/// whether to degrade, checkpoint, or abort. Thrown by both SimComm
-/// backends when par::progress_timeout() is armed (DESIGN.md Sec. 15).
+/// A progress deadline expired while blocked in a SimComm wait (peer
+/// stall, wedged collective). Retrying the blocked op against a wedged
+/// peer would just stall again — the caller decides whether to degrade,
+/// checkpoint, or abort. Thrown by SimComm when par::progress_timeout()
+/// is armed (DESIGN.md Sec. 15).
 class StallError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -63,9 +60,8 @@ enum class FaultKind {
   kBitFlip,
   kNanForce,
   kInfField,
-  kStall,        ///< rank sleeps spec.ms at a hook site (wedged peer)
-  kSlowRank,     ///< rank sleeps spec.ms per op (straggler / degrade)
-  kDropDoorbell, ///< shm sender skips its condvar doorbell broadcast
+  kStall,    ///< rank sleeps spec.ms at a hook site (wedged peer)
+  kSlowRank, ///< rank sleeps spec.ms per op (straggler / degrade)
 };
 
 /// One parsed fault entry. `step` < 0 means "any step"; `rank` < 0 means
@@ -119,9 +115,6 @@ class FaultPlan {
   /// matching stall / slow_rank entries. The CALLER sleeps — the plan
   /// mutex is never held across the delay.
   double on_delay(int rank);
-  /// shm doorbell hook: true when a drop_doorbell entry fires for `rank`
-  /// (the sender skips its condvar broadcast for this message).
-  bool on_doorbell(int rank);
 
   /// Total number of faults this plan has fired so far.
   long fired() const;
@@ -155,7 +148,6 @@ bool payload_hook_slow(int rank, std::span<std::byte> payload);
 bool forces_hook_slow(long step, double* f, std::size_t n);
 bool fields_hook_slow(long step, double* v, std::size_t n);
 double delay_hook_slow(int rank);
-bool doorbell_hook_slow(int rank);
 void set_step_slow(long step);
 } // namespace detail
 
@@ -192,10 +184,6 @@ inline bool hook_fields(long step, double* v, std::size_t n) {
 /// from rank-agnostic sites (the serve scheduler).
 inline double hook_delay(int rank) {
   return armed() ? detail::delay_hook_slow(rank) : 0.0;
-}
-/// True when an armed drop_doorbell entry fires for `rank`.
-inline bool hook_drop_doorbell(int rank) {
-  return armed() ? detail::doorbell_hook_slow(rank) : false;
 }
 /// Publish the driving loop's step counter for the SimComm hooks.
 inline void set_step(long step) {

@@ -38,8 +38,7 @@ struct ParallelMeshResult {
   double total_n_exc = 0.0;
   par::TrafficStats traffic;
   /// Per-rank comm account (op calls/bytes, wait time), one entry per
-  /// rank, as par::run returns it; calls/bytes are identical across
-  /// transports.
+  /// rank, as par::run returns it.
   std::vector<par::RankTraffic> rank_traffic;
   double wall_seconds = 0.0;
 };

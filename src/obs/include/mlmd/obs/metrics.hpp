@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,31 +81,6 @@ public:
   /// width, and exact at the extremes). Returns 0 with no samples.
   double quantile(double q) const;
 
-  /// `count` more samples in bucket `index` (a sparse bucket delta).
-  struct BucketDelta {
-    std::uint64_t index;
-    std::uint64_t count;
-  };
-  /// Fold another histogram's (count, sum, min, max) and bucket deltas
-  /// into this one — the join-side half of per-process registry merging
-  /// (shm transport): counts, sums and buckets add, extremes combine, so
-  /// quantile() sees the other process's samples too. A merge with
-  /// count 0 still folds min/max only if they are real observations
-  /// (min <= max).
-  void merge(std::uint64_t count, double sum, double min, double max,
-             std::span<const BucketDelta> buckets = {}) {
-    if (count) {
-      count_.fetch_add(count, std::memory_order_relaxed);
-      add_double(sum_, sum);
-    }
-    if (min <= max) {
-      update_min(min);
-      update_max(max);
-    }
-    for (const BucketDelta& b : buckets)
-      if (b.index < static_cast<std::uint64_t>(kBuckets))
-        buckets_[b.index].fetch_add(b.count, std::memory_order_relaxed);
-  }
   void reset();
 
 private:

@@ -20,14 +20,4 @@ std::string init_tracing(const std::string& cli_path);
 /// span/drop counts on stderr. No-op (returns true) when `path` is empty.
 bool finish_tracing(const std::string& path);
 
-/// Aggregate SimComm traffic as currently held by the metrics registry:
-/// payload bytes summed over every "simcomm.<op>.bytes" counter and the
-/// total blocked-wait seconds. Benches diff two snapshots around a
-/// measurement to attribute comm cost to it.
-struct CommTotals {
-  std::uint64_t bytes = 0;
-  double wait_seconds = 0.0;
-};
-CommTotals comm_totals();
-
 } // namespace mlmd::obs

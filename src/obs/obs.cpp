@@ -30,17 +30,4 @@ bool finish_tracing(const std::string& path) {
   return ok;
 }
 
-CommTotals comm_totals() {
-  CommTotals t;
-  auto& reg = Registry::global();
-  for (const auto& c : reg.counters_snapshot()) {
-    if (c.name.rfind("simcomm.", 0) == 0 &&
-        c.name.size() > 6 &&
-        c.name.compare(c.name.size() - 6, 6, ".bytes") == 0)
-      t.bytes += c.value;
-  }
-  t.wait_seconds = reg.histogram("simcomm.wait.seconds").sum();
-  return t;
-}
-
 } // namespace mlmd::obs

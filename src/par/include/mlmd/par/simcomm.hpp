@@ -1,11 +1,9 @@
 #pragma once
 // SimComm: a message-passing substrate standing in for MPI (DESIGN.md
-// Sec. 1 and Sec. 11). Logical ranks run as real threads (the default
-// in-process transport) or as forked worker processes (the shared-memory
-// transport, shm_transport.cpp); collectives and point-to-point
-// transfers move real bytes and are metered, so communication volume and
-// message counts measured here match what an MPI build would put on the
-// wire.
+// Sec. 1 and Sec. 11). Logical ranks run as real threads of one process;
+// collectives and point-to-point transfers move real bytes and are
+// metered, so communication volume and message counts measured here
+// match what an MPI build would put on the wire.
 //
 // The communicator API deliberately mirrors the MPI subset MLMD uses:
 // barrier, broadcast, allreduce, gather/allgather(v), blocking send/recv,
@@ -15,6 +13,8 @@
 // machine model instead.
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -31,59 +31,200 @@
 #include <type_traits>
 #include <vector>
 
+#include "mlmd/obs/metrics.hpp"
 #include "mlmd/obs/trace.hpp"
-#include "mlmd/par/transport.hpp"
 
 namespace mlmd::par {
+
+/// Aggregate traffic counters for one run (summed over all ranks).
+struct TrafficStats {
+  std::uint64_t messages = 0;       ///< point-to-point messages sent
+  std::uint64_t p2p_bytes = 0;      ///< point-to-point payload bytes
+  std::uint64_t collective_ops = 0; ///< collective invocations (per rank)
+  std::uint64_t collective_bytes = 0;
+};
+
+/// Calls and contributed payload bytes of one operation kind on one rank.
+struct RankOpStats {
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Exact per-rank communication account (obs subsystem, DESIGN.md
+/// Sec. 9): every collective entry, point-to-point message, and the wall
+/// time this rank spent blocked waiting on peers. Op keys are the Comm
+/// method names: "barrier", "broadcast", "gather", "allgatherv",
+/// "allreduce", "send", "recv" (allgather accounts under the allgatherv
+/// primitive it is built from).
+struct RankTraffic {
+  std::map<std::string, RankOpStats> ops;
+  double wait_seconds = 0.0; ///< total time blocked in barrier/exchange/recv
+  /// Comm time hidden behind compute: for every nonblocking handle, the
+  /// wall span between posting the op and entering wait() on it.
+  double overlap_seconds = 0.0;
+  std::uint64_t handles_posted = 0;    ///< isend/irecv/iexchange handles created
+  std::uint64_t handles_completed = 0; ///< handles that reached wait()
+};
+
+/// What par::run returns: the group totals plus every rank's account,
+/// read once all ranks have joined.
+struct RunStats : TrafficStats {
+  std::vector<RankTraffic> ranks;
+};
+
+/// Process-wide progress timeout in SECONDS (DESIGN.md Sec. 15). When
+/// > 0, every blocking SimComm wait — barrier, exchange, recv, and
+/// CommHandle::wait (which runs the blocking op underneath) — bounds the
+/// time it will sit with NO progress from the awaited peer; on expiry
+/// the group is poisoned and the blocked ranks unwind with
+/// ft::StallError ("no progress for ...") instead of hanging forever. A
+/// peer that throws poisons the group at once; the timeout covers the
+/// live-but-wedged peer that never throws. <= 0 (the default) preserves
+/// the historical block-forever behavior and costs nothing on the fast
+/// path. Initialized from the MLMD_COMM_TIMEOUT_MS environment variable
+/// (milliseconds) on first use; set_progress_timeout overrides it.
+double progress_timeout();
+void set_progress_timeout(double seconds);
 
 /// Reduction operators for allreduce/reduce.
 enum class ReduceOp { kSum, kMin, kMax };
 
-class Comm;
+namespace detail {
+class GroupState;
+} // namespace detail
+
+/// Waitable completion handle for a nonblocking SimComm operation
+/// (isend/irecv/iexchange). Post-time side effects (payload copy,
+/// collective deposit) have already happened when the handle is
+/// returned; wait() blocks until the operation completes and surrenders
+/// the received payload (empty for sends). Every posted handle must be
+/// waited before the group tears down — the posted/completed counters in
+/// RankTraffic make a leaked handle a validated invariant violation.
+class CommHandle {
+public:
+  CommHandle() = default; ///< empty handle; valid() is false
+  bool valid() const { return st_ != nullptr; }
+  bool done() const { return st_ && st_->completed; }
+  /// Block until the operation completes and return its payload. The
+  /// post -> wait window is recorded as overlap (comm hidden behind
+  /// compute); any further blocking inside counts as wait time, exactly
+  /// like the synchronous op. The payload is surrendered to the first
+  /// wait(); later calls return an empty vector. Errors (abort poisoning,
+  /// bad peer) surface here with the same exception taxonomy as the
+  /// blocking call would have thrown.
+  std::vector<std::byte> wait();
+
+private:
+  friend class detail::GroupState;
+  /// Shared completion record; only GroupState and the handle touch it.
+  struct State {
+    detail::GroupState* owner = nullptr;
+    int rank = 0;
+    double posted_at = 0.0;
+    bool completed = false;
+    std::vector<std::byte> result;
+    std::function<std::vector<std::byte>()> complete;
+  };
+  explicit CommHandle(std::shared_ptr<State> st) : st_(std::move(st)) {}
+  std::shared_ptr<State> st_;
+};
 
 namespace detail {
 
-/// In-process transport: shared state for one group of ranks running as
-/// threads. Owns mailboxes, the sense-reversing barrier, and collective
-/// scratch space. The default (and TSan-checked) Transport backend.
-class GroupState : public Transport {
+/// Shared state for one group of ranks running as threads: mailboxes,
+/// the sense-reversing barrier, collective scratch space, and the
+/// per-rank traffic accounts. Every Comm method is built from its five
+/// wire-level primitives: barrier, generic collective exchange, tagged
+/// point-to-point send/recv, and abort-poisoning.
+class GroupState {
 public:
   explicit GroupState(int nranks);
 
-  int size() const override { return nranks_; }
+  int size() const { return nranks_; }
 
-  void barrier(int rank) override;
+  void barrier(int rank);
+  /// Collective byte exchange: every rank contributes `contrib`; rank
+  /// `root` (or all, if `to_all`) receives the concatenation ordered by
+  /// rank. Implements broadcast/gather/allgather/reduce generically.
+  /// `op` names the calling Comm method for per-rank accounting; it must
+  /// be a string literal (stored, never copied).
   std::vector<std::byte> exchange(int rank, std::span<const std::byte> contrib,
-                                  int root, bool to_all,
-                                  const char* op) override;
+                                  int root, bool to_all, const char* op);
 
-  void send(int src, int dst, int tag,
-            std::span<const std::byte> payload) override;
-  std::vector<std::byte> recv(int dst, int src, int tag) override;
-  void recv_into(int dst, int src, int tag,
-                 std::vector<std::byte>& out) override;
+  void send(int src, int dst, int tag, std::span<const std::byte> payload);
+  std::vector<std::byte> recv(int dst, int src, int tag);
+  /// Blocking receive into a caller-owned reusable buffer: `out` is
+  /// resized to the payload and its capacity is reused across calls, and
+  /// retired message buffers are recycled for later sends, so the
+  /// steady-state comm loop performs zero heap allocations (asserted in
+  /// test_obs).
+  void recv_into(int dst, int src, int tag, std::vector<std::byte>& out);
 
+  // --- nonblocking primitives (the overlapped stepping loops) ----------
+  // Accounting parity contract: an async op accounts the identical op
+  // name and byte count as its blocking twin, exactly once, so per-rank
+  // comm_bytes does not depend on which of the two a caller uses. Only
+  // wait/overlap seconds may differ.
+
+  /// Nonblocking tagged send. Sends are buffered in the receiver's
+  /// mailbox, so the payload is in flight when the handle returns; the
+  /// handle completes at post with an empty payload.
+  CommHandle isend(int src, int dst, int tag,
+                   std::span<const std::byte> payload);
+  /// Nonblocking tagged receive; wait() yields the payload.
+  CommHandle irecv(int dst, int src, int tag);
   /// Split-phase collective: the post deposits this rank's contribution
   /// (so the collective can assemble while this rank computes); wait()
   /// blocks for the assembled result. Identical protocol, op order, and
   /// accounting as exchange().
   CommHandle iexchange(int rank, std::span<const std::byte> contrib, int root,
-                       bool to_all, const char* op) override;
+                       bool to_all, const char* op);
 
-  void abort(const std::string& reason) override;
+  /// Poison the group: every rank blocked (or about to block) in
+  /// barrier/exchange/recv unwinds with a "SimComm aborted" runtime_error
+  /// instead of waiting forever. Called by run() when any rank throws.
+  void abort(const std::string& reason);
 
-  TrafficStats stats() const override;
-  RankTraffic rank_traffic(int rank) const override;
-  void reset_stats() override;
+  RankTraffic rank_traffic(int rank) const;
+  void reset_stats();
 
-protected:
-  void note_handle(int rank, bool completed, double overlap_seconds) override;
+  /// Every rank's account plus the group totals derived from it (what
+  /// run() returns): messages and p2p bytes are the "send" entries,
+  /// collective ops and bytes every op but barrier, send and recv.
+  RunStats run_stats() const;
 
 private:
+  friend class mlmd::par::CommHandle;
+
+  /// Monotonic seconds since an arbitrary epoch (wait/overlap accounting).
+  static double mono_seconds();
+
+  /// Handle bookkeeping: called once at post (completed = false) and once
+  /// when wait() fires (completed = true, with the post -> wait overlap
+  /// window). Records the per-rank RankTraffic account and publishes the
+  /// process-global obs instruments ("simcomm.handles.posted"/
+  /// ".completed", "simcomm.overlap.seconds").
+  void note_handle(int rank, bool completed, double overlap_seconds);
+  /// Build an already-completed handle (eager ops, e.g. isend).
+  CommHandle make_completed(int rank);
+  /// Build a deferred handle whose wait() runs `complete`.
+  CommHandle make_deferred(int rank,
+                           std::function<std::vector<std::byte>()> complete);
+
   /// Account one op entry for `rank` and publish to the obs registry.
   void account(int rank, const char* op, std::size_t bytes);
   /// Account wall time `rank` just spent blocked.
   void account_wait(int rank, double seconds);
+  /// Publish one op account ("simcomm.<op>.calls"/".bytes") to the
+  /// process-global obs registry through per-op cached counter handles:
+  /// zero registry lookups and zero heap allocations on the steady-state
+  /// path (the registry names exceed SSO and used to be rebuilt per
+  /// call). `op` must be a string literal.
+  void account_obs(const char* op, std::size_t bytes);
+  /// Publish blocked-wait seconds to the "simcomm.wait.seconds"
+  /// histogram (cached handle).
+  static void account_wait_obs(double seconds);
+
   struct Key {
     int src, dst, tag;
     bool operator<(const Key& o) const {
@@ -108,9 +249,9 @@ private:
   /// cv_.wait(lk, pred) of every blocking primitive, plus an optional
   /// liveness deadline. With no progress_timeout() armed this IS
   /// cv_.wait(lk, pred); with one armed, the wait is sliced (<= 50 ms per
-  /// slice, matching the shm park ceiling) and expiry poisons the group
-  /// and throws ft::StallError. Returns the seconds spent blocked, for
-  /// the caller's wait accounting. Caller holds lk on mu_.
+  /// slice) and expiry poisons the group and throws ft::StallError.
+  /// Returns the seconds spent blocked, for the caller's wait accounting.
+  /// Caller holds lk on mu_.
   template <class Pred>
   double wait_progress(std::unique_lock<std::mutex>& lk, Pred&& pred,
                        const char* op) {
@@ -160,14 +301,19 @@ private:
   std::vector<std::vector<std::byte>> pool_;
 
   mutable std::mutex stats_mu_;
-  TrafficStats stats_;
   std::vector<RankTraffic> rank_traffic_;
-};
 
-/// Shared-memory transport entry point (shm_transport.cpp): forks one
-/// worker process per rank (the caller hosts rank 0) and runs `body`
-/// against the mmap'd transport. Same contract as the threaded run().
-RunStats run_shm(int nranks, const std::function<void(Comm&)>& body);
+  // account_obs's per-op counter handles.
+  struct OpCell {
+    const char* op = nullptr;
+    obs::Counter* calls = nullptr;
+    obs::Counter* bytes = nullptr;
+  };
+  static constexpr int kMaxOps = 16;
+  std::array<OpCell, kMaxOps> op_cells_{};
+  std::atomic<int> n_op_cells_{0};
+  std::mutex op_mu_; // guards registrations into op_cells_
+};
 
 /// Combine one remote contribution into the running reduction. NaN
 /// propagates through kMin/kMax as well as kSum: a plain `b < a ? b : a`
@@ -190,12 +336,11 @@ inline T reduce_combine(T a, T b, ReduceOp op) {
 
 } // namespace detail
 
-/// Per-rank communicator handle (the `MPI_Comm` + rank analogue). Holds
-/// a backend-neutral Transport; everything above this line is unaware of
-/// whether ranks are threads or processes.
+/// Per-rank communicator handle (the `MPI_Comm` + rank analogue) on the
+/// group's shared GroupState.
 class Comm {
 public:
-  Comm(std::shared_ptr<Transport> state, int rank)
+  Comm(std::shared_ptr<detail::GroupState> state, int rank)
       : state_(std::move(state)), rank_(rank) {}
 
   int rank() const { return rank_; }
@@ -345,7 +490,7 @@ public:
   }
 
   /// Blocking receive into a reusable typed buffer: together with the
-  /// transport's recycled message buffers the steady-state comm loop
+  /// group's recycled message buffers the steady-state comm loop
   /// performs zero heap allocations (asserted in test_obs).
   template <class T>
   void recv_into(int src, int tag, std::vector<T>& out) {
@@ -355,7 +500,6 @@ public:
     unpack_into(scratch, out);
   }
 
-  TrafficStats stats() const { return state_->stats(); }
   /// This rank's exact communication account (per-op calls/bytes, wait
   /// time) since construction or the last reset_stats().
   RankTraffic rank_traffic() const { return state_->rank_traffic(rank_); }
@@ -382,25 +526,20 @@ private:
   }
 
   /// Reusable per-thread byte staging for recv_into (each logical rank is
-  /// its own thread or process, so a thread_local is per-rank scratch).
+  /// its own thread, so a thread_local is per-rank scratch).
   static std::vector<std::byte>& recv_scratch() {
     thread_local std::vector<std::byte> scratch;
     return scratch;
   }
 
-  std::shared_ptr<Transport> state_;
+  std::shared_ptr<detail::GroupState> state_;
   int rank_;
 };
 
-/// Launch `nranks` logical ranks against the given transport backend and
-/// join them. Exceptions from any rank are rethrown on the caller.
-/// Returns the aggregate traffic stats of the run and every rank's
-/// account, complete after the join.
-RunStats run(int nranks, TransportKind kind,
-             const std::function<void(Comm&)>& body);
-
-/// Launch against the process-wide default transport (--transport /
-/// MLMD_TRANSPORT; in-process threads unless overridden).
+/// Launch `nranks` logical ranks as threads and join them. Exceptions
+/// from any rank are rethrown on the caller. Returns the aggregate
+/// traffic stats of the run and every rank's account, complete after the
+/// join.
 RunStats run(int nranks, const std::function<void(Comm&)>& body);
 
 } // namespace mlmd::par

@@ -1,16 +1,36 @@
 #include "mlmd/par/simcomm.hpp"
 
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <thread>
+#include <utility>
 
 #include "mlmd/ft/fault.hpp"
 #include "mlmd/obs/metrics.hpp"
 
 namespace mlmd::par {
-namespace detail {
 
-// Wait/overlap accounting uses the shared Transport::mono_seconds clock.
+std::vector<std::byte> CommHandle::wait() {
+  if (!st_) throw std::logic_error("CommHandle::wait: empty handle");
+  if (!st_->completed) {
+    // The post -> wait window is the comm time hidden behind compute;
+    // blocking from here on is ordinary wait time, accounted by the
+    // underlying op itself.
+    const double overlap = detail::GroupState::mono_seconds() - st_->posted_at;
+    if (st_->complete) st_->result = st_->complete();
+    // Completion side effects run exactly once; an exception above (e.g.
+    // abort poisoning) leaves the handle incomplete so the leak counters
+    // reflect the truncated run.
+    st_->complete = nullptr;
+    st_->completed = true;
+    if (st_->owner) st_->owner->note_handle(st_->rank, true, overlap);
+  }
+  return std::move(st_->result);
+}
+
+namespace detail {
 
 namespace {
 
@@ -31,6 +51,12 @@ void inject_comm_faults(int rank) {
 }
 
 } // namespace
+
+double GroupState::mono_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 GroupState::GroupState(int nranks)
     : nranks_(nranks), contrib_(static_cast<std::size_t>(nranks > 0 ? nranks : 0)),
@@ -148,12 +174,6 @@ std::vector<std::byte> GroupState::exchange(int rank,
   std::vector<std::byte> result;
   if (to_all || rank == root) result = assembled_;
 
-  {
-    std::lock_guard sg(stats_mu_);
-    stats_.collective_ops += 1;
-    stats_.collective_bytes += contrib.size();
-  }
-
   if (++consumed_count_ == nranks_) {
     for (auto& c : contrib_) c.clear();
     for (auto& d : deposited_) d = 0;
@@ -184,11 +204,6 @@ void GroupState::send(int src, int dst, int tag, std::span<const std::byte> payl
     }
     buf.assign(payload.begin(), payload.end());
     mailboxes_[{src, dst, tag}].push_back(std::move(buf));
-  }
-  {
-    std::lock_guard sg(stats_mu_);
-    stats_.messages += 1;
-    stats_.p2p_bytes += payload.size();
   }
   account(src, "send", payload.size());
   cv_.notify_all();
@@ -276,8 +291,7 @@ CommHandle GroupState::iexchange(int rank, std::span<const std::byte> contrib,
 
   const std::size_t nbytes = contrib.size();
   return make_deferred(
-      rank, {},
-      [this, rank, root, to_all, op, gen, nbytes](CommHandle::State&) {
+      rank, [this, rank, root, to_all, op, gen, nbytes] {
         double w = 0.0;
         std::vector<std::byte> result;
         {
@@ -290,12 +304,6 @@ CommHandle GroupState::iexchange(int rank, std::span<const std::byte> contrib,
           throw_if_aborted_locked();
 
           if (to_all || rank == root) result = assembled_;
-
-          {
-            std::lock_guard sg(stats_mu_);
-            stats_.collective_ops += 1;
-            stats_.collective_bytes += nbytes;
-          }
 
           if (++consumed_count_ == nranks_) {
             for (auto& c : contrib_) c.clear();
@@ -321,12 +329,101 @@ void GroupState::note_handle(int rank, bool completed, double overlap_seconds) {
       rt.handles_posted += 1;
     }
   }
-  Transport::note_handle(rank, completed, overlap_seconds);
+  auto& reg = obs::Registry::global();
+  static auto& posted = reg.counter("simcomm.handles.posted");
+  static auto& done = reg.counter("simcomm.handles.completed");
+  static auto& overlap = reg.histogram("simcomm.overlap.seconds");
+  if (completed) {
+    done.add(1);
+    overlap.observe(overlap_seconds);
+  } else {
+    posted.add(1);
+  }
 }
 
-TrafficStats GroupState::stats() const {
-  std::lock_guard sg(stats_mu_);
-  return stats_;
+CommHandle GroupState::make_completed(int rank) {
+  auto st = std::make_shared<CommHandle::State>();
+  st->owner = this;
+  st->rank = rank;
+  st->posted_at = mono_seconds();
+  note_handle(rank, false, 0.0);
+  // Already complete: the op finished at post (eager send). Record the
+  // completion immediately so posted == completed holds without a wait().
+  st->completed = true;
+  note_handle(rank, true, 0.0);
+  return CommHandle(std::move(st));
+}
+
+CommHandle GroupState::make_deferred(
+    int rank, std::function<std::vector<std::byte>()> complete) {
+  auto st = std::make_shared<CommHandle::State>();
+  st->owner = this;
+  st->rank = rank;
+  st->posted_at = mono_seconds();
+  st->complete = std::move(complete);
+  note_handle(rank, false, 0.0);
+  return CommHandle(std::move(st));
+}
+
+CommHandle GroupState::isend(int src, int dst, int tag,
+                             std::span<const std::byte> payload) {
+  // Sends are buffered in the receiver's mailbox, so posting eagerly is
+  // already asynchronous with respect to the receiver: the payload is in
+  // flight when the handle returns.
+  send(src, dst, tag, payload);
+  return make_completed(src);
+}
+
+CommHandle GroupState::irecv(int dst, int src, int tag) {
+  return make_deferred(dst, [this, dst, src, tag] {
+    return recv(dst, src, tag);
+  });
+}
+
+void GroupState::account_obs(const char* op, std::size_t bytes) {
+  // Fast path: linear scan over the (tiny, append-only) cell table. Cells
+  // are published with release order after both counter handles are set,
+  // so an acquire load of the count makes every cell at index < n fully
+  // visible — no lock, no heap string, no registry lookup per comm call.
+  const int n = n_op_cells_.load(std::memory_order_acquire);
+  for (int i = 0; i < n; ++i) {
+    const OpCell& c = op_cells_[static_cast<std::size_t>(i)];
+    // `op` is contractually a string literal, but distinct literals with
+    // equal spellings may have distinct addresses across TUs; fall back
+    // to a content compare on pointer mismatch.
+    if (c.op == op || std::strcmp(c.op, op) == 0) {
+      c.calls->add(1);
+      c.bytes->add(bytes);
+      return;
+    }
+  }
+  // Slow path (first call per op per group): register the counters.
+  std::lock_guard lk(op_mu_);
+  // Another rank may have registered while we waited for the lock.
+  const int cur = n_op_cells_.load(std::memory_order_acquire);
+  for (int i = 0; i < cur; ++i) {
+    const OpCell& c = op_cells_[static_cast<std::size_t>(i)];
+    if (c.op == op || std::strcmp(c.op, op) == 0) {
+      c.calls->add(1);
+      c.bytes->add(bytes);
+      return;
+    }
+  }
+  if (cur >= kMaxOps)
+    throw std::logic_error("SimComm: op cell table full (unknown op name?)");
+  auto& reg = obs::Registry::global();
+  OpCell& cell = op_cells_[static_cast<std::size_t>(cur)];
+  cell.op = op;
+  cell.calls = &reg.counter(std::string("simcomm.") + op + ".calls");
+  cell.bytes = &reg.counter(std::string("simcomm.") + op + ".bytes");
+  n_op_cells_.store(cur + 1, std::memory_order_release);
+  cell.calls->add(1);
+  cell.bytes->add(bytes);
+}
+
+void GroupState::account_wait_obs(double seconds) {
+  static auto& h = obs::Registry::global().histogram("simcomm.wait.seconds");
+  h.observe(seconds);
 }
 
 RankTraffic GroupState::rank_traffic(int rank) const {
@@ -338,16 +435,64 @@ RankTraffic GroupState::rank_traffic(int rank) const {
 
 void GroupState::reset_stats() {
   std::lock_guard sg(stats_mu_);
-  stats_ = {};
   for (auto& rt : rank_traffic_) rt = {};
+}
+
+RunStats GroupState::run_stats() const {
+  RunStats out;
+  {
+    std::lock_guard sg(stats_mu_);
+    out.ranks = rank_traffic_;
+  }
+  for (const RankTraffic& rt : out.ranks)
+    for (const auto& [op, st] : rt.ops) {
+      if (op == "send") {
+        out.messages += st.calls;
+        out.p2p_bytes += st.bytes;
+      } else if (op != "barrier" && op != "recv") {
+        out.collective_ops += st.calls;
+        out.collective_bytes += st.bytes;
+      }
+    }
+  return out;
 }
 
 } // namespace detail
 
-/// Threaded (in-process) run: the reference implementation the shm
-/// backend must be indistinguishable from.
-static RunStats run_inproc(int nranks,
-                           const std::function<void(Comm&)>& body) {
+namespace {
+
+double env_progress_timeout() {
+  if (const char* e = std::getenv("MLMD_COMM_TIMEOUT_MS"); e && *e) {
+    const std::string value(e);
+    std::size_t used = 0;
+    double ms = 0.0;
+    try {
+      ms = std::stod(value, &used);
+    } catch (...) {
+      used = 0;
+    }
+    if (used != value.size())
+      throw std::invalid_argument("MLMD_COMM_TIMEOUT_MS: bad value '" + value +
+                                  "' (expected milliseconds)");
+    return ms * 1e-3;
+  }
+  return 0.0;
+}
+
+double& progress_timeout_slot() {
+  static double seconds = env_progress_timeout();
+  return seconds;
+}
+
+} // namespace
+
+double progress_timeout() { return progress_timeout_slot(); }
+
+void set_progress_timeout(double seconds) {
+  progress_timeout_slot() = seconds;
+}
+
+RunStats run(int nranks, const std::function<void(Comm&)>& body) {
   auto state = std::make_shared<detail::GroupState>(nranks);
 
   std::vector<std::thread> threads;
@@ -387,19 +532,6 @@ static RunStats run_inproc(int nranks,
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
   return state->run_stats();
-}
-
-RunStats run(int nranks, TransportKind kind,
-             const std::function<void(Comm&)>& body) {
-  switch (kind) {
-    case TransportKind::kShm: return detail::run_shm(nranks, body);
-    case TransportKind::kInproc: break;
-  }
-  return run_inproc(nranks, body);
-}
-
-RunStats run(int nranks, const std::function<void(Comm&)>& body) {
-  return run(nranks, default_transport(), body);
 }
 
 } // namespace mlmd::par

@@ -108,11 +108,6 @@ class Server {
   /// Block until no queued or active scenarios remain.
   void wait_all();
 
-  struct Stats {
-    long completed = 0, failed = 0;
-  };
-  Stats stats() const;
-
  private:
   struct Active {
     long id = 0;
@@ -142,7 +137,6 @@ class Server {
   std::vector<Active> active_;              ///< scheduler-thread only
   std::map<int, obs::Histogram*> latency_lanes_; ///< scheduler-thread only
   long pending_ = 0; ///< accepted, not yet terminal
-  Stats stats_;
   bool running_ = false;
   bool stopping_ = false;
   bool draining_ = false;

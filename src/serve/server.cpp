@@ -124,11 +124,6 @@ void Server::wait_all() {
   cv_done_.wait(lk, [&] { return pending_ == 0; });
 }
 
-Server::Stats Server::stats() const {
-  std::lock_guard lk(mu_);
-  return stats_;
-}
-
 void Server::drain() {
   const std::uint64_t t0 = obs::mono_ns();
   {
@@ -175,10 +170,6 @@ void Server::complete(Active& a, Outcome out) {
   }
 
   std::lock_guard lk(mu_);
-  if (out.ok)
-    ++stats_.completed;
-  else
-    ++stats_.failed;
   outcomes_[a.id] = std::move(out);
   --pending_;
   cv_done_.notify_all();

@@ -23,8 +23,7 @@
 // translation units are compiled with -ffp-contract=off to make that a
 // build guarantee, not a hope; `ctest -L simd` asserts it. Consequently
 // the existing bit-exactness guarantees (batched-vs-scalar MLP,
-// checkpoint restore, cross-transport comm parity) survive unchanged
-// under any target.
+// checkpoint restore) survive unchanged under any target.
 //
 // The stage-3 ferro row kernel is not hand-written: it is the generic
 // template of ukern_generic.hpp, compiled once with the vectorizer on

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <numeric>
 #include <span>
@@ -363,19 +362,6 @@ TEST(SimComm, CommSpansRecordedWhenTracing) {
   Tracer::clear();
 }
 
-TEST(Obs, CommTotalsTracksSimCommBytes) {
-  using namespace mlmd::par;
-  const auto t0 = mlmd::obs::comm_totals();
-  run(2, [](Comm& comm) {
-    std::vector<double> v(8, 1.0);
-    comm.allreduce(std::span<const double>(v), ReduceOp::kSum);
-  });
-  const auto t1 = mlmd::obs::comm_totals();
-  // Two ranks each contributed 64 payload bytes to the allreduce.
-  EXPECT_EQ(t1.bytes - t0.bytes, 128u);
-  EXPECT_GE(t1.wait_seconds, t0.wait_seconds);
-}
-
 TEST(Obs, AccountSteadyStateIsAllocationFree) {
   // The per-op counter handles are cached after first use, the per-rank
   // traffic map keys are short enough for SSO, and the wait histogram
@@ -394,7 +380,7 @@ TEST(Obs, AccountSteadyStateIsAllocationFree) {
 
 TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
   // The full blocking p2p round trip on the reusable-buffer path: send()
-  // recycles retired message buffers from the transport pool, recv_into()
+  // recycles retired message buffers from the group's pool, recv_into()
   // lands in a per-thread byte scratch and a caller-owned typed buffer,
   // and the mailbox map node for a (src,dst,tag) key persists once
   // created — so after warm-up a halo-style exchange loop must not touch
@@ -505,28 +491,6 @@ TEST(Obs, WarmLjEnergyForcesIsAllocationFree) {
     EXPECT_EQ(e, warm);
   }
   ThreadPool::set_global_threads(0);
-}
-
-TEST(Obs, HistogramMergeFoldsCountsSumsAndExtremes) {
-  auto& h = mlmd::obs::Registry::global().histogram("test.hist.merge");
-  h.reset();
-  h.observe(2.0);
-  h.merge(/*count=*/3, /*sum=*/6.0, /*min=*/1.0, /*max=*/4.0);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 8.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0);
-  // An empty remote histogram (count 0, min > max sentinel) is a no-op.
-  h.merge(0, 0.0, std::numeric_limits<double>::infinity(),
-          -std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 4.0);
-  // A count-0 merge can still carry real extremes (idempotent child
-  // snapshot that inherited the parent's min/max).
-  h.merge(0, 0.0, 0.5, 0.5);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
 }
 
 TEST(Obs, InitTracingPrefersCliOverEnv) {

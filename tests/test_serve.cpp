@@ -2,7 +2,7 @@
 // backpressure, cross-request micro-batcher bitwise identity, server
 // lifecycle, per-tenant metric lanes, and SIGKILL warm restart. The
 // ServeFork suite forks (TSan cannot follow fork), so the tsan aggregate
-// in CMakeLists.txt filters it out — same pattern as test_transport.
+// in CMakeLists.txt filters it out.
 
 #include <gtest/gtest.h>
 
@@ -313,8 +313,6 @@ TEST(Server, OutcomesMatchRunPipelineBitwise) {
     opt.xs_model = trained_models().xs;
     expect_bitwise_equal(out.result, pipeline::run_pipeline(opt, r.dark));
   }
-  EXPECT_EQ(server.stats().completed, 4);
-  EXPECT_EQ(server.stats().failed, 0);
   server.stop();
 
   // A drained server sheds new work with kStopped.
@@ -334,8 +332,6 @@ TEST(Server, UnknownModelFailsThatScenarioOnly) {
   EXPECT_FALSE(out.ok);
   EXPECT_NE(out.error.find("unknown model"), std::string::npos) << out.error;
   EXPECT_TRUE(server.wait(2).ok);
-  EXPECT_EQ(server.stats().failed, 1);
-  EXPECT_EQ(server.stats().completed, 1);
   server.stop();
 }
 
@@ -357,10 +353,13 @@ TEST(Server, AdmissionShedsLoadOverQueueCapacity) {
   Server server(sopt, registry());
 
   long rejected = 0;
+  std::vector<long> accepted;
   for (long id = 1; id <= 5; ++id) {
     const auto t = server.submit(neural_request(static_cast<int>(id), id,
                                                 /*dark=*/true, 0));
-    if (!t.accepted) {
+    if (t.accepted) {
+      accepted.push_back(id);
+    } else {
       ++rejected;
       EXPECT_EQ(t.reason, Reject::kQueueFull);
     }
@@ -368,8 +367,8 @@ TEST(Server, AdmissionShedsLoadOverQueueCapacity) {
   EXPECT_EQ(rejected, 3);
 
   server.start();
-  server.wait_all();
-  EXPECT_EQ(server.stats().completed, 2);
+  ASSERT_EQ(accepted.size(), 2u);
+  for (const long id : accepted) EXPECT_TRUE(server.wait(id).ok) << id;
   server.stop();
 }
 
