@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -66,12 +65,9 @@ int run_pipeline_cmd(const Cli& cli) {
     opt.guard.enabled = true;
     opt.guard.policy = ft::parse_policy(cli.str("guard"));
   }
-  // --faults=SPEC beats the MLMD_FAULTS environment variable.
-  std::string fault_spec = cli.str("faults", "");
-  if (fault_spec.empty())
-    if (const char* env = std::getenv("MLMD_FAULTS")) fault_spec = env;
   std::optional<ft::ScopedFaults> faults;
-  if (!fault_spec.empty()) faults.emplace(fault_spec);
+  if (const std::string spec = cli.str("faults", ""); !spec.empty())
+    faults.emplace(spec);
 
   try {
     auto res = pipeline::run_pipeline(opt, dark);
@@ -213,11 +209,10 @@ void usage() {
       "  --threads=N   intra-node ThreadPool size (default: MLMD_NUM_THREADS\n"
       "                or hardware concurrency; 1 = deterministic serial)\n"
       "  --trace=PATH  write a Chrome trace-event JSON of kernel/phase/comm\n"
-      "                spans to PATH (or set MLMD_TRACE=PATH); load it in\n"
-      "                chrome://tracing or Perfetto\n"
+      "                spans to PATH; load it in chrome://tracing or Perfetto\n"
       "pipeline robustness options (DESIGN.md Sec. 10):\n"
       "  --faults=SPEC           inject deterministic faults, e.g.\n"
-      "                          'inf_field@step=25' (or set MLMD_FAULTS)\n"
+      "                          'inf_field@step=25'\n"
       "  --guard=POLICY          per-step sentinel: abort|rollback|degrade\n"
       "  --checkpoint=PATH       checkpoint file (default\n"
       "                          mlmd_pipeline.ckpt)\n"

@@ -31,7 +31,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -128,8 +127,7 @@ void usage() {
       "  --verify-batching            memcmp batched vs unbatched forces\n"
       "  --threads=N --trace=PATH     ThreadPool size / Chrome trace\n"
       "  --deadline-ms=MS             per-request deadline (reaped with\n"
-      "                               checkpoint kept; rerun resumes); also\n"
-      "                               MLMD_SERVE_DEADLINE_MS (flag wins)\n"
+      "                               checkpoint kept; rerun resumes)\n"
       "  --shed-watermark-ms=MS       reject new work while p95 queue wait\n"
       "                               exceeds MS (load shedding)\n"
       "  --kill-at-round=N            test hook: SIGKILL at scheduler round N\n"
@@ -200,23 +198,9 @@ int main(int argc, char** argv) {
     sopt.kill_at_round = cli.integer("kill-at-round", 0);
     sopt.term_at_round = cli.integer("term-at-round", 0);
     sopt.shed_watermark_ms = cli.real("shed-watermark-ms", 0.0);
-    double deadline_ms = cli.real("deadline-ms", -1.0);
-    if (deadline_ms < 0.0) {
-      // Environment fallback, flag wins (strict parse, like the flags).
-      if (const char* e = std::getenv("MLMD_SERVE_DEADLINE_MS"); e && *e) {
-        const std::string value(e);
-        std::size_t used = 0;
-        try {
-          deadline_ms = std::stod(value, &used);
-        } catch (...) {
-          used = 0;
-        }
-        if (used != value.size())
-          throw std::invalid_argument("MLMD_SERVE_DEADLINE_MS: bad value '" +
-                                      value + "'");
-      }
-    }
-    if (deadline_ms > 0.0) sopt.default_deadline_ms = deadline_ms;
+    if (const double deadline_ms = cli.real("deadline-ms", -1.0);
+        deadline_ms > 0.0)
+      sopt.default_deadline_ms = deadline_ms;
 
     serve::Server server(sopt, registry);
     server.start();

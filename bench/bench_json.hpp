@@ -12,8 +12,9 @@
 //   bytes_alloc  Workspace bytes reserved during the final repetition —
 //                the zero-allocation contract makes this 0 after warm-up
 //   seconds      best-repetition wall time
-//   comm_bytes   SimComm payload bytes the measurement moved (one
-//                rank's account in a mini-run; 0 for single-rank kernels)
+//   comm_bytes   SimComm payload bytes the measurement put on the wire
+//                (one rank's account in a mini-run, each payload counted
+//                once, on the sender; 0 for single-rank kernels)
 //   comm_seconds SimComm blocked-wait seconds over the measurement
 //   comm_overlap_seconds
 //                communication hidden behind compute: summed post->wait
@@ -39,8 +40,8 @@
 // with their p50/p95/p99. trace_check checks how those instruments relate
 // (its invariant table), and that the records' handles_posted and
 // comm_bytes sum to the registry's simcomm.handles.posted and
-// simcomm.*.bytes, so a bench publishes a number by updating an
-// instrument, not by adding a field here.
+// simcomm.*.bytes without simcomm.recv.bytes, so a bench publishes a
+// number by updating an instrument, not by adding a field here.
 
 #include <cstdio>
 #include <string>
@@ -69,9 +70,10 @@ struct Record {
 
 /// One record per SimComm rank of a measured mini-run, named
 /// "<prefix>.rank<r>", each also printed as a "#   rank r: ..." line.
-/// comm_bytes is the rank's exact contributed payload; summed over the
-/// records it equals the registry's simcomm.*.bytes (trace_check checks
-/// this in CI).
+/// Calls and comm_bytes cover every op but "recv": a point-to-point
+/// payload counts once, as its sender's "send". Summed over the records,
+/// comm_bytes equals the registry's simcomm.*.bytes less
+/// simcomm.recv.bytes (trace_check checks this in CI).
 inline std::vector<Record> rank_records(
     const std::string& prefix, double seconds,
     const std::vector<par::RankTraffic>& ranks) {
@@ -83,6 +85,7 @@ inline std::vector<Record> rank_records(
     rec.seconds = seconds;
     unsigned long long calls = 0;
     for (const auto& [op, st] : rt.ops) {
+      if (op == "recv") continue;
       calls += st.calls;
       rec.comm_bytes += st.bytes;
     }

@@ -9,7 +9,6 @@
 // model extrapolates to the paper's 1.23 trillion atoms on 10,000 nodes.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,7 +52,7 @@ Meas measure_model(const mlmd::nnq::AtomModel& model, const mlmd::qxmd::Atoms& a
     mlmd::flops::Scope scope;
     mlmd::Timer t;
     model.energy_forces(atoms, nl, forces, /*block_size=*/4096);
-    // Fault-injection point (--faults / MLMD_FAULTS): corrupted forces
+    // Fault-injection point (--faults): corrupted forces
     // here surface in the registry's ft.* counters.
     if (!forces.empty()) mlmd::ft::hook_forces(i, forces.data(), forces.size());
     const double secs = t.seconds();
@@ -88,9 +87,7 @@ int main(int argc, char** argv) {
   // Optional deterministic fault injection (DESIGN.md Sec. 10): same
   // SPEC syntax as mlmd_run; injections land in the forces hook above
   // and in the ft.* instruments of the --json registry section.
-  std::string fault_spec = cli.str("faults", "");
-  if (fault_spec.empty())
-    if (const char* env = std::getenv("MLMD_FAULTS")) fault_spec = env;
+  const std::string fault_spec = cli.str("faults", "");
   std::optional<ft::ScopedFaults> faults;
   if (!fault_spec.empty()) {
     try {

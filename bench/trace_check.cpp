@@ -3,7 +3,7 @@
 //
 //   trace_check <file.json>
 //
-// * A Chrome trace-event file (what --trace=/MLMD_TRACE writes) must be a
+// * A Chrome trace-event file (what --trace= writes) must be a
 //   top-level ARRAY of complete events: every element an object with a
 //   string "name", "ph" == "X", numeric "ts"/"dur"/"pid"/"tid". That is
 //   exactly the shape chrome://tracing and Perfetto accept.
@@ -24,8 +24,9 @@
 //     histogram counts.
 //   - The rows of kInvariants (below) hold.
 //   - The records' handles_posted and comm_bytes sum to the registry's
-//     simcomm.handles.posted and simcomm.*.bytes (a file with no SimComm
-//     traffic reads 0 on both sides).
+//     simcomm.handles.posted and simcomm.*.bytes without
+//     simcomm.recv.bytes: a point-to-point payload is counted once, on
+//     the sender (a file with no SimComm traffic reads 0 on both sides).
 //
 // The file kind is detected from the top-level value. Exit 0 on a valid
 // file (a one-line summary is printed), 1 on any structural violation.
@@ -277,6 +278,7 @@ struct Invariant {
 constexpr Invariant kInvariants[] = {
     {"ft.faults.recovered", "<=", "ft.faults.detected"}, // DESIGN.md Sec. 10
     {"simcomm.handles.completed", "==", "simcomm.handles.posted"},
+    {"simcomm.recv.bytes", "<=", "simcomm.send.bytes"},
     {"serve.completed", "<=", "serve.requests.accepted"},
     {"serve.drain.seconds:sum", "=>", "serve.drained"},
     {"serve.load.sustained_rps", "<=", "serve.load.offered_rps"},
@@ -456,20 +458,23 @@ int check_bench(const Value& root) {
   if (check_registry(*reg) != 0) return 1;
 
   // Records vs registry: the records account for every SimComm byte and
-  // handle the registry counted. A mini-run bench emits one record per
-  // rank; a bench that runs no SimComm reads 0 on both sides.
+  // handle the registry counted, each point-to-point payload once, as its
+  // sender's send, so simcomm.recv.bytes stays out of the sum. A mini-run
+  // bench emits one record per rank; a bench that runs no SimComm reads 0
+  // on both sides.
   double reg_bytes = 0.0;
   for (const auto& [name, v] :
        field(*reg, "counters", Value::Kind::kObject)->obj)
     if (name.rfind("simcomm.", 0) == 0 && name.size() > 6 &&
-        name.compare(name.size() - 6, 6, ".bytes") == 0)
+        name.compare(name.size() - 6, 6, ".bytes") == 0 &&
+        name != "simcomm.recv.bytes")
       reg_bytes += v->num;
   const double reg_posted =
       operand(*reg, "simcomm.handles.posted").value_or(0.0);
   if (posted_sum != reg_posted || bytes_sum != reg_bytes)
     return fail("records sum to %g handles_posted and %g comm_bytes, the "
                 "registry to %g simcomm.handles.posted and %g "
-                "simcomm.*.bytes",
+                "simcomm.*.bytes less simcomm.recv.bytes",
                 posted_sum, bytes_sum, reg_posted, reg_bytes);
 
   std::size_t instruments = 0;

@@ -37,7 +37,6 @@ struct FerroParams {
   double j = 0.6;     ///< nearest-neighbour gradient stiffness
   double d = 0.8;     ///< chiral coupling strength
   Vec3 e_ext = {0, 0, 0}; ///< external field
-  double mass = 1.0;  ///< soft-mode effective mass
   double gamma = 0.5; ///< damping
   double dt = 0.02;   ///< time step
 };
@@ -87,12 +86,12 @@ public:
   /// F = -dE/du for every cell.
   void forces(std::vector<Vec3>& f) const;
 
-  /// Damped semi-implicit Euler step (deterministic quench dynamics):
-  /// v <- (v + dt F/m) / (1 + gamma dt), then u <- u + dt v. Runs on the
-  /// par::ThreadPool by blocks of rows, one simd::KernelTable::ferro_row
-  /// call per row; the new field is built in a persistent second buffer,
-  /// so the result is bit-identical for every thread count and SIMD
-  /// target, and a warm step allocates nothing.
+  /// Damped semi-implicit Euler step (deterministic quench dynamics) of
+  /// the unit-mass soft mode: v <- (v + dt F) / (1 + gamma dt), then
+  /// u <- u + dt v. Runs on the par::ThreadPool by blocks of rows, one
+  /// simd::KernelTable::ferro_row call per row; the new field is built in
+  /// a persistent second buffer, so the result is bit-identical for every
+  /// thread count and SIMD target, and a warm step allocates nothing.
   void step();
   /// The same damped step driven by externally supplied forces `f` (one
   /// per cell, e.g. the Eq. (4) neural forces) instead of forces().

@@ -32,7 +32,7 @@ std::size_t rows_per_chunk(std::size_t ly) {
 simd::FerroCoeffs coeffs(const FerroParams& p) {
   return {.a0 = p.a0, .b = p.b, .k = p.k, .j = p.j, .d = p.d,
           .e = {p.e_ext[0], p.e_ext[1], p.e_ext[2]},
-          .dt = p.dt, .mass = p.mass, .damp = 1.0 + p.gamma * p.dt};
+          .dt = p.dt, .damp = 1.0 + p.gamma * p.dt};
 }
 
 /// Plane store (x, y and z planes of n values each) <-> one Vec3 per cell.
@@ -177,12 +177,12 @@ void FerroLattice::step_langevin(double kT, Rng& rng,
         "FerroLattice::step_langevin: force array size");
   const double dt = p_.dt;
   const double c1 = std::exp(-p_.gamma * dt);
-  const double c2 = std::sqrt((1.0 - c1 * c1) * kT / p_.mass);
+  const double c2 = std::sqrt((1.0 - c1 * c1) * kT);
   const std::size_t n = ncells();
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t c = 0; c < 3; ++c) {
       double& v = v_[c * n + i];
-      v += dt * f[i][c] / p_.mass;
+      v += dt * f[i][c];
       v = c1 * v + c2 * rng.normal();
       u_[c * n + i] += dt * v;
     }

@@ -11,6 +11,12 @@
 #include "mlmd/lfd/hamiltonian.hpp"
 
 namespace mlmd::lfd {
+namespace {
+
+constexpr std::complex<double> kScissorDelta{0.0, -0.02}; ///< Eq. 5 delta
+constexpr double kInitRelaxTau = 0.05; ///< imaginary-time step of initialize()
+
+} // namespace
 
 template <class Real>
 LfdDomain<Real>::LfdDomain(const grid::Grid3& g, std::size_t norb, LfdOptions opt)
@@ -50,7 +56,7 @@ void LfdDomain<Real>::initialize(const std::vector<Ion>& ions, std::size_t nfill
     for (int it = 0; it < opt_.init_relax_steps; ++it) {
       auto hpsi = apply_hloc(wd, vloc_, zero_a);
       for (std::size_t i = 0; i < wd.psi.size(); ++i)
-        wd.psi.data()[i] -= opt_.init_relax_tau * hpsi.data()[i];
+        wd.psi.data()[i] -= kInitRelaxTau * hpsi.data()[i];
       la::mgs_orthonormalize(wd.psi, wd.grid.dv());
     }
     wave_ = convert<Real>(wd);
@@ -112,7 +118,7 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
     // sweeps — the high-accuracy configuration).
     static auto& h = reg.histogram("lfd.split_step4.seconds");
     obs::ObsScope span("lfd.split_step4", obs::Cat::kKernel, &h);
-    split_step(wave_, vloc_, kp, PropOrder::kFourth, opt_.kin_variant);
+    split_step(wave_, vloc_, kp, PropOrder::kFourth);
   } else {
     static auto& hv = reg.histogram("lfd.vloc_prop.seconds");
     static auto& hk = reg.histogram("lfd.kin_prop.seconds");
@@ -122,7 +128,7 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
     }
     {
       obs::ObsScope span("lfd.kin_prop", obs::Cat::kKernel, &hk);
-      kin_prop(wave_, kp, opt_.kin_variant);
+      kin_prop(wave_, kp);
     }
     {
       obs::ObsScope span("lfd.vloc_prop", obs::Cat::kKernel, &hv);
@@ -134,8 +140,7 @@ void LfdDomain<Real>::qd_step(const double a[3]) {
   if (opt_.nlp_every > 0 && steps_ % opt_.nlp_every == 0) {
     static auto& h = reg.histogram("lfd.nlp_prop.seconds");
     obs::ObsScope span("lfd.nlp_prop", obs::Cat::kKernel, &h);
-    nlp_prop(wave_, psi0_, opt_.scissor_delta * (dt * opt_.nlp_every),
-             opt_.gemm_mode);
+    nlp_prop(wave_, psi0_, kScissorDelta * (dt * opt_.nlp_every));
   }
   if (opt_.self_consistent && opt_.hartree_every > 0 &&
       steps_ % opt_.hartree_every == 0) {

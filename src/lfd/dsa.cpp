@@ -9,9 +9,17 @@
 #include "mlmd/par/thread_pool.hpp"
 
 namespace mlmd::lfd {
+namespace {
 
-DsaHartree::DsaHartree(const grid::Grid3& g, DsaOptions opt)
-    : grid_(g), opt_(opt), mg_(g.nx, g.ny, g.nz, g.hx, g.hy, g.hz),
+constexpr double kC2 = 0.3;         ///< wave speed^2 in grid units (stable < ~0.5/h^2)
+constexpr double kGamma = 0.25;     ///< damping
+constexpr int kSubsteps = 4;        ///< Verlet iterations per update()
+constexpr double kResolveTol = 0.3; ///< relative residual beyond which we re-solve
+
+} // namespace
+
+DsaHartree::DsaHartree(const grid::Grid3& g)
+    : grid_(g), mg_(g.nx, g.ny, g.nz, g.hx, g.hy, g.hz),
       phi_(g.size(), 0.0), phi_dot_(g.size(), 0.0) {}
 
 std::vector<double> DsaHartree::laplacian(const std::vector<double>& u) const {
@@ -61,15 +69,15 @@ void DsaHartree::update(const std::vector<double>& rho) {
   const double lapnorm = 2.0 * (1.0 / (grid_.hx * grid_.hx) +
                                 1.0 / (grid_.hy * grid_.hy) +
                                 1.0 / (grid_.hz * grid_.hz));
-  const double dt2c2 = opt_.c2 * 2.0 / lapnorm;
+  const double dt2c2 = kC2 * 2.0 / lapnorm;
 
-  for (int it = 0; it < opt_.substeps; ++it) {
+  for (int it = 0; it < kSubsteps; ++it) {
     auto lap = laplacian(phi_);
     flops::add(6ull * phi_.size());
     par::parallel_for(0, phi_.size(), 4096, [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
         const double accel = lap[i] + fourpi * rho[i];
-        phi_dot_[i] = (1.0 - opt_.gamma) * phi_dot_[i] + dt2c2 * accel;
+        phi_dot_[i] = (1.0 - kGamma) * phi_dot_[i] + dt2c2 * accel;
         phi_[i] += phi_dot_[i];
       }
     });
@@ -80,7 +88,7 @@ void DsaHartree::update(const std::vector<double>& rho) {
   for (double v : phi_) mean += v;
   mean /= static_cast<double>(phi_.size());
   for (double& v : phi_) v -= mean;
-  if (relative_residual(rho) > opt_.resolve_tol) solve(rho);
+  if (relative_residual(rho) > kResolveTol) solve(rho);
 }
 
 double DsaHartree::relative_residual(const std::vector<double>& rho) const {

@@ -33,13 +33,9 @@ struct LfdOptions {
   double dt_qd = 0.04;                      ///< QD step [a.u.] (~1 attosecond)
   int nlp_every = 4;                        ///< nonlocal correction cadence
   int hartree_every = 8;                    ///< density/Hartree refresh cadence
-  std::complex<double> scissor_delta = {0.0, -0.02}; ///< Eq. 5 delta
-  la::ComputeMode gemm_mode = la::ComputeMode::kNative;
-  KinVariant kin_variant = KinVariant::kParallel;
   bool self_consistent = true;              ///< update vH + vxc from density
   int init_relax_steps = 20;                ///< imaginary-time steps toward
                                             ///< eigenstates at initialize()
-  double init_relax_tau = 0.05;
   double electronic_kt = -1.0;              ///< >= 0: Fermi-Dirac initial
                                             ///< occupations at this kT
                                             ///< instead of aufbau filling

@@ -19,16 +19,9 @@
 
 namespace mlmd::lfd {
 
-struct DsaOptions {
-  double c2 = 0.3;      ///< wave speed^2 in grid units (stability: < ~0.5/h^2 scaled)
-  double gamma = 0.25;  ///< damping
-  int substeps = 4;     ///< Verlet iterations per update()
-  double resolve_tol = 0.3; ///< relative residual beyond which we re-solve
-};
-
 class DsaHartree {
 public:
-  DsaHartree(const grid::Grid3& g, DsaOptions opt = {});
+  explicit DsaHartree(const grid::Grid3& g);
 
   /// Converged multigrid solve of -lap(phi) = 4 pi rho (resets history).
   void solve(const std::vector<double>& rho);
@@ -52,7 +45,6 @@ private:
   std::vector<double> laplacian(const std::vector<double>& u) const;
 
   grid::Grid3 grid_;
-  DsaOptions opt_;
   mg::Multigrid mg_;
   std::vector<double> phi_, phi_dot_;
 };

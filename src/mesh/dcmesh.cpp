@@ -9,6 +9,14 @@
 #include "mlmd/obs/trace.hpp"
 
 namespace mlmd::mesh {
+namespace {
+
+constexpr double kIonMass = 2000.0; ///< ion mass [m_e]
+/// Harmonic tether to the reference site: stands in for the lattice's
+/// short-range ion-ion repulsion keeping the toy crystal bound.
+constexpr double kIonSpring = 0.02;
+
+} // namespace
 
 DcMeshDomain::DcMeshDomain(const grid::Grid3& g, std::size_t norb,
                            std::size_t nfilled, const std::vector<lfd::Ion>& ions,
@@ -21,7 +29,7 @@ DcMeshDomain::DcMeshDomain(const grid::Grid3& g, std::size_t norb,
 
 std::array<double, 3> DcMeshDomain::current(double a_value) const {
   double a[3] = {0, 0, 0};
-  a[opt_.polarization_axis] = a_value;
+  a[kPolarizationAxis] = a_value;
   return lfd_.current(a);
 }
 
@@ -63,13 +71,11 @@ void DcMeshDomain::begin_impl(StepStats& stats) {
     auto rho = lfd_.density_field();
     for (std::size_t i = 0; i < ions_.size(); ++i) {
       auto f_el = lfd::ion_force(g, rho, ions_[i]);
-      // Harmonic tether to the reference site (stands in for the lattice's
-      // short-range ion-ion repulsion keeping the toy crystal bound).
+      // Harmonic tether to the reference site.
       for (int k = 0; k < 3; ++k) {
         const double* r0 = &ions0_[i].x;
         const double* r = &ions_[i].x;
-        f_el[static_cast<std::size_t>(k)] -=
-            opt_.ion_spring * (r[k] - r0[k]);
+        f_el[static_cast<std::size_t>(k)] -= kIonSpring * (r[k] - r0[k]);
       }
       ion_force_prev_[i] = f_el;
     }
@@ -85,7 +91,7 @@ void DcMeshDomain::begin_impl(StepStats& stats) {
       double disp2 = 0.0;
       for (int k = 0; k < 3; ++k) {
         ion_vel_[i][static_cast<std::size_t>(k)] +=
-            0.5 * dt_md * ion_force_prev_[i][static_cast<std::size_t>(k)] / opt_.ion_mass;
+            0.5 * dt_md * ion_force_prev_[i][static_cast<std::size_t>(k)] / kIonMass;
         const double dr = dt_md * ion_vel_[i][static_cast<std::size_t>(k)];
         r[k] += dr;
         disp2 += dr * dr;
@@ -124,7 +130,7 @@ void DcMeshDomain::finish_impl(StepStats& stats, const maxwell::Pulse* pulse,
     obs::ObsScope phase("mesh.qd_loop", obs::Cat::kPhase);
     for (int n = 0; n < opt_.nqd_per_md; ++n) {
       const double tq = t_ + (n + 0.5) * opt_.lfd.dt_qd;
-      a[opt_.polarization_axis] =
+      a[kPolarizationAxis] =
           use_fixed_a ? fixed_a : (pulse ? pulse->apot(tq) : 0.0);
       lfd_.qd_step(a);
     }
@@ -139,9 +145,9 @@ void DcMeshDomain::finish_impl(StepStats& stats, const maxwell::Pulse* pulse,
       for (int k = 0; k < 3; ++k) {
         const double* r0 = &ions0_[i].x;
         const double* r = &ions_[i].x;
-        f_el[static_cast<std::size_t>(k)] -= opt_.ion_spring * (r[k] - r0[k]);
+        f_el[static_cast<std::size_t>(k)] -= kIonSpring * (r[k] - r0[k]);
         ion_vel_[i][static_cast<std::size_t>(k)] +=
-            0.5 * dt_md * f_el[static_cast<std::size_t>(k)] / opt_.ion_mass;
+            0.5 * dt_md * f_el[static_cast<std::size_t>(k)] / kIonMass;
       }
     }
   }

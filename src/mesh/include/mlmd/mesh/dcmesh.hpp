@@ -24,13 +24,14 @@
 
 namespace mlmd::mesh {
 
+/// Laser polarization axis (y): the vector-potential component the pulse
+/// drives and the current component the Maxwell coupling reads.
+inline constexpr std::size_t kPolarizationAxis = 1;
+
 struct MeshOptions {
   lfd::LfdOptions lfd;          ///< QD propagation parameters
   int nqd_per_md = 50;          ///< N_QD (paper uses ~1000)
   qxmd::ShOptions sh;           ///< surface hopping
-  double ion_mass = 2000.0;     ///< ion mass [m_e]
-  double ion_spring = 0.02;     ///< harmonic tether (keeps the toy lattice bound)
-  int polarization_axis = 1;    ///< laser polarization (y)
 };
 
 struct StepStats {

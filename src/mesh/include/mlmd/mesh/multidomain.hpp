@@ -30,7 +30,6 @@ struct ParallelMeshOptions {
   maxwell::Pulse pulse;
   std::size_t maxwell_cells_per_domain = 4;
   int md_steps = 2;
-  unsigned long long seed = 3;
 };
 
 struct ParallelMeshResult {

@@ -46,8 +46,7 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
       // (1) local macroscopic current at this domain's macro cell.
       const double a_here = em.a_at(my_cell);
       const auto j = dom.current(a_here);
-      const double j_mine = j[static_cast<std::size_t>(
-          opt.mesh.polarization_axis)];
+      const double j_mine = j[kPolarizationAxis];
 
       // (2) post the current allgather, then run the A-independent front
       // of the MD step (ion forces, Verlet positions, delta_v_loc

@@ -12,10 +12,6 @@
 namespace mlmd::mg {
 
 struct MgOptions {
-  int pre_smooth = 2;       ///< smoothing sweeps before coarse correction
-  int post_smooth = 2;      ///< smoothing sweeps after
-  int coarse_sweeps = 60;   ///< smoothing on the coarsest level
-  std::size_t min_dim = 4;  ///< stop coarsening below this extent
   int max_vcycles = 50;
   double tol = 1e-8;        ///< relative residual target ||r||/||f||
 };

@@ -10,6 +10,11 @@
 namespace mlmd::mg {
 namespace {
 
+constexpr int kPreSmooth = 2;        ///< smoothing sweeps before coarse correction
+constexpr int kPostSmooth = 2;       ///< smoothing sweeps after
+constexpr int kCoarseSweeps = 60;    ///< smoothing on the coarsest level
+constexpr std::size_t kMinDim = 4;   ///< stop coarsening below this extent
+
 inline std::size_t idx(std::size_t x, std::size_t y, std::size_t z, std::size_t ny,
                        std::size_t nz) {
   return (x * ny + y) * nz + z;
@@ -51,10 +56,9 @@ Multigrid::Multigrid(std::size_t nx, std::size_t ny, std::size_t nz, double hx,
     throw std::invalid_argument("Multigrid: grid too small");
   Level lv{nx, ny, nz, hx, hy, hz};
   levels_.push_back(lv);
-  // Coarsen by 2 while all dims stay even and above min_dim.
+  // Coarsen by 2 while all dims stay even and above kMinDim.
   while (lv.nx % 2 == 0 && lv.ny % 2 == 0 && lv.nz % 2 == 0 &&
-         lv.nx / 2 >= opt_.min_dim && lv.ny / 2 >= opt_.min_dim &&
-         lv.nz / 2 >= opt_.min_dim) {
+         lv.nx / 2 >= kMinDim && lv.ny / 2 >= kMinDim && lv.nz / 2 >= kMinDim) {
     lv = Level{lv.nx / 2, lv.ny / 2, lv.nz / 2, lv.hx * 2, lv.hy * 2, lv.hz * 2};
     levels_.push_back(lv);
   }
@@ -183,18 +187,18 @@ void Multigrid::vcycle_level(std::size_t li, std::vector<double>& u,
                              const std::vector<double>& f) const {
   const Level& lv = levels_[li];
   if (li + 1 == levels_.size()) {
-    smooth(lv, u, f, opt_.coarse_sweeps);
+    smooth(lv, u, f, kCoarseSweeps);
     subtract_mean(u); // pin the periodic null space
     return;
   }
-  smooth(lv, u, f, opt_.pre_smooth);
+  smooth(lv, u, f, kPreSmooth);
   auto r = compute_residual(lv, u, f);
   auto rc = restrict_full_weight(lv, r);
   subtract_mean(rc);
   std::vector<double> ec(rc.size(), 0.0);
   vcycle_level(li + 1, ec, rc);
   prolong_add(lv, ec, u);
-  smooth(lv, u, f, opt_.post_smooth);
+  smooth(lv, u, f, kPostSmooth);
 }
 
 void Multigrid::vcycle(std::vector<double>& phi, const std::vector<double>& f) const {

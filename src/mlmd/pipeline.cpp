@@ -204,11 +204,14 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
   if (!tripped) {
     // Fault-injection point: inf_field entries corrupt the lattice.
     ft::hook_fields(step_, lat_.u_store().data(), lat_.u_store().size());
-    // Gate on `enabled` here, not only inside check_*: lat.energy() is
-    // an O(ncells) sum and must not run on the guard-off path.
-    if (sentinel_.options().enabled &&
+    // lat.energy() is an O(ncells) sum, so it runs only when a drift
+    // bound reads it: a field check_values passed (finite, |u| <=
+    // max_abs) has a finite energy.
+    const ft::GuardOptions& g = sentinel_.options();
+    if (g.enabled &&
         (!sentinel_.check_values("pipeline.field", lat_.u_store()) ||
-         !sentinel_.check_energy("pipeline.energy", lat_.energy())))
+         (g.max_energy_drift > 0.0 &&
+          !sentinel_.check_energy("pipeline.energy", lat_.energy()))))
       tripped = true;
   }
 

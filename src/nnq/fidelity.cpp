@@ -6,6 +6,11 @@
 #include "mlmd/common/rng.hpp"
 
 namespace mlmd::nnq {
+namespace {
+
+constexpr double kLangevinKt = 0.05; ///< temperature of the failure run
+
+} // namespace
 
 long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
                      const ferro::FerroParams& params, FailureOptions opt) {
@@ -34,7 +39,7 @@ long time_to_failure(const LatticeModel& model, std::size_t lx, std::size_t ly,
     for (const auto& fi : f)
       for (double c : fi)
         if (!std::isfinite(c) || std::abs(c) > opt.force_threshold) return step;
-    lat.step_langevin(opt.kT, rng, f);
+    lat.step_langevin(kLangevinKt, rng, f);
   }
   return opt.max_steps;
 }

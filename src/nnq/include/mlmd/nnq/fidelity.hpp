@@ -17,7 +17,6 @@ namespace mlmd::nnq {
 
 struct FailureOptions {
   double force_threshold = 50.0; ///< outlier limit on any |F| component
-  double kT = 0.05;              ///< Langevin temperature for the run
   long max_steps = 5000;
   unsigned long long seed = 5;
   double weight_noise = 0.0;     ///< extra N(0, sigma) on each weight per

@@ -23,12 +23,6 @@ namespace mlmd::nnq {
 struct MdOptions {
   double dt = 20.0;            ///< [a.u.]
   int rebuild_every = 10;      ///< neighbor-list refresh cadence
-  double skin = 1.5;           ///< list cutoff margin [Bohr]: pairs inside
-                               ///< rc+skin stay listed between rebuilds, so
-                               ///< the potential is exactly continuous
-                               ///< (energy conservation is not rebuild-
-                               ///< cadence dependent)
-  std::size_t block_size = 4096; ///< block model inference (Sec. V.B.9)
   double langevin_kt = -1.0;   ///< < 0: NVE; >= 0: Langevin at this kT
   double langevin_gamma = 2e-3;
   double n_sat = 1.0;          ///< Eq. (4) saturation scale

@@ -12,16 +12,11 @@
 
 namespace mlmd::nnq {
 
-struct AdamOptions {
-  double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
-};
-
+/// Adam with the usual moment decays beta1 = 0.9, beta2 = 0.999 and
+/// eps = 1e-8; only the learning rate is the caller's.
 class Adam {
 public:
-  Adam(std::size_t nparams, AdamOptions opt = {});
+  Adam(std::size_t nparams, double lr);
 
   /// Apply one update: w -= lr * mhat / (sqrt(vhat) + eps).
   void step(std::vector<double>& w, const std::vector<double>& grad);
@@ -29,7 +24,7 @@ public:
   long steps() const { return t_; }
 
 private:
-  AdamOptions opt_;
+  double lr_;
   std::vector<double> m_, v_;
   long t_ = 0;
 };

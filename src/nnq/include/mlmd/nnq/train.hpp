@@ -24,7 +24,6 @@ using Dataset = std::vector<EnergySample>;
 
 struct TrainOptions {
   int epochs = 60;
-  std::size_t batch = 8;
   double lr = 3e-3;
   double sam_rho = 0.0; ///< > 0 enables SAM (Legato training)
   unsigned long long seed = 21;

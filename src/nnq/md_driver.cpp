@@ -9,6 +9,13 @@ namespace mlmd::nnq {
 
 namespace {
 
+/// Neighbor-list cutoff margin [Bohr]: pairs inside rc + kSkin stay listed
+/// between rebuilds, so the potential is exactly continuous (energy
+/// conservation does not depend on the rebuild cadence).
+constexpr double kSkin = 1.5;
+/// Atoms per block of model inference (Sec. V.B.9).
+constexpr std::size_t kBlockSize = 4096;
+
 qxmd::VerletOptions verlet_options(const MdOptions& opt) {
   qxmd::VerletOptions v;
   v.dt = opt.dt;
@@ -36,15 +43,15 @@ double NnqmdDriver::compute_forces(const qxmd::Atoms& atoms,
   // ends, so the step in flight is vv_.steps() + 1.
   if (!nl_ || (opt_.rebuild_every > 0 &&
                (vv_.steps() + 1) % opt_.rebuild_every == 0))
-    nl_.emplace(atoms, gs_.basis().rc + opt_.skin);
+    nl_.emplace(atoms, gs_.basis().rc + kSkin);
 
   obs::ObsScope phase("nnq.forces", obs::Cat::kPhase);
-  double e = gs_.energy_forces(atoms, *nl_, f, opt_.block_size);
+  double e = gs_.energy_forces(atoms, *nl_, f, kBlockSize);
   if (xs_) {
     const double w = excitation_weight(n_exc_, opt_.n_sat);
     if (w > 0.0) {
       const double e_xs =
-          xs_->energy_forces(atoms, *nl_, f_xs_, opt_.block_size);
+          xs_->energy_forces(atoms, *nl_, f_xs_, kBlockSize);
       for (std::size_t i = 0; i < f.size(); ++i)
         f[i] = (1.0 - w) * f[i] + w * f_xs_[i];
       e = (1.0 - w) * e + w * e_xs;

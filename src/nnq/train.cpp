@@ -12,6 +12,8 @@
 namespace mlmd::nnq {
 namespace {
 
+constexpr std::size_t kBatch = 8; ///< samples per Adam step
+
 /// Pack a sample's per-site feature vectors into one batch matrix.
 void pack_features(const EnergySample& s, la::Matrix<double>& feats) {
   const std::size_t nsite = s.features.size();
@@ -94,7 +96,7 @@ void FeatureScaler::apply(Dataset& data) const {
 
 TrainHistory train_energy(Mlp& net, const Dataset& data, TrainOptions opt) {
   if (data.empty()) throw std::invalid_argument("train_energy: empty dataset");
-  Adam adam(net.n_params(), {.lr = opt.lr});
+  Adam adam(net.n_params(), opt.lr);
   Rng rng(opt.seed);
   TrainHistory hist;
 
@@ -107,8 +109,8 @@ TrainHistory train_energy(Mlp& net, const Dataset& data, TrainOptions opt) {
       std::swap(order[i - 1], order[rng.index(i)]);
 
     double epoch_loss = 0.0;
-    for (std::size_t b0 = 0; b0 < order.size(); b0 += opt.batch) {
-      const std::size_t b1 = std::min(b0 + opt.batch, order.size());
+    for (std::size_t b0 = 0; b0 < order.size(); b0 += kBatch) {
+      const std::size_t b1 = std::min(b0 + kBatch, order.size());
       std::vector<double> grad(net.n_params(), 0.0);
       for (std::size_t k = b0; k < b1; ++k)
         epoch_loss += sample_grad(net, data[order[k]], grad);

@@ -134,12 +134,6 @@ public:
   /// every bench --json artifact (DESIGN.md Sec. 9).
   std::string report_json() const;
 
-  struct CounterSample {
-    std::string name;
-    std::uint64_t value;
-  };
-  std::vector<CounterSample> counters_snapshot() const;
-
   struct HistogramSample {
     std::string name;
     std::uint64_t count;

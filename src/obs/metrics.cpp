@@ -155,14 +155,6 @@ std::string Registry::report_json() const {
          "}, \"histograms\": {" + his + "}}";
 }
 
-std::vector<Registry::CounterSample> Registry::counters_snapshot() const {
-  std::vector<CounterSample> out;
-  std::lock_guard lk(mu_);
-  for (const auto& [n, c] : cells_)
-    if (c.kind == Kind::kCounter) out.push_back({n, c.c->value()});
-  return out;
-}
-
 std::vector<Registry::HistogramSample> Registry::histograms_snapshot(
     std::string_view prefix) const {
   std::vector<HistogramSample> out;

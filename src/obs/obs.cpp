@@ -1,16 +1,10 @@
 #include "mlmd/obs/obs.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace mlmd::obs {
 
-std::string init_tracing(const std::string& cli_path) {
-  std::string path = cli_path;
-  if (path.empty()) {
-    const char* env = std::getenv("MLMD_TRACE");
-    if (env && *env) path = env;
-  }
+std::string init_tracing(const std::string& path) {
   if (!path.empty()) Tracer::enable(true);
   return path;
 }

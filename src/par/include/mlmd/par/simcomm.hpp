@@ -153,12 +153,6 @@ public:
 
   void send(int src, int dst, int tag, std::span<const std::byte> payload);
   std::vector<std::byte> recv(int dst, int src, int tag);
-  /// Blocking receive into a caller-owned reusable buffer: `out` is
-  /// resized to the payload and its capacity is reused across calls, and
-  /// retired message buffers are recycled for later sends, so the
-  /// steady-state comm loop performs zero heap allocations (asserted in
-  /// test_obs).
-  void recv_into(int dst, int src, int tag, std::vector<std::byte>& out);
 
   // --- nonblocking primitives (the overlapped stepping loops) ----------
   // Accounting parity contract: an async op accounts the identical op
@@ -184,9 +178,6 @@ public:
   /// barrier/exchange/recv unwinds with a "SimComm aborted" runtime_error
   /// instead of waiting forever. Called by run() when any rank throws.
   void abort(const std::string& reason);
-
-  RankTraffic rank_traffic(int rank) const;
-  void reset_stats();
 
   /// Every rank's account plus the group totals derived from it (what
   /// run() returns): messages and p2p bytes are the "send" entries,
@@ -296,9 +287,6 @@ private:
   std::vector<std::byte> assembled_;
 
   std::map<Key, std::vector<std::vector<std::byte>>> mailboxes_;
-  // Retired message buffers recycled by send() (capacity kept), so the
-  // steady-state send -> recv_into loop allocates nothing. Guarded by mu_.
-  std::vector<std::vector<std::byte>> pool_;
 
   mutable std::mutex stats_mu_;
   std::vector<RankTraffic> rank_traffic_;
@@ -439,7 +427,7 @@ public:
     return unpack<T>(bytes);
   }
 
-  // --- nonblocking / reusable-buffer variants (overlapped hot paths).
+  // --- nonblocking variants (overlapped hot paths).
   // Accounting parity: each accounts the identical op name and bytes as
   // its blocking twin, so comm_bytes does not depend on which one is used.
 
@@ -489,22 +477,6 @@ public:
     unpack_into(bytes, out);
   }
 
-  /// Blocking receive into a reusable typed buffer: together with the
-  /// group's recycled message buffers the steady-state comm loop
-  /// performs zero heap allocations (asserted in test_obs).
-  template <class T>
-  void recv_into(int src, int tag, std::vector<T>& out) {
-    obs::ObsScope span("comm.recv", obs::Cat::kComm);
-    auto& scratch = recv_scratch();
-    state_->recv_into(rank_, src, tag, scratch);
-    unpack_into(scratch, out);
-  }
-
-  /// This rank's exact communication account (per-op calls/bytes, wait
-  /// time) since construction or the last reset_stats().
-  RankTraffic rank_traffic() const { return state_->rank_traffic(rank_); }
-  void reset_stats() { state_->reset_stats(); }
-
 private:
   template <class T>
   static std::vector<T> unpack(const std::vector<std::byte>& bytes) {
@@ -523,13 +495,6 @@ private:
       throw std::runtime_error("SimComm: payload size mismatch");
     out.resize(bytes.size() / sizeof(T));
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  }
-
-  /// Reusable per-thread byte staging for recv_into (each logical rank is
-  /// its own thread, so a thread_local is per-rank scratch).
-  static std::vector<std::byte>& recv_scratch() {
-    thread_local std::vector<std::byte> scratch;
-    return scratch;
   }
 
   std::shared_ptr<detail::GroupState> state_;

@@ -195,15 +195,7 @@ void GroupState::send(int src, int dst, int tag, std::span<const std::byte> payl
   {
     std::lock_guard lk(mu_);
     throw_if_aborted_locked();
-    // Reuse a retired message buffer (recv_into recycles them) so the
-    // steady-state send -> recv_into loop performs zero heap allocations.
-    std::vector<std::byte> buf;
-    if (!pool_.empty()) {
-      buf = std::move(pool_.back());
-      pool_.pop_back();
-    }
-    buf.assign(payload.begin(), payload.end());
-    mailboxes_[{src, dst, tag}].push_back(std::move(buf));
+    mailboxes_[{src, dst, tag}].emplace_back(payload.begin(), payload.end());
   }
   account(src, "send", payload.size());
   cv_.notify_all();
@@ -236,19 +228,6 @@ std::vector<std::byte> GroupState::recv(int dst, int src, int tag) {
   account(dst, "recv", payload.size());
   if (waited > 0.0) account_wait(dst, waited);
   return payload;
-}
-
-void GroupState::recv_into(int dst, int src, int tag,
-                           std::vector<std::byte>& out) {
-  auto payload = recv(dst, src, tag);
-  out.assign(payload.begin(), payload.end());
-  // Recycle the message buffer for a later send (capacity kept, bounded
-  // so a burst cannot pin memory forever).
-  std::lock_guard lk(mu_);
-  if (pool_.size() < 64) {
-    payload.clear();
-    pool_.push_back(std::move(payload));
-  }
 }
 
 CommHandle GroupState::iexchange(int rank, std::span<const std::byte> contrib,
@@ -424,18 +403,6 @@ void GroupState::account_obs(const char* op, std::size_t bytes) {
 void GroupState::account_wait_obs(double seconds) {
   static auto& h = obs::Registry::global().histogram("simcomm.wait.seconds");
   h.observe(seconds);
-}
-
-RankTraffic GroupState::rank_traffic(int rank) const {
-  if (rank < 0 || rank >= nranks_)
-    throw std::out_of_range("SimComm::rank_traffic: bad rank");
-  std::lock_guard sg(stats_mu_);
-  return rank_traffic_[static_cast<std::size_t>(rank)];
-}
-
-void GroupState::reset_stats() {
-  std::lock_guard sg(stats_mu_);
-  for (auto& rt : rank_traffic_) rt = {};
 }
 
 RunStats GroupState::run_stats() const {

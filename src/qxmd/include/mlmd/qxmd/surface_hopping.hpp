@@ -10,7 +10,7 @@
 // W_ab ~ |D_ab|^2 / dt, upward transitions damped by a detailed-balance
 // Boltzmann factor. Populations are propagated by the master equation
 // (deterministic, reproducible) or by stochastic hops (per-trajectory).
-// Both conserve total occupation and keep every f in [0, f_max].
+// Both conserve total occupation and keep every f in [0, kFMax].
 
 #include <complex>
 #include <vector>
@@ -23,14 +23,15 @@ namespace mlmd::qxmd {
 
 struct ShOptions {
   double kt = 0.001;     ///< electronic temperature for detailed balance [Ha]
-  double f_max = 2.0;    ///< per-orbital occupation bound (spin degenerate)
-  double rate_scale = 1.0; ///< overall nonadiabatic coupling strength
   bool stochastic = false;
   unsigned long long seed = 11;
 };
 
 class SurfaceHopping {
 public:
+  /// Per-orbital occupation bound (spin degenerate).
+  static constexpr double kFMax = 2.0;
+
   explicit SurfaceHopping(ShOptions opt = {}) : opt_(opt), rng_(opt.seed) {}
 
   /// Feed the current orbital Hamiltonian and advance occupations across

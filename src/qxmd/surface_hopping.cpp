@@ -31,7 +31,7 @@ void SurfaceHopping::step(const la::Matrix<std::complex<double>>& h_orbital,
   for (std::size_t a = 0; a < n; ++a)
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
-      double w = opt_.rate_scale * std::norm(d(a, b)) / dt_md;
+      double w = std::norm(d(a, b)) / dt_md;
       const double de = now.values[b] - prev_.values[a];
       if (de > 0) w *= std::exp(-de / std::max(opt_.kt, 1e-12)); // detailed balance
       rates_(a, b) = w;
@@ -48,13 +48,13 @@ void SurfaceHopping::step(const la::Matrix<std::complex<double>>& h_orbital,
   std::vector<double> p_new = p;
   if (!opt_.stochastic) {
     // Master equation, explicit Euler with flux limiting so populations
-    // stay within [0, f_max] and total is conserved exactly.
+    // stay within [0, kFMax] and total is conserved exactly.
     for (std::size_t a = 0; a < n; ++a)
       for (std::size_t b = 0; b < n; ++b) {
         if (a == b) continue;
         double flux = rates_(a, b) * p[a] * dt_md;
         flux = std::min(flux, p[a] / static_cast<double>(n)); // limiter
-        flux = std::min(flux, std::max(opt_.f_max - p[b], 0.0));
+        flux = std::min(flux, std::max(kFMax - p[b], 0.0));
         p_new[a] -= flux;
         p_new[b] += flux;
       }
@@ -78,7 +78,7 @@ void SurfaceHopping::step(const la::Matrix<std::complex<double>>& h_orbital,
         }
         if (dest != a) {
           const double amount =
-              std::min({p[a], opt_.f_max - p_new[dest], p_new[a]});
+              std::min({p[a], kFMax - p_new[dest], p_new[a]});
           if (amount > 0) {
             p_new[a] -= amount;
             p_new[dest] += amount;
@@ -107,14 +107,14 @@ void SurfaceHopping::step(const la::Matrix<std::complex<double>>& h_orbital,
     if (fs < 0.0) {
       excess += fs;
       fs = 0.0;
-    } else if (fs > opt_.f_max) {
-      excess += fs - opt_.f_max;
-      fs = opt_.f_max;
+    } else if (fs > kFMax) {
+      excess += fs - kFMax;
+      fs = kFMax;
     }
   }
   if (excess != 0.0) {
     for (double& fs : f) {
-      const double room = excess > 0 ? opt_.f_max - fs : fs;
+      const double room = excess > 0 ? kFMax - fs : fs;
       const double take = std::clamp(excess, -room, room);
       fs += take;
       excess -= take;

@@ -10,6 +10,11 @@
 #include "mlmd/lfd/hamiltonian.hpp"
 
 namespace mlmd::scf {
+namespace {
+
+constexpr double kRelaxTau = 0.02; ///< imaginary-time step of relax_domain
+
+} // namespace
 
 DcScf::DcScf(const grid::DcDecomposition& decomp, const std::vector<lfd::Ion>& ions,
              ScfOptions opt)
@@ -61,7 +66,7 @@ double DcScf::relax_domain(int a) {
       }
       const double eps = num.real() / den;
       for (std::size_t g = 0; g < w.grid.size(); ++g)
-        w.at(g, s) -= opt_.tau * (hpsi(g, s) - eps * w.at(g, s));
+        w.at(g, s) -= kRelaxTau * (hpsi(g, s) - eps * w.at(g, s));
     }
     la::mgs_orthonormalize(w.psi, w.grid.dv());
   }

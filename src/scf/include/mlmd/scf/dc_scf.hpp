@@ -20,7 +20,6 @@ namespace mlmd::scf {
 struct ScfOptions {
   std::size_t norb = 4;       ///< local orbitals per domain
   std::size_t nfilled = 2;    ///< doubly-occupied orbitals per domain
-  double tau = 0.02;          ///< imaginary-time step
   int local_iters = 20;       ///< orbital relaxation sweeps per outer iter
   int max_outer = 40;         ///< global-local SCF iterations
   double mix = 0.5;           ///< linear density mixing

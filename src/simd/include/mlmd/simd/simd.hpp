@@ -159,11 +159,12 @@ using PackPanelFn = void (*)(const R* src, std::size_t ld, std::size_t kc,
 
 /// Coefficients of ferro::FerroLattice's damped step (ferro/lattice.hpp):
 /// the Hamiltonian's a0, b, k, j, d and external field e, and the
-/// update's dt, mass and damping divisor damp = 1 + gamma dt.
+/// update's dt and damping divisor damp = 1 + gamma dt (the soft mode has
+/// unit mass).
 struct FerroCoeffs {
   double a0 = 0, b = 0, k = 0, j = 0, d = 0;
   double e[3] = {0, 0, 0};
-  double dt = 0, mass = 0, damp = 0;
+  double dt = 0, damp = 0;
 };
 
 /// One row of FerroLattice::step(): the force on each of the row's ly

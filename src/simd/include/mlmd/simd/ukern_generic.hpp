@@ -153,13 +153,13 @@ void pack_panel(const R* __restrict__ src, std::size_t ld, std::size_t kc,
   return fi;
 }
 
-/// The ferro lattice's damped semi-implicit Euler update of one value,
-/// velocity first: v <- (v + dt f / m) / (1 + gamma dt), then returns the
-/// new u = u + dt v. Always inlined, like ferro_force.
+/// The ferro lattice's damped semi-implicit Euler update of one unit-mass
+/// value, velocity first: v <- (v + dt f) / (1 + gamma dt), then returns
+/// the new u = u + dt v. Always inlined, like ferro_force.
 [[gnu::always_inline]] inline double ferro_update(const FerroCoeffs& p,
                                                   double f, double u,
                                                   double& v) {
-  v = (v + p.dt * f / p.mass) / p.damp;
+  v = (v + p.dt * f) / p.damp;
   return u + p.dt * v;
 }
 

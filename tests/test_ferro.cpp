@@ -169,7 +169,7 @@ TEST(Ferro, LangevinHeatsColdLattice) {
   // Kinetic energy per mode ~ kT/2.
   double ekin = 0;
   for (const auto& v : lat.v_cells())
-    ekin += 0.5 * p.mass * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+    ekin += 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
   ekin /= static_cast<double>(lat.ncells()) * 3.0;
   EXPECT_GT(ekin, 0.005);
   EXPECT_LT(ekin, 0.1);

@@ -179,11 +179,10 @@ TEST(Multidomain, OverlappedLoopBitIdenticalToSerialOracle) {
   }
   const int em_substeps =
       std::max(1, static_cast<int>(doms[0].md_dt() / dt_em));
-  const auto axis = static_cast<std::size_t>(opt.mesh.polarization_axis);
   std::vector<double> j_cells(ncells, 0.0);
   for (int step = 0; step < opt.md_steps; ++step) {
     for (std::size_t d = 0; d < kDomains; ++d)
-      j_cells[cells[d]] = doms[d].current(em.a_at(cells[d]))[axis];
+      j_cells[cells[d]] = doms[d].current(em.a_at(cells[d]))[kPolarizationAxis];
     std::vector<PendingStep> pending;
     for (auto& dom : doms) pending.push_back(dom.md_step_begin());
     for (int s = 0; s < em_substeps; ++s) em.step(j_cells);

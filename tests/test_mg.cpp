@@ -132,7 +132,7 @@ TEST(Multigrid, AnisotropicSpacings) {
 }
 
 TEST(Multigrid, NonPow2EvenGridWorks) {
-  // 24 = 2^3 * 3: coarsens 24 -> 12 -> 6, stops (6/2 < min_dim).
+  // 24 = 2^3 * 3: coarsens 24 -> 12 -> 6, stops (6/2 < the minimum extent 4).
   Multigrid mg(24, 24, 24, 0.5, 0.5, 0.5);
   EXPECT_GE(mg.levels(), 2);
   auto rho = sine_rho(24, 12.0);

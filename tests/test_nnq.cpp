@@ -183,7 +183,7 @@ TEST(Adam, MinimizesQuadratic) {
   // minimize f(w) = |w - target|^2.
   std::vector<double> w = {5.0, -3.0, 2.0};
   const std::vector<double> target = {1.0, 1.0, 1.0};
-  Adam adam(3, {.lr = 0.1});
+  Adam adam(3, 0.1);
   for (int i = 0; i < 500; ++i) {
     std::vector<double> g(3);
     for (int k = 0; k < 3; ++k) g[static_cast<std::size_t>(k)] =

@@ -226,14 +226,6 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
 
 TEST(Metrics, SnapshotsListInstrumentsByPrefix) {
   auto& reg = mlmd::obs::Registry::global();
-  auto& c = reg.counter("test.snap.count");
-  c.reset();
-  c.add(3);
-  bool found = false;
-  for (const auto& s : reg.counters_snapshot())
-    if (s.name == "test.snap.count" && s.value == 3u) found = true;
-  EXPECT_TRUE(found);
-
   for (const char* name : {"test.snap.b", "test.snap.a", "test.snapx"}) {
     reg.histogram(name).reset();
     reg.histogram(name).observe(0.5);
@@ -285,8 +277,7 @@ TEST(Metrics, ObsScopeHistogramObservesElapsed) {
 TEST(SimComm, FourRankExactPerCollectiveAccounting) {
   using namespace mlmd::par;
   constexpr int kRanks = 4;
-  std::vector<RankTraffic> traffic(kRanks);
-  run(kRanks, [&](Comm& comm) {
+  const RunStats stats = run(kRanks, [](Comm& comm) {
     const int r = comm.rank();
     comm.barrier();
 
@@ -302,10 +293,10 @@ TEST(SimComm, FourRankExactPerCollectiveAccounting) {
     std::vector<std::uint8_t> msg(10, std::uint8_t(r));
     comm.send((r + 1) % kRanks, /*tag=*/7, std::span<const std::uint8_t>(msg));
     comm.recv<std::uint8_t>((r + kRanks - 1) % kRanks, /*tag=*/7);
-
-    traffic[static_cast<std::size_t>(r)] = comm.rank_traffic();
   });
 
+  const std::vector<RankTraffic>& traffic = stats.ranks;
+  ASSERT_EQ(traffic.size(), static_cast<std::size_t>(kRanks));
   for (int r = 0; r < kRanks; ++r) {
     const auto& ops = traffic[static_cast<std::size_t>(r)].ops;
     ASSERT_EQ(ops.count("barrier"), 1u) << "rank " << r;
@@ -329,21 +320,6 @@ TEST(SimComm, FourRankExactPerCollectiveAccounting) {
 
     EXPECT_GE(traffic[static_cast<std::size_t>(r)].wait_seconds, 0.0);
   }
-}
-
-TEST(SimComm, RankTrafficResetAndBounds) {
-  using namespace mlmd::par;
-  run(2, [](Comm& comm) {
-    comm.barrier();
-    EXPECT_EQ(comm.rank_traffic().ops.at("barrier").calls, 1u);
-    comm.barrier(); // sync so no rank resets while the peer still asserts
-    comm.reset_stats();
-    comm.barrier(); // resynchronize; every rank records exactly this one
-    EXPECT_EQ(comm.rank_traffic().ops.at("barrier").calls, 1u);
-  });
-  auto state = std::make_shared<mlmd::par::detail::GroupState>(2);
-  Comm comm(state, 0);
-  EXPECT_THROW(state->rank_traffic(5), std::out_of_range);
 }
 
 TEST(SimComm, CommSpansRecordedWhenTracing) {
@@ -376,62 +352,6 @@ TEST(Obs, AccountSteadyStateIsAllocationFree) {
     const std::uint64_t after = g_heap_allocs.load();
     EXPECT_EQ(after - before, 0u);
   });
-}
-
-TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
-  // The full blocking p2p round trip on the reusable-buffer path: send()
-  // recycles retired message buffers from the group's pool, recv_into()
-  // lands in a per-thread byte scratch and a caller-owned typed buffer,
-  // and the mailbox map node for a (src,dst,tag) key persists once
-  // created — so after warm-up a halo-style exchange loop must not touch
-  // the heap at all, on either rank.
-  using namespace mlmd::par;
-  Tracer::enable(false);
-  std::array<std::uint64_t, 2> rank_allocs{1, 1};
-  run(2, [&](Comm& comm) {
-    const int peer = 1 - comm.rank();
-    std::vector<double> halo(64, static_cast<double>(comm.rank()));
-    std::vector<double> got;
-    for (int i = 0; i < 8; ++i) { // warm pool, scratch, mailbox, counters
-      comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-      comm.recv_into(peer, /*tag=*/0, got);
-    }
-    // The free-running loop below is not lockstep: a rank can run one
-    // iteration ahead of its peer, so a mailbox queue briefly holds two
-    // messages and up to five pool buffers are outside the pool at once
-    // (at most three queued across both directions — both queues at
-    // depth two simultaneously is impossible — plus one per rank in
-    // transit inside recv_into between queue-pop and pool-push). A
-    // lucky lockstep warm-up circulates only two buffers and leaves
-    // queue capacity 1, so the first drifted iteration allocates in
-    // send(). Warm the worst case deterministically: three sends in
-    // flight per rank, with a barrier before the matching receives so
-    // the peer cannot drain the queue while it fills — each queue
-    // verifiably reaches depth 3 (capacity >= 3) and six buffers enter
-    // circulation. Two closing barriers, not one: a barrier accounts
-    // its op AFTER the rendezvous releases, so the peer's first
-    // "barrier" map-node insert could land inside this rank's
-    // measurement window — barrier #1 creates both nodes, barrier #2's
-    // post-release accounting is then allocation-free.
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.barrier(); // both queues hold 3 before any drain begins
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.barrier();
-    comm.barrier();
-    const std::uint64_t before = g_heap_allocs.load();
-    for (int i = 0; i < 256; ++i) {
-      comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-      comm.recv_into(peer, /*tag=*/0, got);
-    }
-    rank_allocs[static_cast<std::size_t>(comm.rank())] =
-        g_heap_allocs.load() - before;
-  });
-  EXPECT_EQ(rank_allocs[0], 0u);
-  EXPECT_EQ(rank_allocs[1], 0u);
 }
 
 TEST(Obs, ExactSessionSteadyStateStepIsAllocationFree) {
@@ -494,17 +414,13 @@ TEST(Obs, WarmLjEnergyForcesIsAllocationFree) {
 }
 
 TEST(Obs, InitTracingPrefersCliOverEnv) {
-  // Not set anywhere: stays off.
-  unsetenv("MLMD_TRACE");
+  // The --trace= path is the only switch: MLMD_TRACE is not a second
+  // one, so with no path the tracer stays off even when it is set.
+  setenv("MLMD_TRACE", "/tmp/env_trace.json", 1);
   EXPECT_EQ(mlmd::obs::init_tracing(""), "");
   EXPECT_FALSE(Tracer::enabled());
-  // CLI wins over the environment.
-  setenv("MLMD_TRACE", "/tmp/env_trace.json", 1);
   EXPECT_EQ(mlmd::obs::init_tracing("/tmp/cli_trace.json"),
             "/tmp/cli_trace.json");
-  EXPECT_TRUE(Tracer::enabled());
-  Tracer::enable(false);
-  EXPECT_EQ(mlmd::obs::init_tracing(""), "/tmp/env_trace.json");
   EXPECT_TRUE(Tracer::enabled());
   Tracer::enable(false);
   unsetenv("MLMD_TRACE");

@@ -513,7 +513,7 @@ TEST(SimComm, WaitAfterAbortSurfacesOriginError) {
 TEST(SimComm, HandleAccountsBalanceAndMatchBlockingOps) {
   int failures = 0;
   std::mutex mu;
-  run(2, [&](Comm& c) {
+  const RunStats stats = run(2, [&](Comm& c) {
     const int peer = 1 - c.rank();
     const std::array<double, 8> halo{1, 2, 3, 4, 5, 6, 7, 8};
     auto hs = c.isend(peer, 1, std::span<const double>(halo));
@@ -521,21 +521,24 @@ TEST(SimComm, HandleAccountsBalanceAndMatchBlockingOps) {
     std::vector<double> got;
     c.wait_into(hr, got);
     hs.wait();
-    const RankTraffic mine = c.rank_traffic();
-    // Handle-leak invariant plus accounting parity: the nonblocking pair
-    // meters the same op names and bytes as its blocking twins.
-    bool ok = mine.handles_posted == 2 && mine.handles_completed == 2 &&
-              mine.overlap_seconds >= 0.0;
-    auto it_s = mine.ops.find("send");
-    auto it_r = mine.ops.find("recv");
-    ok = ok && it_s != mine.ops.end() && it_s->second.bytes == 64 &&
-         it_s->second.calls == 1;
-    ok = ok && it_r != mine.ops.end() && it_r->second.bytes == 64 &&
-         it_r->second.calls == 1;
-    ok = ok && got == std::vector<double>(halo.begin(), halo.end());
+    const bool ok = got == std::vector<double>(halo.begin(), halo.end());
     count_rank_failures(c, ok, &failures, &mu);
   });
   EXPECT_EQ(failures, 0);
+  // Handle-leak invariant plus accounting parity: the nonblocking pair
+  // meters the same op names and bytes as its blocking twins.
+  ASSERT_EQ(stats.ranks.size(), 2u);
+  for (const RankTraffic& mine : stats.ranks) {
+    EXPECT_EQ(mine.handles_posted, 2u);
+    EXPECT_EQ(mine.handles_completed, 2u);
+    EXPECT_GE(mine.overlap_seconds, 0.0);
+    for (const char* op : {"send", "recv"}) {
+      const auto it = mine.ops.find(op);
+      ASSERT_NE(it, mine.ops.end()) << op;
+      EXPECT_EQ(it->second.bytes, 64u) << op;
+      EXPECT_EQ(it->second.calls, 1u) << op;
+    }
+  }
 }
 
 TEST(SimComm, RankHistogramQuantilesReachTheRegistry) {
@@ -553,32 +556,6 @@ TEST(SimComm, RankHistogramQuantilesReachTheRegistry) {
   EXPECT_EQ(h.count(), 4u);
   for (const double q : {0.5, 0.95, 0.99})
     EXPECT_EQ(h.quantile(q), local.quantile(q)) << "q=" << q;
-}
-
-TEST(SimComm, RecvIntoReusesBufferAndSendrecvMatches) {
-  // A send/recv_into halo exchange delivers the peer's payload and lands
-  // it in the caller's typed buffer without reallocating it.
-  int failures = 0;
-  std::mutex mu;
-  run(2, [&](Comm& c) {
-    const int peer = 1 - c.rank();
-    std::vector<double> out;
-    out.reserve(8);
-    const double* cap = out.data();
-    bool ok = true;
-    for (int s = 0; s < 4; ++s) {
-      std::array<double, 8> halo{};
-      halo.fill(static_cast<double>(c.rank() * 10 + s));
-      c.send(peer, s, std::span<const double>(halo));
-      c.recv_into(peer, s, out);
-      ok = ok && out.size() == 8 &&
-           out.front() == static_cast<double>(peer * 10 + s);
-      // The typed destination buffer must keep its storage once warm.
-      ok = ok && out.data() == cap;
-    }
-    count_rank_failures(c, ok, &failures, &mu);
-  });
-  EXPECT_EQ(failures, 0);
 }
 
 TEST(SimComm, AllreduceRejectsMismatchedLengths) {

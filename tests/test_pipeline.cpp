@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "mlmd/common/flops.hpp"
 #include "mlmd/ft/checkpoint.hpp"
 #include "mlmd/mlmd/pipeline.hpp"
 #include "mlmd/nnq/train.hpp"
@@ -296,6 +297,27 @@ TEST(Session, StepWithRejectsNonNeuralSessions) {
   s.prepare();
   EXPECT_FALSE(s.wants_neural_forces()); // kExact backend
   EXPECT_THROW(s.step_with({}), std::logic_error);
+}
+
+TEST(Session, GuardedStepEvaluatesEnergyOnlyForADriftBound) {
+  // The guard's field check is a scan; the O(ncells) lattice energy runs
+  // only when a drift bound reads it, so a guarded kExact step issues the
+  // FLOPs of an unguarded one, and a drift-guarded step adds the energy's
+  // 60 per cell.
+  const auto step_flops = [](const PipelineOptions& opt) {
+    Session s(opt, /*dark=*/true);
+    s.prepare();
+    const flops::Scope scope;
+    s.step();
+    return scope.flops();
+  };
+  auto opt = session_options();
+  const std::uint64_t unguarded = step_flops(opt);
+  EXPECT_GT(unguarded, 0u);
+  opt.guard.enabled = true;
+  EXPECT_EQ(step_flops(opt), unguarded);
+  opt.guard.max_energy_drift = 0.5;
+  EXPECT_EQ(step_flops(opt), unguarded + 60ull * opt.lattice * opt.lattice);
 }
 
 } // namespace

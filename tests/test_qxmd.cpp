@@ -223,7 +223,7 @@ TEST(SurfaceHopping, ConservesTotalOccupation) {
     EXPECT_NEAR(std::accumulate(f.begin(), f.end(), 0.0), total0, 1e-9);
     for (double v : f) {
       EXPECT_GE(v, -1e-12);
-      EXPECT_LE(v, opt.f_max + 1e-12);
+      EXPECT_LE(v, SurfaceHopping::kFMax + 1e-12);
     }
   }
 }

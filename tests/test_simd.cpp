@@ -364,7 +364,6 @@ TEST(SimdBitIdentity, FerroRow) {
   c.e[1] = -0.05;
   c.e[2] = 0.02;
   c.dt = 0.02;
-  c.mass = 1.3;
   c.damp = 1.0 + 0.5 * c.dt;
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity()};

@@ -530,7 +530,7 @@ void step(FerroLattice& lat) {
   const double dt = p_.dt;
   for (std::size_t i = 0; i < lat.ncells(); ++i) {
     for (int c = 0; c < 3; ++c) {
-      v_[i][c] = (v_[i][c] + dt * f[i][c] / p_.mass) / (1.0 + p_.gamma * dt);
+      v_[i][c] = (v_[i][c] + dt * f[i][c]) / (1.0 + p_.gamma * dt);
       u_[i][c] += dt * v_[i][c];
     }
   }
@@ -545,7 +545,7 @@ void step_with_forces(FerroLattice& lat, const std::vector<Vec3>& f) {
   for (std::size_t i = 0; i < u.size(); ++i)
     for (int k = 0; k < 3; ++k) {
       auto ks = static_cast<std::size_t>(k);
-      v[i][ks] = (v[i][ks] + p.dt * f[i][ks] / p.mass) / (1.0 + p.gamma * p.dt);
+      v[i][ks] = (v[i][ks] + p.dt * f[i][ks]) / (1.0 + p.gamma * p.dt);
       u[i][ks] += p.dt * v[i][ks];
     }
   lat.set_u_cells(u);
@@ -560,10 +560,10 @@ void step_langevin(FerroLattice& lat, double kT, mlmd::Rng& rng) {
   auto v_ = lat.v_cells();
   const double dt = p_.dt;
   const double c1 = std::exp(-p_.gamma * dt);
-  const double c2 = std::sqrt((1.0 - c1 * c1) * kT / p_.mass);
+  const double c2 = std::sqrt((1.0 - c1 * c1) * kT);
   for (std::size_t i = 0; i < lat.ncells(); ++i)
     for (int c = 0; c < 3; ++c) {
-      v_[i][c] += dt * f[i][c] / p_.mass;
+      v_[i][c] += dt * f[i][c];
       v_[i][c] = c1 * v_[i][c] + c2 * rng.normal();
       u_[i][c] += dt * v_[i][c];
     }
