@@ -199,6 +199,12 @@ int run_nnqmd_cmd(const Cli& cli) {
   for (int s = 0; s < steps; ++s) driver.step();
   std::printf("final temperature: %.5f Ha (%ld steps)\n",
               driver.atoms().temperature(), driver.steps());
+  // Every bit of the final positions and velocities, so a run's identity
+  // across thread counts and SIMD targets is checked on the whole state.
+  std::vector<double> state = driver.atoms().r;
+  state.insert(state.end(), driver.atoms().v.begin(), driver.atoms().v.end());
+  std::printf("md_digest = %016llx\n",
+              static_cast<unsigned long long>(fnv1a(state)));
   return 0;
 }
 

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -73,6 +74,12 @@ public:
   /// checks, clamps).
   std::span<double> u_store() { return u_; }
   std::span<double> v_store() { return v_; }
+
+  /// Whether some value of u has magnitude bits above `bound` (the
+  /// simd::KernelTable::any_above test; ft::StepSentinel::bound_bits()
+  /// gives the guard's). It scans by the row blocks step() writes, on the
+  /// pool, so each thread reads rows its own cache already holds.
+  bool u_above(std::uint64_t bound) const;
 
   const FerroParams& params() const { return p_; }
   FerroParams& params() { return p_; }

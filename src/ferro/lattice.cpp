@@ -1,5 +1,6 @@
 #include "mlmd/ferro/lattice.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -149,6 +150,18 @@ void FerroLattice::step() {
     }
   });
   u_.swap(u_next_);
+}
+
+bool FerroLattice::u_above(std::uint64_t bound) const {
+  const simd::AnyAboveFn above = simd::kernels().any_above;
+  const std::size_t n = ncells();
+  std::atomic<bool> hit{false};
+  par::parallel_for(0, lx_, rows_per_chunk(ly_), [&](std::size_t x0, std::size_t x1) {
+    const std::size_t i0 = index(x0, 0), len = (x1 - x0) * ly_;
+    for (std::size_t k = 0; k < 3; ++k)
+      if (above(&u_[k * n + i0], len, bound)) hit.store(true, std::memory_order_relaxed);
+  });
+  return hit.load(std::memory_order_relaxed);
 }
 
 void FerroLattice::step(const std::vector<Vec3>& f) {

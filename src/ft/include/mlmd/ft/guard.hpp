@@ -12,6 +12,7 @@
 // ft.faults.recovered obs counters so traces and benchjson show the
 // recovery cost.
 
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -54,8 +55,15 @@ class StepSentinel {
   /// Check every value for finiteness (and |v| <= max_abs when set).
   /// Returns true when clean; on the first offending value records the
   /// detection (obs ft.faults.detected, ft.guard.trips) and remembers a
-  /// description retrievable via last_what().
+  /// description retrievable via last_what(). The clean path is the
+  /// dispatched simd::any_above scan, block by block.
   bool check_values(const char* what, std::span<const double> v);
+
+  /// The magnitude bits no clean value exceeds: check_values trips on v
+  /// exactly when the bits of |v| are above these (simd any_above), so a
+  /// caller can prescan where the data lives and call check_values only
+  /// for the report.
+  std::uint64_t bound_bits() const;
 
   /// Check an energy for finiteness and drift against the first energy
   /// ever passed (the reference). Returns true when clean.

@@ -204,12 +204,15 @@ bool Session::advance(std::vector<ferro::Vec3>* forces) {
   if (!tripped) {
     // Fault-injection point: inf_field entries corrupt the lattice.
     ft::hook_fields(step_, lat_.u_store().data(), lat_.u_store().size());
-    // lat.energy() is an O(ncells) sum, so it runs only when a drift
-    // bound reads it: a field check_values passed (finite, |u| <=
-    // max_abs) has a finite energy.
+    // The field is scanned on the pool, by the row blocks the step just
+    // wrote; only a field that fails goes through check_values, which
+    // reports its first offending value. lat.energy() is an O(ncells)
+    // sum, so it runs only when a drift bound reads it: a field that
+    // passed (finite, |u| <= max_abs) has a finite energy.
     const ft::GuardOptions& g = sentinel_.options();
     if (g.enabled &&
-        (!sentinel_.check_values("pipeline.field", lat_.u_store()) ||
+        ((lat_.u_above(sentinel_.bound_bits()) &&
+          !sentinel_.check_values("pipeline.field", lat_.u_store())) ||
          (g.max_energy_drift > 0.0 &&
           !sentinel_.check_energy("pipeline.energy", lat_.energy()))))
       tripped = true;

@@ -33,39 +33,28 @@ public:
   const std::vector<double>& params() const { return w_; }
   const std::vector<std::size_t>& sizes() const { return sizes_; }
 
-  /// Plain inference (no caching), thread-safe.
-  std::vector<double> forward(const std::vector<double>& x) const;
-
-  /// Scalar-output convenience.
-  double value(const std::vector<double>& x) const { return forward(x)[0]; }
-
-  /// d y_0 / d x for the scalar-output case (thread-safe; used for forces).
-  std::vector<double> grad_input(const std::vector<double>& x) const;
-
-  /// Training pass: forward + backward for one sample. Accumulates
-  /// dL/dw into `grad` (size n_params) given dL/dy, and returns y.
-  std::vector<double> forward_backward(const std::vector<double>& x,
-                                       const std::vector<double>& dl_dy,
-                                       std::vector<double>& grad) const;
-
   // ---- batched inference / training (the Table II hot path) -------------
   //
-  // One la::gemm per layer over a whole batch of samples (rows of x)
-  // instead of one scalar dot-product pass per sample. Because the packed
-  // GEMM engine reduces every output element in ascending-k order with a
-  // single accumulator (see gemm.hpp), these are *bitwise identical* to
-  // calling the scalar forward / grad_input / forward_backward per row —
-  // asserted in test_nnq. Scratch comes from the thread-local Workspace
+  // Every pass takes a whole batch of samples (rows of x). A row's result
+  // depends only on its own input, bit for bit: each output of a layer is
+  // reduced in ascending input order with one accumulator that starts
+  // from the bias, the backward pass reduces in ascending output order
+  // from zero, and the activation is the simd tanh (ukern_generic.hpp), so
+  // the batched passes equal a per-sample loop — asserted in test_nnq
+  // against the scalar passes kept there as the oracle — on every SIMD
+  // target and at every thread count. forward_batch and
+  // forward_backward_batch run one la::gemm per layer (the GEMM engine
+  // keeps that order); grad_input_rows is the simd MLP kernel, with one
+  // row per vector lane. Scratch comes from the thread-local Workspace
   // arena, so steady-state calls are allocation-free.
 
-  /// y(s, :) = forward(x(s, :)) for every row s; y is resized to
-  /// x.rows() x n_out().
+  /// y(s, :) = the network's outputs at row s of x, for every row s; y is
+  /// resized to x.rows() x n_out().
   void forward_batch(const la::Matrix<double>& x, la::Matrix<double>& y) const;
 
-  /// dy0_dx(s, :) = grad_input(x(s, :)) for every row s (resized to
+  /// dy0_dx(s, :) = d y_0 / d x at row s of x, for every row s (resized to
   /// x.rows() x n_in()). If y is non-null it also receives the forward
-  /// values (resized to x.rows() x n_out()) — one fused pass instead of
-  /// forward + grad_input.
+  /// values (resized to x.rows() x n_out()) from the same pass.
   void grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_dx,
                         la::Matrix<double>* y = nullptr) const;
 
@@ -78,10 +67,10 @@ public:
   void grad_input_rows(const double* x, std::size_t nb, double* dy0_dx,
                        double* y = nullptr) const;
 
-  /// Batched forward_backward: accumulates dL/dw into `grad` given per-row
-  /// dL/dy (x.rows() x n_out()) and writes forward values into y. Sample
-  /// contributions enter `grad` in ascending row order, matching a scalar
-  /// forward_backward loop over rows bitwise.
+  /// Training pass: accumulates dL/dw into `grad` (size n_params()) given
+  /// per-row dL/dy (x.rows() x n_out()) and writes forward values into y.
+  /// Sample contributions enter `grad` in ascending row order, matching a
+  /// per-sample loop over rows bitwise.
   void forward_backward_batch(const la::Matrix<double>& x,
                               const la::Matrix<double>& dl_dy,
                               std::vector<double>& grad,

@@ -8,6 +8,7 @@
 #include "mlmd/common/flops.hpp"
 #include "mlmd/common/workspace.hpp"
 #include "mlmd/la/gemm.hpp"
+#include "mlmd/simd/simd.hpp"
 
 namespace mlmd::nnq {
 
@@ -44,110 +45,6 @@ std::vector<Mlp::LayerView> Mlp::layers() const {
   return lv;
 }
 
-std::vector<double> Mlp::forward(const std::vector<double>& x) const {
-  if (x.size() != n_in()) throw std::invalid_argument("Mlp::forward: input size");
-  flops::add(2 * n_params());
-  std::vector<double> a = x, next;
-  const auto lv = layers();
-  for (std::size_t l = 0; l < lv.size(); ++l) {
-    const auto& L = lv[l];
-    next.assign(L.out, 0.0);
-    for (std::size_t o = 0; o < L.out; ++o) {
-      double acc = w_[L.b_off + o];
-      const double* wrow = w_.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) acc += wrow[i] * a[i];
-      next[o] = (l + 1 < lv.size()) ? std::tanh(acc) : acc;
-    }
-    a.swap(next);
-  }
-  return a;
-}
-
-std::vector<double> Mlp::grad_input(const std::vector<double>& x) const {
-  // Forward with cached pre-activations, then backprop d y0 / d x.
-  const auto lv = layers();
-  flops::add(4 * n_params());
-  std::vector<std::vector<double>> acts;
-  acts.push_back(x);
-  for (std::size_t l = 0; l < lv.size(); ++l) {
-    const auto& L = lv[l];
-    std::vector<double> next(L.out);
-    for (std::size_t o = 0; o < L.out; ++o) {
-      double acc = w_[L.b_off + o];
-      const double* wrow = w_.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) acc += wrow[i] * acts[l][i];
-      next[o] = (l + 1 < lv.size()) ? std::tanh(acc) : acc;
-    }
-    acts.push_back(std::move(next));
-  }
-
-  std::vector<double> delta(sizes_.back(), 0.0);
-  delta[0] = 1.0; // d y0 / d y0
-  for (std::size_t li = lv.size(); li-- > 0;) {
-    const auto& L = lv[li];
-    // delta currently refers to post-activation of layer li output.
-    // Convert to pre-activation: multiply by (1 - a^2) for hidden layers.
-    if (li + 1 < lv.size()) {
-      for (std::size_t o = 0; o < L.out; ++o) {
-        const double a = acts[li + 1][o];
-        delta[o] *= (1.0 - a * a);
-      }
-    }
-    std::vector<double> prev(L.in, 0.0);
-    for (std::size_t o = 0; o < L.out; ++o) {
-      const double* wrow = w_.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) prev[i] += wrow[i] * delta[o];
-    }
-    delta.swap(prev);
-  }
-  return delta;
-}
-
-std::vector<double> Mlp::forward_backward(const std::vector<double>& x,
-                                          const std::vector<double>& dl_dy,
-                                          std::vector<double>& grad) const {
-  if (grad.size() != w_.size())
-    throw std::invalid_argument("Mlp::forward_backward: grad buffer size");
-  const auto lv = layers();
-  flops::add(6 * n_params());
-  std::vector<std::vector<double>> acts;
-  acts.push_back(x);
-  for (std::size_t l = 0; l < lv.size(); ++l) {
-    const auto& L = lv[l];
-    std::vector<double> next(L.out);
-    for (std::size_t o = 0; o < L.out; ++o) {
-      double acc = w_[L.b_off + o];
-      const double* wrow = w_.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) acc += wrow[i] * acts[l][i];
-      next[o] = (l + 1 < lv.size()) ? std::tanh(acc) : acc;
-    }
-    acts.push_back(std::move(next));
-  }
-
-  std::vector<double> delta = dl_dy;
-  for (std::size_t li = lv.size(); li-- > 0;) {
-    const auto& L = lv[li];
-    if (li + 1 < lv.size()) {
-      for (std::size_t o = 0; o < L.out; ++o) {
-        const double a = acts[li + 1][o];
-        delta[o] *= (1.0 - a * a);
-      }
-    }
-    for (std::size_t o = 0; o < L.out; ++o) {
-      grad[L.b_off + o] += delta[o];
-      double* grow = grad.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) grow[i] += delta[o] * acts[li][i];
-    }
-    std::vector<double> prev(L.in, 0.0);
-    for (std::size_t o = 0; o < L.out; ++o) {
-      const double* wrow = w_.data() + L.w_off + o * L.in;
-      for (std::size_t i = 0; i < L.in; ++i) prev[i] += wrow[i] * delta[o];
-    }
-    delta.swap(prev);
-  }
-  return acts.back();
-}
-
 // ---- batched passes -------------------------------------------------------
 //
 // Layout: activations live in the thread-local Workspace arena as compact
@@ -162,16 +59,10 @@ std::vector<double> Mlp::forward_backward(const std::vector<double>& x,
 //
 // Each gemm reduces in ascending k with a single accumulator per element
 // (gemm.hpp contract), and IEEE multiplies commute bitwise, so every
-// output matches the scalar per-sample loops bit for bit.
-
-namespace {
-
-/// Hidden-layer activation in place — same std::tanh as the scalar path.
-void tanh_rows(double* a, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) a[i] = std::tanh(a[i]);
-}
-
-} // namespace
+// output matches a per-sample loop bit for bit. The activation is the
+// dispatched simd tanh_n, bitwise the same on every target.
+// grad_input_rows is not a GEMM pass: it is the simd MLP kernel, which
+// keeps the same per-row operation order.
 
 void Mlp::forward_batch(const la::Matrix<double>& x, la::Matrix<double>& y) const {
   if (x.cols() != n_in())
@@ -202,7 +93,7 @@ void Mlp::forward_batch(const la::Matrix<double>& x, la::Matrix<double>& y) cons
     la::gemm(la::Trans::kN, la::Trans::kT, nb, L.out, L.in, 1.0, a, L.in,
              w_.data() + L.w_off, L.in, 1.0, out, L.out);
     if (!last) {
-      tanh_rows(out, nb * L.out);
+      simd::kernels().tanh_n(out, out, nb * L.out);
       std::swap(a, nx);
     }
   }
@@ -221,46 +112,12 @@ void Mlp::grad_input_batch(const la::Matrix<double>& x, la::Matrix<double>& dy0_
 void Mlp::grad_input_rows(const double* x, std::size_t nb, double* dy0_dx,
                           double* y) const {
   if (nb == 0) return;
-  const auto lv = layers();
-  std::size_t wmax = 0, wflops = 0;
-  for (auto s : sizes_) wmax = std::max(wmax, s);
-  for (const auto& L : lv) wflops += L.in * L.out;
-  flops::add(4 * nb * (n_params() - wflops));
-
+  flops::add(4 * nb * n_params());
+  const simd::MlpNet net{sizes_.data(), sizes_.size(), w_.data()};
   common::Workspace& ws = common::Workspace::local();
   common::Workspace::Frame frame(ws);
-  // Cache every post-activation level (backward needs tanh' = 1 - a^2).
-  const double** acts = ws.get<const double*>(lv.size() + 1);
-  acts[0] = x;
-  for (std::size_t l = 0; l < lv.size(); ++l) {
-    const auto& L = lv[l];
-    const bool last = l + 1 == lv.size();
-    double* out = (last && y) ? y : ws.get<double>(nb * L.out);
-    const double* bias = w_.data() + L.b_off;
-    for (std::size_t s = 0; s < nb; ++s)
-      std::copy(bias, bias + L.out, out + s * L.out);
-    la::gemm(la::Trans::kN, la::Trans::kT, nb, L.out, L.in, 1.0, acts[l], L.in,
-             w_.data() + L.w_off, L.in, 1.0, out, L.out);
-    if (!last) tanh_rows(out, nb * L.out);
-    acts[l + 1] = out;
-  }
-
-  double* delta = ws.get<double>(nb * wmax);
-  double* prev = ws.get<double>(nb * wmax);
-  std::fill(delta, delta + nb * n_out(), 0.0);
-  for (std::size_t s = 0; s < nb; ++s) delta[s * n_out()] = 1.0; // d y0/d y0
-  for (std::size_t li = lv.size(); li-- > 0;) {
-    const auto& L = lv[li];
-    if (li + 1 < lv.size()) {
-      const double* a = acts[li + 1];
-      for (std::size_t i = 0; i < nb * L.out; ++i)
-        delta[i] *= (1.0 - a[i] * a[i]);
-    }
-    double* dst = li == 0 ? dy0_dx : prev;
-    la::gemm(la::Trans::kN, la::Trans::kN, nb, L.in, L.out, 1.0, delta, L.out,
-             w_.data() + L.w_off, L.in, 0.0, dst, L.in);
-    std::swap(delta, prev);
-  }
+  simd::kernels().mlp_grad_rows(net, x, nb, dy0_dx, y,
+                                ws.get<double>(simd::mlp_scratch_doubles(net)));
 }
 
 void Mlp::forward_backward_batch(const la::Matrix<double>& x,
@@ -301,7 +158,7 @@ void Mlp::forward_backward_batch(const la::Matrix<double>& x,
       std::copy(bias, bias + L.out, out + s * L.out);
     la::gemm(la::Trans::kN, la::Trans::kT, nb, L.out, L.in, 1.0, acts[l], L.in,
              w_.data() + L.w_off, L.in, 1.0, out, L.out);
-    if (!last) tanh_rows(out, nb * L.out);
+    if (!last) simd::kernels().tanh_n(out, out, nb * L.out);
     acts[l + 1] = out;
   }
 

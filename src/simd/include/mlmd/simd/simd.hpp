@@ -25,9 +25,11 @@
 // the existing bit-exactness guarantees (batched-vs-scalar MLP,
 // checkpoint restore) survive unchanged under any target.
 //
-// The stage-3 ferro row kernel is not hand-written: it is the generic
-// template of ukern_generic.hpp, compiled once with the vectorizer on
-// for SSE2 (the scalar table) and once for AVX2 (both wide tables).
+// The stage-3 ferro row, the library's tanh, the fused MLP pass and the
+// guard's field scan are not hand-written: they are generic templates of
+// ukern_generic.hpp, compiled with the vectorizer on for SSE2 (the
+// scalar table), AVX2 and AVX-512 (the AVX-512 table shares the AVX2
+// ferro row).
 //
 // One binary carries all targets: the AVX2/AVX-512 kernels live in
 // translation units compiled with per-file -mavx2/-mavx512* flags, and no
@@ -37,6 +39,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -180,6 +183,59 @@ using FerroRowFn = void (*)(FerroCoeffs c, const double* u,
                             const double* w, double* v, double* u_next,
                             std::size_t plane, std::size_t ly);
 
+/// Largest distance, in units in the last place, of the library's tanh
+/// (ukern_generic.hpp) from glibc 2.36's tanh, the bound
+/// Simd.TanhWithinStatedUlpOfLibm asserts. Measured on 1.2e7 inputs
+/// (log-uniform magnitudes 2^-28 ... 2^5 of both signs, uniform on
+/// [-3, 3], and the specials): at most 2 ulp, with 76% of results equal.
+inline constexpr int kTanhMaxUlp = 4;
+
+/// y[k] = tanh(x[k]) for k < n; x and y may be the same array.
+using TanhNFn = void (*)(const double* x, double* y, std::size_t n);
+
+/// A tanh network in nnq::Mlp's layout: layer widths sizes[0 .. nsizes-1]
+/// = {n_in, hidden..., n_out}, and params holding, layer by layer, the
+/// out x in row-major weight block and then the out biases. Hidden layers
+/// apply tanh; the output layer is linear.
+struct MlpNet {
+  const std::size_t* sizes = nullptr;
+  std::size_t nsizes = 0;
+  const double* params = nullptr;
+};
+
+/// Rows the MLP kernel evaluates side by side, one per SIMD lane. The
+/// same on every target, so its scratch size is too.
+inline constexpr std::size_t kMlpLanes = 8;
+
+/// Doubles of scratch an MlpGradRowsFn call on `net` needs.
+inline std::size_t mlp_scratch_doubles(const MlpNet& net) {
+  std::size_t total = 0, wmax = 0;
+  for (std::size_t l = 0; l < net.nsizes; ++l) {
+    total += net.sizes[l];
+    wmax = net.sizes[l] > wmax ? net.sizes[l] : wmax;
+  }
+  return kMlpLanes * (total + 2 * wmax);
+}
+
+/// nnq::Mlp::grad_input_rows as one forward + backward pass: for each of
+/// the nb rows of x (row-major, n_in wide), dy0_dx receives d y_0 / d x
+/// (nb x n_in) and y, when non-null, the outputs (nb x n_out). Per row,
+/// each output of a layer is reduced with one accumulator: forward
+/// acc = bias, then acc += w * a over ascending inputs, tanh on hidden
+/// layers; backward delta *= 1 - a^2 below the output layer, then
+/// prev = 0 + sum of delta * w over ascending outputs. Separate IEEE
+/// multiplies and adds, so a row's result depends only on its own input,
+/// on every target and in every batch. scratch holds
+/// mlp_scratch_doubles(net) doubles.
+using MlpGradRowsFn = void (*)(MlpNet net, const double* x, std::size_t nb,
+                               double* dy0_dx, double* y, double* scratch);
+
+/// Whether some v[k], k < n, has magnitude bits above `bound`, i.e.
+/// |v[k]| > the non-negative double whose bits are `bound`, with a NaN
+/// above +inf (ft::StepSentinel's field check). One branch-free pass.
+using AnyAboveFn = bool (*)(const double* v, std::size_t n,
+                            std::uint64_t bound);
+
 struct KernelTable {
   Target target = Target::kScalar;
   GemmUkern<float> sgemm;
@@ -193,6 +249,9 @@ struct KernelTable {
   PackPanelFn<float> pack_f = nullptr;
   PackPanelFn<double> pack_d = nullptr;
   FerroRowFn ferro_row = nullptr;
+  TanhNFn tanh_n = nullptr;
+  MlpGradRowsFn mlp_grad_rows = nullptr;
+  AnyAboveFn any_above = nullptr;
 };
 
 /// The kernel table of the active target (one relaxed atomic load).

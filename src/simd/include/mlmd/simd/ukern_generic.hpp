@@ -10,12 +10,16 @@
 // The `#pragma omp simd` hints vectorize only the contiguous j/s/y
 // direction — per-element op order is unaffected (no reduction
 // reassociation), so auto-vectorization of this file cannot change
-// results. ferro_row has no intrinsic variant: ferro_row_avx2.cpp
-// compiles this template for AVX2 with the vectorizer on.
+// results. ferro_row, tanh_n, mlp_grad_rows and any_above have no
+// intrinsic variant: generic_avx2.cpp and generic_avx512.cpp compile
+// these templates for AVX2 and AVX-512 with the vectorizer on.
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "mlmd/simd/simd.hpp"
 
@@ -193,6 +197,193 @@ void ferro_row(FerroCoeffs p, const double* u, const double* u_xp,
 #pragma omp simd
   for (std::size_t y = 1; y < ly - 1; ++y) cell(y, y + 1, y - 1);
   cell(ly - 1, 0, ly - 2);
+}
+
+/// Bitwise select: the bits of a where mask is all ones, of b where it is
+/// zero. An integer mask keeps the vectorizer from turning a select into
+/// a branch, which an FP compare under -ftrapping-math would.
+[[gnu::always_inline]] inline double select_bits(std::uint64_t mask, double a,
+                                                 double b) {
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mask) |
+                               (std::bit_cast<std::uint64_t>(b) & ~mask));
+}
+
+/// The one tanh (simd.hpp states its error bound, kTanhMaxUlp). It works
+/// on |x| and ORs the sign bit back, so tanh(-x) = -tanh(x) bitwise and
+/// ±0 and subnormals return themselves:
+///   |x| < 0.625   Cephes' rational form |x| + |x| s P(s) / Q(s), s = x^2;
+///   otherwise     1 - 2 / (e^t + 1), t = 2|x| with |x| clamped at 22
+///                 (where the result rounds to 1). e^t is Cephes' exp:
+///                 t = n ln2 + r with a two-part ln2, and
+///                 e^t = 2^n (Q(r) + P(r)) / (Q(r) - P(r)), 2^n added to
+///                 the exponent bits; so 2 / (e^t + 1) is one quotient.
+/// Both branches run, and integer compares on the magnitude bits pick the
+/// numerator, denominator and result, so each element costs one divide
+/// and the vectorizer widens the function. A NaN is returned as is. Only
+/// IEEE add, multiply and divide and integer bit operations: no libm, so
+/// every target and every host give the same bits. Always inlined, like
+/// ferro_force.
+[[gnu::always_inline]] inline double tanh(double x) {
+  using u64 = std::uint64_t;
+  using i64 = std::int64_t;
+  constexpr u64 kSign = 0x8000000000000000ull;
+  constexpr i64 kSmall = 0x3fe4000000000000ll;  // 0.625
+  constexpr i64 kClamp = 0x4036000000000000ll;  // 22.0
+  constexpr i64 kNaN = 0x7ff0000000000001ll;    // smallest NaN magnitude
+  // Adding 1.5 * 2^52 rounds a double of magnitude < 2^51 to an integer,
+  // which then sits in the low bits of the sum.
+  constexpr double kRound = 6755399441055744.0;
+  const u64 bits = std::bit_cast<u64>(x);
+  const u64 sign = bits & kSign;
+  const i64 abits = static_cast<i64>(bits ^ sign);
+  const double ax = std::bit_cast<double>(abits);
+  // All ones where |x| is below the magnitude with bits b.
+  const auto below = [abits](i64 b) { return -static_cast<u64>(abits < b); };
+
+  const double s = ax * ax;
+  const double p = (-9.64399179425052238628e-1 * s +
+                    -9.92877231001918586564e1) * s +
+                   -1.61468768441708447952e3;
+  const double q = ((s + 1.12811678491632931402e2) * s +
+                    2.23548839060100448583e3) * s +
+                   4.84406305325125486048e3;
+
+  const double c = select_bits(below(kClamp), ax, std::bit_cast<double>(kClamp));
+  const double t = c + c;
+  const double k = t * 1.4426950408889634073599 + kRound;
+  const double n = k - kRound;
+  const u64 n_exp = (std::bit_cast<u64>(k) - std::bit_cast<u64>(kRound)) << 52;
+  double r = t - n * 6.93145751953125e-1;
+  r = r - n * 1.42860682030941723212e-6;
+  const double rr = r * r;
+  const double pr = r * ((1.26177193074810590878e-4 * rr +
+                          3.02994407707441961300e-2) * rr +
+                         9.99999999999999999910e-1);
+  const double qr = ((3.00198505138664455042e-6 * rr +
+                      2.52448340349684104192e-3) * rr +
+                     2.27265548208155028766e-1) * rr +
+                    2.00000000000000000009e0;
+  const double qm = qr - pr;
+  const double scaled = std::bit_cast<double>(std::bit_cast<u64>(qr + pr) + n_exp);
+
+  const u64 small = below(kSmall);
+  const double d = select_bits(small, ax * s * p, 2.0 * qm) /
+                   select_bits(small, q, scaled + qm);
+  const double mag = select_bits(small, ax + d, 1.0 - d);
+  return select_bits(below(kNaN),
+                     std::bit_cast<double>(std::bit_cast<u64>(mag) | sign), x);
+}
+
+/// TanhNFn: y[k] = tanh(x[k]). The Target parameter keys the
+/// instantiation, as in ferro_row.
+template <Target>
+void tanh_n(const double* x, double* y, std::size_t n) {
+#pragma omp simd
+  for (std::size_t k = 0; k < n; ++k) y[k] = tanh(x[k]);
+}
+
+/// AnyAboveFn: an OR over the whole array, with no early exit, so the
+/// loop vectorizes; the sign bit is masked off and the magnitude bits
+/// compared as signed integers, which AVX2 compares natively.
+template <Target>
+bool any_above(const double* v, std::size_t n, std::uint64_t bound) {
+  constexpr std::uint64_t kMag = 0x7fffffffffffffffull;
+  const auto b = static_cast<std::int64_t>(bound);
+  std::uint64_t hit = 0;
+#pragma omp simd reduction(| : hit)
+  for (std::size_t k = 0; k < n; ++k)
+    hit |= static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(v[k]) & kMag) > b);
+  return hit != 0;
+}
+
+/// MlpGradRowsFn (simd.hpp has the contract). Rows go kMlpLanes at a
+/// time, one row per lane: the block's inputs are transposed into the
+/// scratch as [width][lane] slabs, every layer's activations follow in the
+/// same layout, and each `omp simd` loop runs across the lanes, so lanes
+/// repeat the per-row operation sequence of the scalar passes. A partial
+/// block fills its unused lanes with zeros and never writes them out.
+template <Target>
+void mlp_grad_rows(MlpNet net, const double* x, std::size_t nb,
+                   double* dy0_dx, double* y, double* scratch) {
+  constexpr std::size_t L = kMlpLanes;
+  const std::size_t* sz = net.sizes;
+  const std::size_t nl = net.nsizes - 1;
+  const std::size_t n_in = sz[0], n_out = sz[nl];
+  std::size_t total = 0, wmax = 0;
+  for (std::size_t l = 0; l <= nl; ++l) {
+    total += sz[l];
+    wmax = std::max(wmax, sz[l]);
+  }
+  double* const act = scratch;  // level l at act + L * (sz[0] + ... + sz[l-1])
+  double* delta = act + L * total;
+  double* prev = delta + L * wmax;
+
+  for (std::size_t r0 = 0; r0 < nb; r0 += L) {
+    const std::size_t nv = std::min(L, nb - r0);
+    for (std::size_t i = 0; i < n_in; ++i)
+      for (std::size_t j = 0; j < L; ++j)
+        act[i * L + j] = j < nv ? x[(r0 + j) * n_in + i] : 0.0;
+
+    // Forward: acc = bias, then acc += w * a in ascending input order.
+    const double* w = net.params;
+    double* a = act;
+    for (std::size_t l = 0; l < nl; ++l) {
+      const std::size_t in = sz[l], out = sz[l + 1];
+      const double* bias = w + in * out;
+      double* an = a + in * L;
+      for (std::size_t o = 0; o < out; ++o) {
+        const double* wr = w + o * in;
+        double acc[L];
+        for (std::size_t j = 0; j < L; ++j) acc[j] = bias[o];
+        for (std::size_t i = 0; i < in; ++i) {
+          const double wi = wr[i];
+          const double* ai = a + i * L;
+#pragma omp simd
+          for (std::size_t j = 0; j < L; ++j) acc[j] += wi * ai[j];
+        }
+        for (std::size_t j = 0; j < L; ++j) an[o * L + j] = acc[j];
+      }
+      if (l + 1 < nl) {
+#pragma omp simd
+        for (std::size_t k = 0; k < out * L; ++k) an[k] = tanh(an[k]);
+      }
+      w = bias + out;
+      a = an;
+    }
+    if (y)
+      for (std::size_t j = 0; j < nv; ++j)
+        for (std::size_t o = 0; o < n_out; ++o)
+          y[(r0 + j) * n_out + o] = a[o * L + j];
+
+    // Backward from d y0 / d y: delta *= 1 - a^2 below the output layer,
+    // then prev = 0 + sum of delta * w in ascending output order.
+    for (std::size_t k = 0; k < n_out * L; ++k) delta[k] = k < L ? 1.0 : 0.0;
+    for (std::size_t l = nl; l-- > 0;) {
+      const std::size_t in = sz[l], out = sz[l + 1];
+      w -= out + in * out;
+      if (l + 1 < nl) {
+#pragma omp simd
+        for (std::size_t k = 0; k < out * L; ++k)
+          delta[k] *= (1.0 - a[k] * a[k]);
+      }
+      for (std::size_t i = 0; i < in; ++i) {
+        double acc[L] = {};
+        for (std::size_t o = 0; o < out; ++o) {
+          const double wo = w[o * in + i];
+          const double* d = delta + o * L;
+#pragma omp simd
+          for (std::size_t j = 0; j < L; ++j) acc[j] += wo * d[j];
+        }
+        for (std::size_t j = 0; j < L; ++j) prev[i * L + j] = acc[j];
+      }
+      std::swap(delta, prev);
+      a -= in * L;
+    }
+    for (std::size_t j = 0; j < nv; ++j)
+      for (std::size_t i = 0; i < n_in; ++i)
+        dy0_dx[(r0 + j) * n_in + i] = delta[i * L + j];
+  }
 }
 
 }  // namespace mlmd::simd::generic

@@ -68,6 +68,9 @@ const KernelTable kTable = {
     &pack_panel_vec<V256f>,
     &pack_panel_vec<V256d>,
     &ferro_row_avx2,
+    &tanh_n_avx2,
+    &mlp_grad_rows_avx2,
+    &any_above_avx2,
 };
 
 }  // namespace

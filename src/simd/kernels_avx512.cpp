@@ -77,6 +77,9 @@ const KernelTable kTable = {
     &pack_panel_vec<V512f>,
     &pack_panel_vec<V512d>,
     &ferro_row_avx2,  // a zmm build gained nothing measurable at 4 threads
+    &tanh_n_avx512,
+    &mlp_grad_rows_avx512,
+    &any_above_avx512,
 };
 
 }  // namespace

@@ -4,7 +4,9 @@
 // global FMA-capable flags (-march=native in CMAKE_CXX_FLAGS) cannot
 // contract mul+add here — the scalar table is the reference every other
 // target is byte-compared against. Its `omp simd` loops (the ferro row
-// among them) vectorize for the baseline SSE2.
+// and the MLP kernel's matrix-vector loops among them) vectorize for the
+// baseline SSE2; tanh's 64-bit integer compares need SSE4.2, so its loops
+// stay scalar here.
 
 #include "mlmd/simd/simd.hpp"
 #include "mlmd/simd/ukern_generic.hpp"
@@ -28,6 +30,9 @@ const KernelTable kScalarTable = {
     &generic::pack_panel<float>,
     &generic::pack_panel<double>,
     &generic::ferro_row<Target::kScalar>,
+    &generic::tanh_n<Target::kScalar>,
+    &generic::mlp_grad_rows<Target::kScalar>,
+    &generic::any_above<Target::kScalar>,
 };
 
 }  // namespace

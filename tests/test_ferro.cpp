@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "mlmd/common/rng.hpp"
 #include "mlmd/ferro/lattice.hpp"
@@ -143,6 +146,34 @@ TEST(Ferro, CellAccessorsAgreeWithInterleavedCopies) {
   EXPECT_EQ(lat.u_store().size(), 3 * lat.ncells());
   EXPECT_THROW(lat.set_u_cells(std::vector<Vec3>(lat.ncells() + 1)), std::invalid_argument);
   EXPECT_THROW(lat.set_v_cells(std::vector<Vec3>(lat.ncells() - 1)), std::invalid_argument);
+}
+
+// u_above scans the field on the pool by step()'s row blocks: a planted
+// NaN, Inf or over-bound value is found in every plane, at the first and
+// last cell and at a block boundary of a 128^2 lattice (eight blocks of
+// 16 rows); a clean field is not flagged, and the test is on magnitudes.
+TEST(Ferro, UAboveFindsAValueInAnyPlaneAndBlock) {
+  FerroLattice lat(128, 128);
+  for (std::size_t x = 0; x < lat.lx(); ++x)
+    for (std::size_t y = 0; y < lat.ly(); ++y)
+      lat.set_u(x, y, {0.1, -0.2, 0.3 - 0.001 * static_cast<double>(x)});
+  const auto bits = [](double b) { return std::bit_cast<std::uint64_t>(b); };
+  const double dmax = std::numeric_limits<double>::max();
+  EXPECT_FALSE(lat.u_above(bits(dmax)));
+  EXPECT_FALSE(lat.u_above(bits(0.5)));
+  EXPECT_TRUE(lat.u_above(bits(0.25)));
+  const std::size_t n = lat.ncells();
+  for (std::size_t plane = 0; plane < 3; ++plane)
+    for (const std::size_t cell : {std::size_t{0}, 16 * lat.ly() - 1, 16 * lat.ly(), n - 1})
+      for (const double bad : {std::nan(""), -std::numeric_limits<double>::infinity(), -2.0}) {
+        double& u = lat.u_store()[plane * n + cell];
+        const double keep = u;
+        u = bad;
+        EXPECT_EQ(lat.u_above(bits(dmax)), !std::isfinite(bad)) << plane << " " << cell;
+        EXPECT_TRUE(lat.u_above(bits(1.0))) << plane << " " << cell << " " << bad;
+        u = keep;
+      }
+  EXPECT_FALSE(lat.u_above(bits(1.0)));
 }
 
 TEST(Ferro, ExternalForceStepsRejectWrongSize) {

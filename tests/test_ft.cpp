@@ -296,6 +296,67 @@ TEST(StepSentinel, DetectsNonFiniteAndOutOfBoundValues) {
   EXPECT_NE(s.last_what().find("f"), std::string::npos);
 }
 
+/// The message a plain serial scan gives for the first offending value
+/// (the sentinel's wording), or "" for a clean field.
+std::string serial_scan_message(const char* what, const std::vector<double>& v,
+                                double max_abs) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (!std::isfinite(v[i]))
+      return std::string(what) + ": non-finite value at index " + std::to_string(i);
+    if (max_abs > 0.0 && std::abs(v[i]) > max_abs)
+      return std::string(what) + ": |value| " + std::to_string(v[i]) +
+             " exceeds bound at " + std::to_string(i);
+  }
+  return "";
+}
+
+// check_values scans a field in blocks with a branch-free test and
+// rescans only the first flagged block, so it must report what a serial
+// scan reports: the same kind of fault at the same first index. A 3 * 128^2
+// field (a guarded 128^2 pipeline's) with a NaN, an Inf or an over-bound
+// value at index 0, on both sides of every power-of-two block boundary
+// from 64 to 8192, and at the last index; then two bad values in one
+// block, in either order, and with and without a magnitude bound.
+TEST(StepSentinel, ReportsFirstOffendingIndexAcrossBlocks) {
+  const std::size_t n = 3 * 128 * 128;
+  std::vector<std::size_t> at = {0, n - 1};
+  for (std::size_t b = 64; b <= 8192; b *= 2) at.insert(at.end(), {b - 1, b, b + 1});
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double max_abs : {10.0, 0.0}) {
+    ft::GuardOptions opt;
+    opt.enabled = true;
+    opt.max_abs = max_abs;
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = std::sin(0.01 * static_cast<double>(i));
+    ft::StepSentinel s(opt);
+    EXPECT_TRUE(s.check_values("field", v));
+    std::vector<double> bads = {std::nan(""), inf, -inf};
+    if (max_abs > 0.0) bads.insert(bads.end(), {11.0, -12.5});
+    for (const std::size_t i : at)
+      for (const double bad : bads) {
+        auto w = v;
+        w[i] = bad;
+        const long trips = s.trips();
+        EXPECT_FALSE(s.check_values("field", w)) << i << " " << bad;
+        EXPECT_EQ(s.trips(), trips + 1);
+        EXPECT_EQ(s.last_what(), serial_scan_message("field", w, max_abs))
+            << i << " " << bad;
+      }
+    // Two bad values in one block: the lower index is reported.
+    for (const auto& [a, b] : {std::pair{5000.0, inf}, {inf, 5000.0},
+                               {-inf, std::nan("")}}) {
+      auto w = v;
+      w[4100] = a;
+      w[4103] = b;
+      const bool trips = max_abs > 0.0 || !std::isfinite(a) || !std::isfinite(b);
+      EXPECT_EQ(s.check_values("field", w), !trips);
+      if (trips) {
+        EXPECT_EQ(s.last_what(), serial_scan_message("field", w, max_abs));
+      }
+    }
+  }
+}
+
 TEST(StepSentinel, DetectsEnergyDriftAgainstFirstReference) {
   ft::GuardOptions opt;
   opt.enabled = true;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "mlmd/analysis/spectrum.hpp"
@@ -99,9 +100,14 @@ TEST(Integration, TrainedLatticeModelPredictsHeldOutEnergies) {
   // energy scale, not the tiny within-trajectory fluctuations (~2% of the
   // scale); assert held-out predictions land within 15% of the scale.
   double mean = 0, ss_res = 0;
+  la::Matrix<double> feats, y;
   for (const auto& s : test) {
+    feats.resize(s.features.size(), nnq::kLatticeFeatures);
+    for (std::size_t c = 0; c < s.features.size(); ++c)
+      std::copy(s.features[c].begin(), s.features[c].end(), feats.row(c));
+    net.forward_batch(feats, y);
     double pred = 0;
-    for (const auto& f : s.features) pred += net.value(f);
+    for (std::size_t c = 0; c < s.features.size(); ++c) pred += y(c, 0);
     const double ns = static_cast<double>(s.features.size());
     ss_res += std::pow((pred - s.energy) / ns, 2);
     mean += s.energy / ns;

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
+#include "mlmd/common/flops.hpp"
 #include "mlmd/common/rng.hpp"
 #include "mlmd/common/workspace.hpp"
 #include "mlmd/la/matrix.hpp"
@@ -20,19 +22,132 @@
 #include "mlmd/nnq/optimizer.hpp"
 #include "mlmd/nnq/train.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
+#include "mlmd/simd/ukern_generic.hpp"
+#include "mlmd/topo/topology.hpp"
 
 namespace {
 
 using namespace mlmd;
 using namespace mlmd::nnq;
 
+// ---- the scalar per-sample passes: the oracle of the batched passes ------
+//
+// One sample at a time, with plain loops in the order the batched passes
+// promise (mlp.hpp): each layer output starts from its bias and adds
+// w * a over ascending inputs; the backward pass multiplies delta by
+// 1 - a^2 below the output layer and sums delta * w over ascending
+// outputs from zero. `act` is the hidden activation: the library's tanh
+// for the bitwise checks, std::tanh for the accuracy check.
+
+using Activation = double (*)(double);
+
+double owned_tanh(double x) { return simd::generic::tanh(x); }
+double libm_tanh(double x) { return std::tanh(x); }
+
+struct LayerRef {
+  const double* w;  // out x in, row-major
+  const double* b;  // out
+  double* gw;       // the weight gradient's block, or nullptr
+  double* gb;
+  std::size_t in, out;
+};
+
+std::vector<LayerRef> layer_refs(const Mlp& net, std::vector<double>* grad) {
+  std::vector<LayerRef> lv;
+  std::size_t off = 0;
+  const auto& sz = net.sizes();
+  for (std::size_t l = 0; l + 1 < sz.size(); ++l) {
+    const std::size_t in = sz[l], out = sz[l + 1];
+    double* g = grad ? grad->data() : nullptr;
+    lv.push_back({net.params().data() + off, net.params().data() + off + in * out,
+                  g ? g + off : nullptr, g ? g + off + in * out : nullptr, in,
+                  out});
+    off += in * out + out;
+  }
+  return lv;
+}
+
+/// Every post-activation level of one sample, the input first.
+std::vector<std::vector<double>> activations(const std::vector<LayerRef>& lv,
+                                             const std::vector<double>& x,
+                                             Activation act) {
+  std::vector<std::vector<double>> acts{x};
+  for (std::size_t l = 0; l < lv.size(); ++l) {
+    const LayerRef& L = lv[l];
+    std::vector<double> next(L.out);
+    for (std::size_t o = 0; o < L.out; ++o) {
+      double acc = L.b[o];
+      for (std::size_t i = 0; i < L.in; ++i) acc += L.w[o * L.in + i] * acts[l][i];
+      next[o] = l + 1 < lv.size() ? act(acc) : acc;
+    }
+    acts.push_back(std::move(next));
+  }
+  return acts;
+}
+
+/// Backpropagates delta = dL/dy to dL/dx, adding dL/dw into the layers'
+/// gradient blocks when they have one.
+std::vector<double> backprop(const std::vector<LayerRef>& lv,
+                             const std::vector<std::vector<double>>& acts,
+                             std::vector<double> delta) {
+  for (std::size_t li = lv.size(); li-- > 0;) {
+    const LayerRef& L = lv[li];
+    if (li + 1 < lv.size())
+      for (std::size_t o = 0; o < L.out; ++o) {
+        const double a = acts[li + 1][o];
+        delta[o] *= (1.0 - a * a);
+      }
+    if (L.gw)
+      for (std::size_t o = 0; o < L.out; ++o) {
+        L.gb[o] += delta[o];
+        for (std::size_t i = 0; i < L.in; ++i)
+          L.gw[o * L.in + i] += delta[o] * acts[li][i];
+      }
+    std::vector<double> prev(L.in, 0.0);
+    for (std::size_t o = 0; o < L.out; ++o)
+      for (std::size_t i = 0; i < L.in; ++i) prev[i] += L.w[o * L.in + i] * delta[o];
+    delta.swap(prev);
+  }
+  return delta;
+}
+
+std::vector<double> forward(const Mlp& net, const std::vector<double>& x,
+                            Activation act = owned_tanh) {
+  return activations(layer_refs(net, nullptr), x, act).back();
+}
+
+double value(const Mlp& net, const std::vector<double>& x) {
+  return forward(net, x)[0];
+}
+
+/// d y_0 / d x.
+std::vector<double> grad_input(const Mlp& net, const std::vector<double>& x,
+                               Activation act = owned_tanh) {
+  const auto lv = layer_refs(net, nullptr);
+  std::vector<double> delta(net.n_out(), 0.0);
+  delta[0] = 1.0;
+  return backprop(lv, activations(lv, x, act), std::move(delta));
+}
+
+/// Adds dL/dw into grad given dL/dy; returns y.
+std::vector<double> forward_backward(const Mlp& net, const std::vector<double>& x,
+                                     const std::vector<double>& dl_dy,
+                                     std::vector<double>& grad) {
+  const auto lv = layer_refs(net, &grad);
+  const auto acts = activations(lv, x, owned_tanh);
+  backprop(lv, acts, dl_dy);
+  return acts.back();
+}
+
 TEST(Mlp, ForwardShapes) {
   Mlp net({4, 8, 2});
   EXPECT_EQ(net.n_in(), 4u);
   EXPECT_EQ(net.n_out(), 2u);
   EXPECT_EQ(net.n_params(), 4u * 8 + 8 + 8 * 2 + 2);
-  auto y = net.forward({1.0, -0.5, 0.2, 0.0});
-  EXPECT_EQ(y.size(), 2u);
+  la::Matrix<double> x(3, net.n_in()), y;
+  net.forward_batch(x, y);
+  EXPECT_EQ(y.rows(), 3u);
+  EXPECT_EQ(y.cols(), 2u);
 }
 
 TEST(Mlp, DeterministicForSeed) {
@@ -43,13 +158,13 @@ TEST(Mlp, DeterministicForSeed) {
 TEST(Mlp, GradInputMatchesFiniteDifference) {
   Mlp net({5, 12, 7, 1}, 3);
   std::vector<double> x = {0.3, -0.7, 1.1, 0.0, -0.2};
-  auto g = net.grad_input(x);
+  auto g = grad_input(net, x);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     auto xp = x, xm = x;
     xp[i] += eps;
     xm[i] -= eps;
-    const double fd = (net.value(xp) - net.value(xm)) / (2 * eps);
+    const double fd = (value(net, xp) - value(net, xm)) / (2 * eps);
     EXPECT_NEAR(g[i], fd, 1e-7) << "input " << i;
   }
 }
@@ -58,14 +173,14 @@ TEST(Mlp, WeightGradientMatchesFiniteDifference) {
   Mlp net({3, 6, 1}, 4);
   std::vector<double> x = {0.5, -0.3, 0.9};
   std::vector<double> grad(net.n_params(), 0.0);
-  net.forward_backward(x, {1.0}, grad); // dL/dy = 1 -> grad of y itself
+  forward_backward(net, x, {1.0}, grad); // dL/dy = 1 -> grad of y itself
   const double eps = 1e-6;
   for (std::size_t i = 0; i < net.n_params(); i += 5) {
     const double orig = net.params()[i];
     net.params()[i] = orig + eps;
-    const double yp = net.value(x);
+    const double yp = value(net, x);
     net.params()[i] = orig - eps;
-    const double ym = net.value(x);
+    const double ym = value(net, x);
     net.params()[i] = orig;
     EXPECT_NEAR(grad[i], (yp - ym) / (2 * eps), 1e-7) << "param " << i;
   }
@@ -86,8 +201,9 @@ TEST(Mlp, LoadMissingFileThrows) {
 }
 
 // The batched paths are documented (mlp.hpp) as *bitwise identical* to
-// looping the scalar paths over rows: the GEMM engine reduces each output
-// in ascending-k order with one accumulator, so no reassociation happens.
+// looping the scalar oracle over rows: the GEMM engine and the simd MLP
+// kernel reduce each output in ascending order with one accumulator, so
+// no reassociation happens.
 TEST(Mlp, BatchedForwardBitwiseMatchesScalar) {
   Mlp net({6, 16, 9, 2}, 21);
   mlmd::Rng rng(77);
@@ -103,7 +219,7 @@ TEST(Mlp, BatchedForwardBitwiseMatchesScalar) {
   for (std::size_t s = 0; s < nb; ++s) {
     std::vector<double> xs(net.n_in());
     for (std::size_t i = 0; i < net.n_in(); ++i) xs[i] = x(s, i);
-    const auto ys = net.forward(xs);
+    const auto ys = forward(net, xs);
     for (std::size_t o = 0; o < net.n_out(); ++o)
       EXPECT_EQ(y(s, o), ys[o]) << "row " << s << " out " << o;
   }
@@ -124,8 +240,8 @@ TEST(Mlp, BatchedGradInputBitwiseMatchesScalar) {
   for (std::size_t s = 0; s < nb; ++s) {
     std::vector<double> xs(net.n_in());
     for (std::size_t i = 0; i < net.n_in(); ++i) xs[i] = x(s, i);
-    const auto gs = net.grad_input(xs);
-    EXPECT_EQ(y(s, 0), net.value(xs)) << "row " << s;
+    const auto gs = grad_input(net, xs);
+    EXPECT_EQ(y(s, 0), value(net, xs)) << "row " << s;
     for (std::size_t i = 0; i < net.n_in(); ++i)
       EXPECT_EQ(g(s, i), gs[i]) << "row " << s << " input " << i;
   }
@@ -147,7 +263,7 @@ TEST(Mlp, BatchedForwardBackwardBitwiseMatchesScalar) {
     std::vector<double> xs(net.n_in()), ds(net.n_out());
     for (std::size_t i = 0; i < net.n_in(); ++i) xs[i] = x(s, i);
     for (std::size_t o = 0; o < net.n_out(); ++o) ds[o] = dl_dy(s, o);
-    y_ref.push_back(net.forward_backward(xs, ds, grad_ref));
+    y_ref.push_back(forward_backward(net, xs, ds, grad_ref));
   }
 
   std::vector<double> grad(net.n_params(), 0.0);
@@ -161,7 +277,8 @@ TEST(Mlp, BatchedForwardBackwardBitwiseMatchesScalar) {
 }
 
 // Steady-state batched inference never touches the heap: all scratch
-// lives in the thread-local Workspace arena (DESIGN.md §8).
+// lives in the thread-local Workspace arena (DESIGN.md §8), the MLP
+// kernel's lane slabs included.
 TEST(Mlp, BatchedForwardSteadyStateAllocFree) {
   Mlp net({8, 24, 24, 1}, 24);
   mlmd::Rng rng(80);
@@ -169,14 +286,79 @@ TEST(Mlp, BatchedForwardSteadyStateAllocFree) {
   for (std::size_t s = 0; s < x.rows(); ++s)
     for (std::size_t i = 0; i < x.cols(); ++i) x(s, i) = rng.normal();
   la::Matrix<double> y, g;
+  std::vector<double> g_rows(x.rows() * net.n_in()), y_rows(x.rows());
   net.forward_batch(x, y); // warm-up: arena growth + y resize allowed here
   net.grad_input_batch(x, g, &y);
+  net.grad_input_rows(x.data(), x.rows(), g_rows.data(), y_rows.data());
   const auto allocs = mlmd::common::Workspace::total_heap_allocs();
   for (int rep = 0; rep < 3; ++rep) {
     net.forward_batch(x, y);
     net.grad_input_batch(x, g, &y);
+    net.grad_input_rows(x.data(), x.rows(), g_rows.data(), y_rows.data());
   }
   EXPECT_EQ(mlmd::common::Workspace::total_heap_allocs(), allocs);
+}
+
+// grad_input_rows counts the same analytic FLOPs as nb scalar
+// forward + backward passes, 4 nb n_params, once per call.
+TEST(Mlp, GradInputRowsCountsFourFlopsPerParamPerRow) {
+  Mlp net({16, 12, 12, 1}, 25);
+  const std::size_t nb = 13;
+  std::vector<double> x(nb * net.n_in(), 0.25), g(nb * net.n_in());
+  flops::Scope scope;
+  net.grad_input_rows(x.data(), nb, g.data());
+  EXPECT_EQ(scope.flops(), 4 * nb * net.n_params());
+}
+
+// The product's serve models (mlmd_serve: 16-12-12-1, 10 epochs on 8x8
+// samples) with the library's tanh against the same weights evaluated
+// with the host libm's tanh: the Eq. (4) forces on a 32^2 skyrmion
+// lattice differ by rounding only. The library tanh is within
+// simd::kTanhMaxUlp of libm, and a row's gradient goes through 24 of
+// them; the bound, 1e-13 of max |F| (~900 units of roundoff), leaves a
+// wide margin over the 8e-16 measured with glibc 2.36.
+TEST(LatticeModel, ForcesWithOwnTanhMatchLibmEvaluation) {
+  auto gs_data = sample_ferro_dataset(8, 8, 0.05, 10, 5, 0.0, 81);
+  auto xs_data = sample_ferro_dataset(8, 8, 0.05, 10, 5, 0.45, 82);
+  LatticeModel gs({12, 12}, 5), xs({12, 12}, 6);
+  TrainOptions topt;
+  topt.epochs = 10;
+  train_energy(gs.net(), gs_data, topt);
+  train_energy(xs.net(), xs_data, topt);
+
+  ferro::FerroLattice lat(32, 32);
+  topo::init_skyrmion_superlattice(lat, 1, 1);
+  const double w = 0.4;
+  const auto f = xs_mixed_forces(gs, xs, lat, w, 1.0);
+
+  // The scatter of allegro.cpp, from per-cell gradients of libm networks.
+  const std::size_t lx = lat.lx(), ly = lat.ly();
+  std::vector<ferro::Vec3> ref(lat.ncells(), ferro::Vec3{0, 0, 0});
+  for (const auto& [net, wt] : {std::pair{&gs.net(), 1.0 - w}, {&xs.net(), w}})
+    for (std::size_t x = 0; x < lx; ++x)
+      for (std::size_t y = 0; y < ly; ++y) {
+        std::vector<double> feat(kLatticeFeatures);
+        lattice_features(lat, x, y, feat.data());
+        const auto g = grad_input(*net, feat, libm_tanh);
+        const ferro::Vec3 u = lat.u(x, y);
+        const std::size_t cells[5] = {lat.index(x, y), lat.index((x + 1) % lx, y),
+                                      lat.index((x + lx - 1) % lx, y),
+                                      lat.index(x, (y + 1) % ly),
+                                      lat.index(x, (y + ly - 1) % ly)};
+        for (std::size_t k = 0; k < 3; ++k) {
+          ref[cells[0]][k] -= wt * (g[k] + 2.0 * g[3] * u[k]);
+          for (std::size_t nb = 0; nb < 4; ++nb)
+            ref[cells[1 + nb]][k] -= wt * g[4 + 3 * nb + k];
+        }
+      }
+  double fmax = 0.0, err = 0.0;
+  for (std::size_t i = 0; i < f.size(); ++i)
+    for (std::size_t k = 0; k < 3; ++k) {
+      fmax = std::max(fmax, std::abs(ref[i][k]));
+      err = std::max(err, std::abs(f[i][k] - ref[i][k]));
+    }
+  ASSERT_GT(fmax, 0.1);
+  EXPECT_LE(err, 1e-13 * fmax) << "max |F| " << fmax;
 }
 
 TEST(Adam, MinimizesQuadratic) {

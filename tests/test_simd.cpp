@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -118,6 +120,9 @@ TEST(SimdDispatch, TileShapesArePositive) {
     EXPECT_NE(kt.pack_f, nullptr);
     EXPECT_NE(kt.pack_d, nullptr);
     EXPECT_NE(kt.ferro_row, nullptr);
+    EXPECT_NE(kt.tanh_n, nullptr);
+    EXPECT_NE(kt.mlp_grad_rows, nullptr);
+    EXPECT_NE(kt.any_above, nullptr);
   }
 }
 
@@ -399,6 +404,168 @@ TEST(SimdBitIdentity, FerroRow) {
         EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
             << "target=" << simd::target_name(t) << " ly=" << ly
             << " special=" << special;
+      }
+    }
+  }
+}
+
+// ---- tanh ---------------------------------------------------------------
+//
+// The inputs every tanh test sweeps: the signed zeros, subnormals and
+// DBL_MIN, both sides of the 0.625 branch point and of the clamp at 22,
+// huge and infinite values, and 10^6 seeded log-uniform magnitudes
+// (2^-30 ... 2^6, either sign), which cover the rational branch, the exp
+// branch and the saturated range.
+std::vector<double> tanh_inputs() {
+  const double dmin = DBL_MIN, sub = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> x = {0.0, -0.0, sub, -sub, dmin, -dmin, 1e300, -1e300,
+                           inf, -inf};
+  for (const double edge : {0.625, 22.0}) {
+    double up = edge, down = edge;
+    for (int k = 0; k < 4; ++k) {
+      x.insert(x.end(), {up, -up, down, -down});
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  Rng rng(2027);
+  for (int i = 0; i < 1000000; ++i) {
+    const double m = std::exp2(rng.uniform(-30.0, 6.0));
+    x.push_back(i % 2 ? m : -m);
+  }
+  return x;
+}
+
+std::vector<double> tanh_on(simd::Target t, const std::vector<double>& x) {
+  ScopedSimdTarget guard(t);
+  std::vector<double> y(x.size());
+  simd::kernels().tanh_n(x.data(), y.data(), x.size());
+  return y;
+}
+
+TEST(SimdBitIdentity, TanhN) {
+  const auto x = tanh_inputs();
+  const auto ref = tanh_on(simd::Target::kScalar, x);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto finite = tanh_on(simd::Target::kScalar, {0.3, -0.7});
+  for (auto t : simd::supported_targets()) {
+    const auto y = tanh_on(t, x);
+    EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(double)), 0)
+        << "target=" << simd::target_name(t);
+    // In place, with NaNs beside finite values: each NaN comes out as a
+    // NaN (its payload is not part of the contract) and leaves the other
+    // lanes' bits alone.
+    std::vector<double> z = {0.3, nan, -nan, -0.7};
+    ScopedSimdTarget guard(t);
+    simd::kernels().tanh_n(z.data(), z.data(), z.size());
+    EXPECT_TRUE(std::isnan(z[1]) && std::isnan(z[2])) << simd::target_name(t);
+    EXPECT_EQ(std::memcmp(&z[0], &finite[0], sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&z[3], &finite[1], sizeof(double)), 0);
+  }
+}
+
+/// Distance in representable doubles of two non-NaN values; values of
+/// opposite signs count as infinitely far apart.
+std::int64_t ulp_distance(double a, double b) {
+  if (std::signbit(a) != std::signbit(b)) return std::numeric_limits<std::int64_t>::max();
+  const auto ordered = [](double v) {
+    std::int64_t i;
+    std::memcpy(&i, &v, sizeof i);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(Simd, TanhWithinStatedUlpOfLibm) {
+  const auto x = tanh_inputs();
+  const auto y = tanh_on(simd::active_target(), x);
+  std::int64_t worst = 0;
+  double worst_x = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::int64_t d = ulp_distance(y[i], std::tanh(x[i]));
+    if (d > worst) {
+      worst = d;
+      worst_x = x[i];
+    }
+    // Odd symmetry and the signed zeros hold exactly.
+    if (x[i] == 0.0) {
+      EXPECT_EQ(std::signbit(y[i]), std::signbit(x[i]));
+    }
+  }
+  EXPECT_LE(worst, simd::kTanhMaxUlp) << "at x = " << worst_x;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(tanh_on(simd::active_target(), {nan})[0]));
+}
+
+// ---- the fused MLP kernel ------------------------------------------------
+//
+// MlpGradRowsFn contract (simd.hpp): y and dy0/dx of every target memcmp
+// the scalar table's for the network shapes the product runs (serve
+// 16-12-12-1, train_allegro 16-24-24-1, Table II 8-25-8-1 and
+// 16-64-64-32-1) and an odd 5-12-7-1, at every partial lane block up to
+// nb = 17 and at a 256-row chunk. A row's result does not depend on its
+// batch: each row run alone matches its batched bits. No row past nb is
+// written.
+TEST(SimdBitIdentity, MlpGradRows) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {16, 12, 12, 1}, {16, 24, 24, 1}, {8, 25, 8, 1}, {16, 64, 64, 32, 1},
+      {5, 12, 7, 1}};
+  std::vector<std::size_t> batches;
+  for (std::size_t nb = 1; nb <= 17; ++nb) batches.push_back(nb);
+  batches.push_back(256);
+  for (const auto& sizes : shapes) {
+    Rng rng(sizes[1] * 31 + sizes.size());
+    std::vector<double> params;
+    for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
+      const double scale = 1.5 / std::sqrt(static_cast<double>(sizes[l]));
+      for (std::size_t k = 0; k < sizes[l] * sizes[l + 1]; ++k)
+        params.push_back(scale * rng.normal());
+      for (std::size_t k = 0; k < sizes[l + 1]; ++k) params.push_back(0.1 * rng.normal());
+    }
+    const simd::MlpNet net{sizes.data(), sizes.size(), params.data()};
+    const std::size_t n_in = sizes.front(), n_out = sizes.back();
+    std::vector<double> x(256 * n_in);
+    for (auto& v : x) v = rng.normal();
+    x[3] = 0.0;
+    x[4] = -0.0;
+    const auto run = [&](simd::Target t, const double* xr, std::size_t nb) {
+      ScopedSimdTarget guard(t);
+      // One row of 0xab guard bytes past each output.
+      std::vector<double> g((nb + 1) * n_in), y((nb + 1) * n_out);
+      std::memset(g.data(), 0xab, g.size() * sizeof(double));
+      std::memset(y.data(), 0xab, y.size() * sizeof(double));
+      std::vector<double> scratch(simd::mlp_scratch_doubles(net));
+      simd::kernels().mlp_grad_rows(net, xr, nb, g.data(), y.data(), scratch.data());
+      g.insert(g.end(), y.begin(), y.end());
+      return g;
+    };
+    for (const std::size_t nb : batches) {
+      const auto ref = run(simd::Target::kScalar, x.data(), nb);
+      std::uint64_t pattern;
+      std::memset(&pattern, 0xab, sizeof pattern);
+      EXPECT_EQ(std::memcmp(&ref[nb * n_in], &pattern, sizeof pattern), 0)
+          << "a gradient row past nb was written";
+      EXPECT_EQ(std::memcmp(&ref[(nb + 1) * n_in + nb * n_out], &pattern,
+                            sizeof pattern),
+                0)
+          << "an output row past nb was written";
+      for (auto t : simd::supported_targets()) {
+        const auto got = run(t, x.data(), nb);
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)), 0)
+            << "target=" << simd::target_name(t) << " shape " << sizes[0] << "-"
+            << sizes[1] << " nb=" << nb;
+      }
+      if (nb != 17) continue;
+      for (std::size_t r = 0; r < nb; ++r) {
+        const auto one = run(simd::Target::kScalar, x.data() + r * n_in, 1);
+        EXPECT_EQ(std::memcmp(one.data(), &ref[r * n_in], n_in * sizeof(double)), 0)
+            << "row " << r << " alone";
+        EXPECT_EQ(std::memcmp(&one[2 * n_in], &ref[(nb + 1) * n_in + r * n_out],
+                              n_out * sizeof(double)),
+                  0)
+            << "row " << r << " alone";
       }
     }
   }
