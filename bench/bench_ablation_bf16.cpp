@@ -5,10 +5,13 @@
 
 #include <cstdio>
 
+#include "mlmd/common/cli.hpp"
 #include "mlmd/common/rng.hpp"
 #include "mlmd/la/gemm.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  if (!mlmd::Cli(argc, argv).check_known({}, "usage: bench_ablation_bf16"))
+    return 1;
   using namespace mlmd::la;
   using cf = std::complex<float>;
 

@@ -20,6 +20,11 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"epochs", "noise", "sam", "threshold", "max_steps",
+                        "rho"},
+                       "usage: bench_ablation_legato [--epochs=N] [--noise=X] "
+                       "[--sam=X] [--threshold=X] [--max_steps=N] [--rho=X]"))
+    return 1;
   const int epochs = static_cast<int>(cli.integer("epochs", 30));
   // Weight-noise scale chosen at the failure transition: below ~0.15 no
   // outlier appears within the step budget, above ~0.3 every model fails

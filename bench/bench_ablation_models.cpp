@@ -88,6 +88,9 @@ nnq::Dataset make_angle_dataset(const nnq::RadialBasis& rb,
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
+  if (!cli.check_known({"epochs", "k3"},
+                       "usage: bench_ablation_models [--epochs=N] [--k3=X]"))
+    return 1;
   const int epochs = static_cast<int>(cli.integer("epochs", 300));
 
   // Descriptor cutoff 3.5 Bohr: covers the centre-apex bonds (3.0) but no

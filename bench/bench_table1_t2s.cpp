@@ -24,6 +24,9 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"steps"},
+                       "usage: bench_table1_t2s [--steps=N]"))
+    return 1;
   const int steps = static_cast<int>(cli.integer("steps", 10));
 
   std::printf("# Table I: ME-NAQMD time-to-solution [sec/(electron*step)]\n");

@@ -22,6 +22,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "norb", "steps", "paper", "simd"},
+                       "usage: bench_table3_kinprop [--n=N] [--norb=N] "
+                       "[--steps=N] [--paper] [--simd=scalar|avx2|avx512]"))
+    return 1;
   try {
     simd::set_target(
         cli.choice("simd", simd::kTargetChoices, simd::active_target()));

@@ -62,6 +62,10 @@ double bf16_accuracy(std::size_t n, std::size_t norb) {
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "reps", "paper", "simd"},
+                       "usage: bench_table4_precision [--n=N] [--reps=N] "
+                       "[--paper] [--simd=scalar|avx2|avx512]"))
+    return 1;
   try {
     simd::set_target(
         cli.choice("simd", simd::kTargetChoices, simd::active_target()));

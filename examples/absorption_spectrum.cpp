@@ -19,6 +19,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "norb", "steps", "kick"},
+                       "usage: absorption_spectrum [--n=N] [--norb=N] "
+                       "[--steps=N] [--kick=X]"))
+    return 1;
   const auto n = static_cast<std::size_t>(cli.integer("n", 10));
   const auto norb = static_cast<std::size_t>(cli.integer("norb", 6));
   const int steps = static_cast<int>(cli.integer("steps", 2000));

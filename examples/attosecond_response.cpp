@@ -16,6 +16,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"md_steps", "e0", "omega", "csv"},
+                       "usage: attosecond_response [--md_steps=N] [--e0=X] "
+                       "[--omega=X] [--csv=path]"))
+    return 1;
   const int md_steps = static_cast<int>(cli.integer("md_steps", 6));
 
   grid::Grid3 g{10, 10, 10, 0.7, 0.7, 0.7};

@@ -13,6 +13,11 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "domains", "buffer", "mix", "outer",
+                        "local_iters", "tol"},
+                       "usage: dc_scf_demo [--n=N] [--domains=N] [--buffer=N] "
+                       "[--mix=X] [--outer=N] [--local_iters=N] [--tol=X]"))
+    return 1;
   const auto n = static_cast<std::size_t>(cli.integer("n", 16));
   const int d = static_cast<int>(cli.integer("domains", 2));
   const auto buffer = static_cast<std::size_t>(cli.integer("buffer", 2));

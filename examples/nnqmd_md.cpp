@@ -16,6 +16,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "md_steps", "kt", "epochs", "dt"},
+                       "usage: nnqmd_md [--n=N] [--md_steps=N] [--kt=X] "
+                       "[--epochs=N] [--dt=X]"))
+    return 1;
   const auto n = static_cast<std::size_t>(cli.integer("n", 3));
   const int md_steps = static_cast<int>(cli.integer("md_steps", 300));
 

@@ -17,6 +17,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"cells", "uz", "period"},
+                       "usage: perovskite_domains [--cells=N] [--uz=X] "
+                       "[--period=N]"))
+    return 1;
   const auto cells = static_cast<std::size_t>(cli.integer("cells", 8));
   const double uz = cli.real("uz", 0.35);
   const auto period = static_cast<std::size_t>(cli.integer("period", 4));

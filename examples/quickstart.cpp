@@ -21,6 +21,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"n", "norb", "steps", "e0"},
+                       "usage: quickstart [--n=N] [--norb=N] [--steps=N] "
+                       "[--e0=X]"))
+    return 1;
   const auto n = static_cast<std::size_t>(cli.integer("n", 12));
   const auto norb = static_cast<std::size_t>(cli.integer("norb", 8));
   const int steps = static_cast<int>(cli.integer("steps", 200));

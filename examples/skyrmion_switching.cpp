@@ -17,6 +17,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"lattice", "sk", "xs_steps", "e0", "n_sat"},
+                       "usage: skyrmion_switching [--lattice=N] [--sk=N] "
+                       "[--xs_steps=N] [--e0=X] [--n_sat=X]"))
+    return 1;
 
   pipeline::PipelineOptions opt;
   opt.lattice = static_cast<std::size_t>(cli.integer("lattice", 48));

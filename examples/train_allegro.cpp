@@ -15,6 +15,10 @@
 int main(int argc, char** argv) {
   using namespace mlmd;
   Cli cli(argc, argv);
+  if (!cli.check_known({"lattice", "epochs", "sam", "save"},
+                       "usage: train_allegro [--lattice=N] [--epochs=N] "
+                       "[--sam=X] [--save=path]"))
+    return 1;
   const auto L = static_cast<std::size_t>(cli.integer("lattice", 10));
   nnq::TrainOptions topt;
   topt.epochs = static_cast<int>(cli.integer("epochs", 40));

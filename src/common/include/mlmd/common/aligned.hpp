@@ -11,11 +11,12 @@
 
 namespace mlmd {
 
-/// One cache line, and the strongest vector-load alignment any mlmd::simd
-/// target needs (64 B covers a full AVX-512 zmm register). Every hot-path
-/// allocation site — this allocator, the Workspace arena, the packed GEMM
-/// panels — aligns to this so the dispatched micro-kernels can use
-/// aligned vector loads unconditionally.
+/// One cache line, and the width of an AVX-512 zmm register. Every
+/// hot-path allocation site — this allocator, the Workspace arena, the
+/// packed GEMM panels — aligns to this, so a vector load of a panel row
+/// or an accumulator row never splits a cache line. The micro-kernels
+/// do not rely on it for correctness: their loads are unaligned, which
+/// cost nothing extra on aligned data.
 inline constexpr std::size_t kSimdAlign = 64;
 
 /// True when `p` sits on an `align`-byte boundary. Tests assert this on

@@ -68,11 +68,13 @@ std::size_t op_cols(const Matrix<T>& a, Trans t) {
 // accumulator, so tile shape never changes results: any target is
 // bit-identical to a scalar ascending-k dot product.
 //
-// Panel alignment contract (asserted by the aligned loads inside the
-// intrinsic kernels): Workspace allocations are 64-byte aligned, and for
+// Panel alignment: Workspace allocations are 64-byte aligned, and for
 // every dispatchable tile shape the per-p packed-B stride NR*rpc*sizeof(R)
 // is a multiple of 64, so each packed micro-panel row — and the NR-real /
-// NR-imag half-rows of the complex layout — stays 64-byte aligned.
+// NR-imag half-rows of the complex layout — starts on a cache line and no
+// vector load of it splits one (test_la's Alignment suite asserts the
+// strides). The kernels' loads are unaligned, so this is a speed
+// property, not a condition for correct code.
 
 constexpr std::size_t kMC = 64;  // rows of C per macro-tile (work unit)
 constexpr std::size_t kKC = 256; // reduction depth per pass
@@ -289,11 +291,10 @@ void gemm_engine(Trans ta, Trans tb, std::size_t m, std::size_t n,
             const R* bp = bpanel + jb * kc * NR * rpc;
 
             // Stack accumulator tiles sized for the widest dispatch
-            // target and 64-byte aligned: the intrinsic kernels use
-            // aligned vector loads on their rows (every tile shape keeps
-            // NR*sizeof(R) a multiple of 32, and the engine zero-fills
-            // the full MR x NR so padded rows never feed garbage into
-            // the kernel's vector lanes).
+            // target and 64-byte aligned, so the kernel's row loads stay
+            // within cache lines (every tile shape keeps NR*sizeof(R) a
+            // multiple of 32); the engine zero-fills the full MR x NR so
+            // padded rows never feed garbage into the kernel's lanes.
             if constexpr (std::is_arithmetic_v<T>) {
               alignas(64) T acc[simd::kMaxAccElems];
               for (std::size_t e = 0; e < MR * NR; ++e) acc[e] = T{};

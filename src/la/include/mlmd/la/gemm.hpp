@@ -20,13 +20,13 @@
 // shape is a property of the resolved kernel — the engine reads it from
 // the table each call, so blocking retunes itself per ISA. Packing
 // scratch comes from the thread-local mlmd::common::Workspace arena
-// (64-byte aligned, so the intrinsic kernels' aligned panel loads are
-// legal), and steady-state calls are allocation-free. Determinism: tile
+// (64-byte aligned, so no panel row load splits a cache line), and
+// steady-state calls are allocation-free. Determinism: tile
 // decomposition and accumulation order depend only on shapes — never on
 // the thread count or the active ISA — and each C element is reduced in
 // strictly ascending k order with no fused multiply-add, so results are
 // bit-identical for any thread count AND any dispatch target: every
-// intrinsic variant rounds exactly like the scalar ascending-k dot
+// vectorized variant rounds exactly like the scalar ascending-k dot
 // product (the contract Mlp::forward_batch relies on; asserted by
 // `ctest -L simd`).
 //

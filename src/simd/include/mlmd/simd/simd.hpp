@@ -1,10 +1,9 @@
 #pragma once
 // mlmd::simd — runtime-dispatched SIMD micro-kernels (DESIGN.md Sec. 12).
 //
-// The packed-GEMM engine and the hot LFD inner loops (bond rotations,
-// phase multiplies) used to rely on `#pragma omp simd` and compiler luck
-// for vector scheduling. This module replaces that with hand-written
-// AVX2/AVX-512 register-tiled kernels behind a one-time-resolved
+// The packed-GEMM engine, the hot LFD inner loops (bond rotations,
+// phase multiplies), the stage-3 ferro row, the library's tanh, the fused
+// MLP pass and the guard's field scan run through a one-time-resolved
 // function-pointer table, selected by cpuid at startup:
 //
 //   * simd::caps()            cpuid-probed capability report (AVX2, FMA,
@@ -15,27 +14,25 @@
 //                             benches (A/B testing, sanitizer lanes)
 //   * simd::kernels()         the dispatch table for the active target
 //
+// Every kernel is a generic template of ukern_generic.hpp. Each table is
+// one translation unit that instantiates them with its own -m<isa> flags
+// and GCC's vectorizer on, at the target's register-tile shapes (the
+// AVX-512 table shares the AVX2 ferro row).
+//
 // Bit-identity contract: every kernel variant performs, per output
-// element, exactly the operation sequence of the scalar reference kernel
-// (separate IEEE multiply and add — never FMA-contracted, never
-// reassociated across the reduction dimension), so every dispatch target
-// produces byte-identical results to MLMD_SIMD=scalar. The intrinsic
-// translation units are compiled with -ffp-contract=off to make that a
-// build guarantee, not a hope; `ctest -L simd` asserts it. Consequently
-// the existing bit-exactness guarantees (batched-vs-scalar MLP,
-// checkpoint restore) survive unchanged under any target.
+// element, exactly the operation sequence of the scalar table (separate
+// IEEE multiply and add — never FMA-contracted, never reassociated
+// across the reduction dimension), so every dispatch target produces
+// byte-identical results to MLMD_SIMD=scalar. The table translation
+// units are compiled with -ffp-contract=off to make that a build
+// guarantee, not a hope; `ctest -L simd` asserts it. Consequently the
+// existing bit-exactness guarantees (batched-vs-scalar MLP, checkpoint
+// restore) survive unchanged under any target.
 //
-// The stage-3 ferro row, the library's tanh, the fused MLP pass and the
-// guard's field scan are not hand-written: they are generic templates of
-// ukern_generic.hpp, compiled with the vectorizer on for SSE2 (the
-// scalar table), AVX2 and AVX-512 (the AVX-512 table shares the AVX2
-// ferro row).
-//
-// One binary carries all targets: the AVX2/AVX-512 kernels live in
-// translation units compiled with per-file -mavx2/-mavx512* flags, and no
-// intrinsic code path is reachable without a cpuid + OS-state approval,
-// so MLMD_SIMD=scalar runs on any x86-64 (and non-x86 builds degrade to
-// scalar-only automatically).
+// One binary carries all targets, and no AVX2/AVX-512 code path is
+// reachable without a cpuid + OS-state approval, so MLMD_SIMD=scalar runs
+// on any x86-64 (and non-x86 builds degrade to scalar-only
+// automatically).
 
 #include <complex>
 #include <cstddef>
@@ -150,12 +147,11 @@ using PhaseRowFn = void (*)(std::complex<R>* row, R pr, R pi, std::size_t n);
 ///   dst[p*W + j] = alpha * src[p*ld + j]   for j in [0, w)
 ///   dst[p*W + j] = 0                       for j in [w, W)
 /// with alpha == 1 lowered to a plain copy (so sNaN payloads survive
-/// packing bit-exactly, like the hand-written copy loops did). This is
-/// the contiguous-copy case of the GEMM packers: op(B) kN column
-/// micro-panels (alpha == 1) and op(A) kT/kC row micro-panels (alpha
-/// folded into the pack). A copy admits no reassociation and the scaled
-/// variant is one elementwise IEEE multiply, so packed panels are
-/// byte-identical across targets.
+/// packing bit-exactly). This is the contiguous-copy case of the GEMM
+/// packers: op(B) kN column micro-panels (alpha == 1) and op(A) kT/kC row
+/// micro-panels (alpha folded into the pack). A copy admits no
+/// reassociation and the scaled variant is one elementwise IEEE multiply,
+/// so packed panels are byte-identical across targets.
 template <class R>
 using PackPanelFn = void (*)(const R* src, std::size_t ld, std::size_t kc,
                              R alpha, std::size_t w, std::size_t W, R* dst);

@@ -1,18 +1,31 @@
 #pragma once
-// Generic (ISA-agnostic) reference kernels. These templates define the
-// bit-identity contract: every intrinsic variant in kernels_avx2.cpp /
-// kernels_avx512.cpp must reproduce, per output element, exactly this
-// operation sequence (separate IEEE multiply and add, ascending reduction
-// index, single accumulator per element). The scalar dispatch table is
-// built from instantiations of these templates; test_simd sweeps every
-// other target against them bytewise.
+// The kernels of every dispatch table (DESIGN.md Sec. 12). Each table's
+// translation unit (kernels_scalar.cpp, kernels_avx2.cpp,
+// kernels_avx512.cpp) instantiates these templates under its own -m<isa>
+// flags with -ffp-contract=off and GCC's vectorizer on; there is no other
+// way a kernel is written. The templates define the bit-identity
+// contract: per output element, separate IEEE multiply and add, an
+// ascending reduction index and one accumulator, so every target's
+// widening of a loop writes the scalar table's bits, which test_simd
+// compares bytewise.
 //
-// The `#pragma omp simd` hints vectorize only the contiguous j/s/y
-// direction — per-element op order is unaffected (no reduction
-// reassociation), so auto-vectorization of this file cannot change
-// results. ferro_row, tanh_n, mlp_grad_rows and any_above have no
-// intrinsic variant: generic_avx2.cpp and generic_avx512.cpp compile
-// these templates for AVX2 and AVX-512 with the vectorizer on.
+// Every `#pragma omp simd` loop vectorizes only a direction in which
+// elements are independent: lanes repeat the scalar operation sequence
+// and no floating-point reduction is reassociated.
+//
+// Each template a table points at takes a Target parameter that only
+// keys the instantiation: every kernel TU instantiates its own, so the
+// linker never folds copies built with different -m flags onto one
+// ISA's code. Helpers called from the kernels are always_inline for the
+// same reason.
+//
+// A subtraction whose lanes would alternate with additions (the real
+// and imaginary parts of a complex product) is written as the addition
+// of a product with a negated coefficient: x - a*b == x + (-a)*b
+// bitwise, since x - y == x + (-y) and (-a)*b == -(a*b) in IEEE
+// arithmetic. The lanes then all add, which leaves GCC's SLP addsub
+// matcher nothing to fuse into the vfmaddsub it otherwise emits under
+// -mavx512f even with contraction off.
 
 #include <algorithm>
 #include <array>
@@ -25,14 +38,18 @@
 
 namespace mlmd::simd::generic {
 
-/// acc[MR][NR] += sum_p a[p*MR + i] * b[p*NR + j]  (a, b packed,
-/// zero-padded). Each element: t = a*b; acc = acc + t, ascending p.
-template <class T, std::size_t MR, std::size_t NR>
+/// GemmUkern: acc[MR][NR] += sum_p a[p*MR + i] * b[p*NR + j] (a, b
+/// packed, zero-padded). Each element: t = a*b; acc = acc + t, ascending
+/// p. With the i loop unrolled every accumulator row has a fixed address
+/// inside the p loop, so GCC holds the MR x NR tile in vector registers
+/// from the first load to the last store.
+template <Target, class T, std::size_t MR, std::size_t NR>
 void ukern_real(std::size_t kc, const T* __restrict__ ap,
                 const T* __restrict__ bp, T* __restrict__ acc) {
   for (std::size_t p = 0; p < kc; ++p) {
     const T* a = ap + p * MR;
     const T* b = bp + p * NR;
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < MR; ++i) {
       const T av = a[i];
       T* c = acc + i * NR;
@@ -42,12 +59,14 @@ void ukern_real(std::size_t kc, const T* __restrict__ ap,
   }
 }
 
-/// Complex micro-kernel on split-real packed panels: a interleaved
-/// (re,im) per row with stride 2*MR, b de-interleaved per p (NR reals
-/// then NR imags), separate re/im accumulator planes. The manual
-/// expansion matches the `cr += ar*xr - ai*xi` form (std::complex
-/// operator* would route through the scalar, NaN-correct __mulsc3).
-template <class R, std::size_t MR, std::size_t NR>
+/// CplxUkern on split-real packed panels: a interleaved (re,im) per row
+/// with stride 2*MR, b de-interleaved per p (NR reals then NR imags),
+/// separate re/im accumulator planes, held in registers like
+/// ukern_real's tile. The manual expansion matches the
+/// `cr += ar*xr - ai*xi` form (std::complex operator* would route
+/// through the scalar, NaN-correct __mulsc3); each plane's lanes all
+/// subtract or all add, so no addsub pattern arises.
+template <Target, class R, std::size_t MR, std::size_t NR>
 void ukern_cplx(std::size_t kc, const R* __restrict__ ap,
                 const R* __restrict__ bp, R* __restrict__ accr,
                 R* __restrict__ acci) {
@@ -55,6 +74,7 @@ void ukern_cplx(std::size_t kc, const R* __restrict__ ap,
     const R* a = ap + p * 2 * MR;
     const R* br = bp + p * 2 * NR;
     const R* bi = br + NR;
+#pragma GCC unroll 16
     for (std::size_t i = 0; i < MR; ++i) {
       const R ar = a[2 * i], ai = a[2 * i + 1];
       R* cr = accr + i * NR;
@@ -68,34 +88,48 @@ void ukern_cplx(std::size_t kc, const R* __restrict__ ap,
   }
 }
 
-/// LFD bond rotation over n orbitals of rows u, v (kin_prop sweeps).
-template <class R>
+/// RotateRowsFn (kin_prop bond rotation over n orbitals of rows u, v).
+/// The rows are read as interleaved reals, and each subtraction of the
+/// contract is an addition of the negated coefficient's product (see the
+/// file comment), so the vectorizer pairs the (re, im) lanes with one
+/// swap of v (or u) and no addsub.
+template <Target, class R>
 void rotate_rows(std::complex<R>* __restrict__ u,
                  std::complex<R>* __restrict__ v, R cs, R ar, R ai, R br,
                  R bi, std::size_t n) {
+  R* x = reinterpret_cast<R*>(u);
+  R* y = reinterpret_cast<R*>(v);
+  const R nai = -ai, nbi = -bi;
 #pragma omp simd
   for (std::size_t s = 0; s < n; ++s) {
-    const R ur = u[s].real(), ui = u[s].imag();
-    const R vr = v[s].real(), vi = v[s].imag();
-    u[s] = {cs * ur + ar * vr - ai * vi, cs * ui + ar * vi + ai * vr};
-    v[s] = {cs * vr + br * ur - bi * ui, cs * vi + br * ui + bi * ur};
+    const R ur = x[2 * s], ui = x[2 * s + 1];
+    const R vr = y[2 * s], vi = y[2 * s + 1];
+    x[2 * s] = cs * ur + ar * vr + nai * vi;
+    x[2 * s + 1] = cs * ui + ar * vi + ai * vr;
+    y[2 * s] = cs * vr + br * ur + nbi * ui;
+    y[2 * s + 1] = cs * vi + br * ui + bi * ur;
   }
 }
 
-/// Uniform complex phase multiply over n orbitals of one row.
-template <class R>
-void phase_row(std::complex<R>* __restrict__ row, R pr, R pi, std::size_t n) {
+/// PhaseRowFn (uniform complex phase multiply over n orbitals of one
+/// row), with the sign folded into the coefficient like rotate_rows.
+template <Target, class R>
+void phase_row(std::complex<R>* __restrict__ row, R pr, R pi,
+               std::size_t n) {
+  R* x = reinterpret_cast<R*>(row);
+  const R npi = -pi;
 #pragma omp simd
   for (std::size_t s = 0; s < n; ++s) {
-    const R r = row[s].real(), im = row[s].imag();
-    row[s] = {pr * r - pi * im, pr * im + pi * r};
+    const R r = x[2 * s], im = x[2 * s + 1];
+    x[2 * s] = pr * r + npi * im;
+    x[2 * s + 1] = pr * im + pi * r;
   }
 }
 
 /// Zero-padded scale-copy panel packer (PackPanelFn contract):
 ///   dst[p*W + j] = alpha * src[p*ld + j]  (j < w),  0  (w <= j < W).
 /// alpha == 1 is a plain copy so packing never rewrites payload bits.
-template <class R>
+template <Target, class R>
 void pack_panel(const R* __restrict__ src, std::size_t ld, std::size_t kc,
                 R alpha, std::size_t w, std::size_t W, R* __restrict__ dst) {
   for (std::size_t p = 0; p < kc; ++p) {
@@ -171,9 +205,7 @@ void pack_panel(const R* __restrict__ src, std::size_t ld, std::size_t kc,
 /// The two wrap cells are peeled, so the interior is one `omp simd` loop
 /// of unit-stride loads; vector lanes repeat the scalar operation
 /// sequence, and the kernel TUs cannot contract it into FMAs, so every
-/// target writes the same bits. The Target parameter only keys the
-/// instantiation: each kernel TU instantiates its own, so the linker
-/// never merges copies built with different -m flags.
+/// target writes the same bits.
 template <Target>
 void ferro_row(FerroCoeffs p, const double* u, const double* u_xp,
                const double* u_xm, const double* w, double* v,
@@ -274,8 +306,7 @@ void ferro_row(FerroCoeffs p, const double* u, const double* u_xp,
                      std::bit_cast<double>(std::bit_cast<u64>(mag) | sign), x);
 }
 
-/// TanhNFn: y[k] = tanh(x[k]). The Target parameter keys the
-/// instantiation, as in ferro_row.
+/// TanhNFn: y[k] = tanh(x[k]).
 template <Target>
 void tanh_n(const double* x, double* y, std::size_t n) {
 #pragma omp simd

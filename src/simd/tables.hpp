@@ -13,19 +13,10 @@ const KernelTable* scalar_table();  // never nullptr
 const KernelTable* avx2_table();
 const KernelTable* avx512_table();
 
-/// The generic templates compiled with the vectorizer on, for AVX2
-/// (generic_avx2.cpp; the AVX-512 table shares its ferro_row) and for
-/// AVX-512 (generic_avx512.cpp).
+/// The AVX2 ferro row (kernels_avx2.cpp), which the AVX-512 table shares:
+/// a zmm build of it gained nothing measurable at 4 threads.
 void ferro_row_avx2(FerroCoeffs c, const double* u, const double* u_xp,
                     const double* u_xm, const double* w, double* v,
                     double* u_next, std::size_t plane, std::size_t ly);
-void tanh_n_avx2(const double* x, double* y, std::size_t n);
-void mlp_grad_rows_avx2(MlpNet net, const double* x, std::size_t nb,
-                        double* dy0_dx, double* y, double* scratch);
-bool any_above_avx2(const double* v, std::size_t n, std::uint64_t bound);
-void tanh_n_avx512(const double* x, double* y, std::size_t n);
-void mlp_grad_rows_avx512(MlpNet net, const double* x, std::size_t nb,
-                          double* dy0_dx, double* y, double* scratch);
-bool any_above_avx512(const double* v, std::size_t n, std::uint64_t bound);
 
 }  // namespace mlmd::simd::detail

@@ -71,7 +71,7 @@ Matrix<T> ref_gemm(Trans ta, Trans tb, T alpha, const Matrix<T>& a,
 // ---- parameterized GEMM sweep over shapes and trans combinations --------
 //
 // Every case runs once per simd dispatch target (scalar plus whichever
-// intrinsic ISAs this host supports), so the shape/trans edge paths are
+// vector ISAs this host supports), so the shape/trans edge paths are
 // exercised against each micro-kernel tile geometry.
 
 struct GemmCase {
@@ -301,9 +301,10 @@ INSTANTIATE_TEST_SUITE_P(Targets, GemmDeterminism,
 
 // ---- 64-byte alignment contract (aligned.hpp) ---------------------------
 //
-// The dispatched micro-kernels use *aligned* vector loads on packed B
-// panels and accumulator tiles; these tests pin the allocation-side
-// guarantees instead of trusting them.
+// Packed B panels and accumulator tiles start on 64-byte boundaries, so
+// no vector load of a panel row splits a cache line (a speed property:
+// the micro-kernels' loads are unaligned); these tests pin the
+// allocation-side guarantees instead of trusting them.
 
 TEST(Alignment, WorkspaceScratchIs64ByteAligned) {
   auto& ws = mlmd::common::Workspace::local();
@@ -327,7 +328,7 @@ TEST(Alignment, MatrixStorageIs64ByteAligned) {
 TEST(Alignment, PackedPanelStridesAre64ByteMultiples) {
   // For every supported target: the per-k-step packed-B row is
   // NR * (reals per coefficient) * sizeof(real) bytes, and must be a
-  // multiple of 64 so each k step's aligned B loads are legal; the
+  // multiple of 64 so each k step's B row starts a cache line; the
   // register tile must fit the dispatch-independent accumulator bound.
   for (auto t : mlmd::simd::supported_targets()) {
     mlmd::testing::ScopedSimdTarget guard(t);

@@ -1,9 +1,9 @@
 // Tests for mlmd::simd (DESIGN.md Sec. 12): cpuid capability probing,
 // target parsing/dispatch control, and the bit-identity contract that
-// makes runtime dispatch safe — every host-supported intrinsic target
-// must produce BYTE-identical GEMM / gemm_mixed / kin_prop / vloc_prop
-// results to the scalar reference kernels. `ctest -L simd` runs this
-// binary; targets the host or build cannot run are skipped with a note.
+// makes runtime dispatch safe — every host-supported vector target must
+// produce BYTE-identical kernel, GEMM / gemm_mixed / kin_prop / vloc_prop
+// results to the scalar table. `ctest -L simd` runs this binary; targets
+// the host or build cannot run are skipped with a note.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mlmd/common/rng.hpp"
@@ -126,6 +128,50 @@ TEST(SimdDispatch, TileShapesArePositive) {
   }
 }
 
+// Each table points at its own target's code. A kernel template left
+// without its Target key would be instantiated under the same name in
+// several table TUs, and the linker would keep one copy, built with one
+// TU's -m flags, for every table: on this host it would pass unnoticed,
+// and on a host without that ISA it would fault. Only the AVX-512 table's
+// ferro row is the AVX2 one by design.
+TEST(SimdDispatch, TablesHoldTheirOwnKernels) {
+  const auto slots = [](const simd::KernelTable& k) {
+    const auto p = [](auto fn) { return reinterpret_cast<const void*>(fn); };
+    return std::vector<std::pair<const char*, const void*>>{
+        {"sgemm", p(k.sgemm.fn)},         {"dgemm", p(k.dgemm.fn)},
+        {"cgemm", p(k.cgemm.fn)},         {"zgemm", p(k.zgemm.fn)},
+        {"rotate_f", p(k.rotate_f)},      {"rotate_d", p(k.rotate_d)},
+        {"phase_f", p(k.phase_f)},        {"phase_d", p(k.phase_d)},
+        {"pack_f", p(k.pack_f)},          {"pack_d", p(k.pack_d)},
+        {"ferro_row", p(k.ferro_row)},    {"tanh_n", p(k.tanh_n)},
+        {"mlp_grad_rows", p(k.mlp_grad_rows)},
+        {"any_above", p(k.any_above)}};
+  };
+  const auto ts = simd::supported_targets();
+  if (ts.size() < 2) GTEST_SKIP() << "only the scalar table is supported";
+  std::vector<simd::KernelTable> tables;
+  for (auto t : ts) {
+    ScopedSimdTarget guard(t);
+    tables.push_back(simd::kernels());
+  }
+  for (std::size_t a = 0; a < ts.size(); ++a)
+    for (std::size_t b = a + 1; b < ts.size(); ++b) {
+      const auto sa = slots(tables[a]), sb = slots(tables[b]);
+      ASSERT_EQ(sa.size(), sb.size());
+      for (std::size_t i = 0; i < sa.size(); ++i) {
+        const bool shared = std::string(sa[i].first) == "ferro_row" &&
+                            ts[a] == simd::Target::kAvx2 &&
+                            ts[b] == simd::Target::kAvx512;
+        if (shared)
+          EXPECT_EQ(sa[i].second, sb[i].second) << "ferro_row";
+        else
+          EXPECT_NE(sa[i].second, sb[i].second)
+              << sa[i].first << ": " << simd::target_name(ts[a]) << " and "
+              << simd::target_name(ts[b]) << " share code";
+      }
+    }
+}
+
 // ---- panel-packer bit-identity across targets ----------------------------
 //
 // PackPanelFn contract (simd.hpp): dst[p*W+j] = alpha*src[p*ld+j] for
@@ -187,7 +233,7 @@ TEST(SimdBitIdentity, PackPanelDouble) {
 //
 // The dispatch contract (simd.hpp): every kernel variant reduces k in
 // ascending order with one accumulator per C element and never fuses
-// multiply-add, so the scalar and intrinsic paths round identically.
+// multiply-add, so the scalar and vectorized paths round identically.
 // Asserted bytewise over shapes that hit full tiles, tile remainders,
 // and multiple kKC reduction panels.
 
@@ -347,6 +393,136 @@ void vloc_bitwise_across_targets() {
 
 TEST(SimdBitIdentity, VlocDouble) { vloc_bitwise_across_targets<double>(); }
 TEST(SimdBitIdentity, VlocFloat) { vloc_bitwise_across_targets<float>(); }
+
+// ---- LFD row kernels ----------------------------------------------------
+//
+// RotateRowsFn and PhaseRowFn (simd.hpp) called through each table: every
+// row length n = 0 ... 33 (the empty row, every vector body and every
+// tail of the float and double kernels), each target's bytes against the
+// scalar table's, and one guard element past n that no target writes.
+// Random finite rows run with generic coefficients and with -0.0 ones;
+// signed zeros, NaNs and infinities run apart. A NaN gets one slot per
+// orbital (of the four reals u_s, v_s a rotation mixes, or the two of a
+// phase multiply), so no add meets two NaNs, whose result would depend
+// on which operand the compiler put first; the default NaN an Inf makes
+// has the same bits in either order.
+
+enum class RowValues { kFinite, kZeros, kNaN, kInf };
+
+/// n groups of `group` reals of one kind, plus `group` reals of 0xab
+/// guard bytes.
+template <class R>
+std::vector<R> lfd_row_values(std::size_t n, std::size_t group, RowValues kind,
+                              Rng& rng) {
+  std::vector<R> x(group * (n + 1));
+  for (std::size_t s = 0; s < n; ++s) {
+    R* g = &x[group * s];
+    for (std::size_t k = 0; k < group; ++k) g[k] = static_cast<R>(rng.normal());
+    switch (kind) {
+      case RowValues::kFinite: break;
+      case RowValues::kZeros:
+        for (std::size_t k = 0; k < group; ++k) g[k] = rng.uniform() < 0.5 ? R{0} : -R{0};
+        break;
+      case RowValues::kNaN:
+        if (rng.uniform() < 0.6) {
+          const R nan = std::numeric_limits<R>::quiet_NaN();
+          g[static_cast<std::size_t>(rng.uniform() * group)] =
+              rng.uniform() < 0.5 ? nan : -nan;
+        }
+        break;
+      case RowValues::kInf:
+        for (std::size_t k = 0; k < group; ++k)
+          if (rng.uniform() < 0.3) {
+            const R inf = std::numeric_limits<R>::infinity();
+            g[k] = rng.uniform() < 0.5 ? inf : -inf;
+          }
+        break;
+    }
+  }
+  std::memset(&x[group * n], 0xab, group * sizeof(R));
+  return x;
+}
+
+template <class R>
+void rotate_rows_bitwise_across_targets() {
+  using C = std::complex<R>;
+  const R nz = -R{0};
+  // (cs, ar, ai, br, bi): generic values, then -0.0 in the slots whose sign
+  // the kernel folds (ai, bi) and in the others.
+  const R coeffs[][5] = {{R(0.93), R(0.21), R(-0.17), R(-0.19), R(0.23)},
+                         {R(0.93), R(0.21), nz, R(-0.19), nz},
+                         {nz, nz, R(0.4), nz, R(-0.3)}};
+  for (const RowValues kind : {RowValues::kFinite, RowValues::kZeros,
+                               RowValues::kNaN, RowValues::kInf})
+    for (const auto& c : coeffs)
+      for (std::size_t n = 0; n <= 33; ++n) {
+        Rng rng(1000 * static_cast<std::uint64_t>(kind) + n);
+        // Per orbital the group (ur, ui, vr, vi), split into the two rows.
+        const auto g = lfd_row_values<R>(n, 4, kind, rng);
+        std::vector<C> u0(n + 1), v0(n + 1);
+        for (std::size_t s = 0; s <= n; ++s) {
+          u0[s] = C(g[4 * s], g[4 * s + 1]);
+          v0[s] = C(g[4 * s + 2], g[4 * s + 3]);
+        }
+        const auto run = [&](simd::Target t) {
+          ScopedSimdTarget guard(t);
+          std::vector<C> u = u0, v = v0;
+          simd::rotate_fn<R>()(u.data(), v.data(), c[0], c[1], c[2], c[3], c[4], n);
+          u.insert(u.end(), v.begin(), v.end());
+          return u;
+        };
+        const auto ref = run(simd::Target::kScalar);
+        EXPECT_EQ(std::memcmp(&ref[n], &u0[n], sizeof(C)), 0) << "u guard, n=" << n;
+        EXPECT_EQ(std::memcmp(&ref[2 * n + 1], &v0[n], sizeof(C)), 0)
+            << "v guard, n=" << n;
+        for (auto t : simd::supported_targets()) {
+          const auto got = run(t);
+          EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(C)), 0)
+              << "target=" << simd::target_name(t) << " n=" << n
+              << " values=" << static_cast<int>(kind) << " cs=" << c[0];
+        }
+      }
+}
+
+template <class R>
+void phase_row_bitwise_across_targets() {
+  using C = std::complex<R>;
+  const R nz = -R{0};
+  const R coeffs[][2] = {{R(0.81), R(-0.59)}, {R(0.81), nz}, {nz, R(0.6)}};
+  for (const RowValues kind : {RowValues::kFinite, RowValues::kZeros,
+                               RowValues::kNaN, RowValues::kInf})
+    for (const auto& c : coeffs)
+      for (std::size_t n = 0; n <= 33; ++n) {
+        Rng rng(2000 * static_cast<std::uint64_t>(kind) + n);
+        const auto g = lfd_row_values<R>(n, 2, kind, rng);
+        std::vector<C> x0(n + 1);
+        for (std::size_t s = 0; s <= n; ++s) x0[s] = C(g[2 * s], g[2 * s + 1]);
+        const auto run = [&](simd::Target t) {
+          ScopedSimdTarget guard(t);
+          std::vector<C> x = x0;
+          simd::phase_fn<R>()(x.data(), c[0], c[1], n);
+          return x;
+        };
+        const auto ref = run(simd::Target::kScalar);
+        EXPECT_EQ(std::memcmp(&ref[n], &x0[n], sizeof(C)), 0) << "guard, n=" << n;
+        for (auto t : simd::supported_targets()) {
+          const auto got = run(t);
+          EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(C)), 0)
+              << "target=" << simd::target_name(t) << " n=" << n
+              << " values=" << static_cast<int>(kind) << " pr=" << c[0];
+        }
+      }
+}
+
+TEST(SimdBitIdentity, RotateRows) {
+  rotate_rows_bitwise_across_targets<float>();
+  rotate_rows_bitwise_across_targets<double>();
+}
+
+TEST(SimdBitIdentity, PhaseRow) {
+  phase_row_bitwise_across_targets<float>();
+  phase_row_bitwise_across_targets<double>();
+}
 
 // ---- ferro row kernel ---------------------------------------------------
 //
